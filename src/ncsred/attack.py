@@ -9,8 +9,8 @@ import numpy as np
 from .errors import InvalidInputError
 from .graph import Graph, algebraic_connectivity, is_connected, remove_edge
 from .reachset import (AgentPolygon, InputPolytope, agent_polygon,
-                       batch_reach_supports, embed_input_map,
-                       planar_directions, polygon_distance)
+                       batch_reach_supports, embed_input_map, pair_distances,
+                       planar_directions, polygon_distance, shifted_distances)
 
 FIEDLER_TIE_TOL = 1e-9
 EDGE_THRESHOLD_FACTOR = 0.5
@@ -68,15 +68,9 @@ def select_targets(polygons):
     """Agent pair whose polygons are farthest apart; lexicographic tie-break."""
     if len(polygons) < 2:
         raise InvalidInputError("need at least 2 agent polygons")
-    best = None
-    best_d = -1.0
-    for i in range(len(polygons)):
-        for j in range(i + 1, len(polygons)):
-            d = polygon_distance(polygons[i], polygons[j])
-            if d > best_d:
-                best_d = d
-                best = (i, j)
-    return best
+    ii, jj = np.triu_indices(len(polygons), k=1)
+    best = int(np.argmax(pair_distances(polygons)))
+    return int(ii[best]), int(jj[best])
 
 
 def agent_reach_polygon(model_K, B, agent, n_agents, x0, omega, n_directions=16,
@@ -105,7 +99,9 @@ def synthesize_fdi(k, targets, model, omega: InputPolytope, state, B,
     zero injection, so the chosen injection never scores below inaction under
     the identified model. Ties keep the earliest vertex-pair candidate.
     `current_polygons` optionally reuses the selection stage's per-agent
-    polygons for the before-separation.
+    polygons for the before-separation. The candidates are scored on 1-step
+    polygons even when the selection used a longer reach horizon, so with
+    `horizon > 1` the two separations are on different horizons.
     """
     i, j = targets
     if i == j:
@@ -117,10 +113,7 @@ def synthesize_fdi(k, targets, model, omega: InputPolytope, state, B,
     if x.shape != (n,):
         raise InvalidInputError("state length does not match model")
 
-    Bi = embed_input_map(B, i, n_agents)
-    Bj = embed_input_map(B, j, n_agents)
     base_next = K @ x
-
     Pi0 = agent_reach_polygon(K, B, i, n_agents, base_next, omega, n_directions)
     Pj0 = agent_reach_polygon(K, B, j, n_agents, base_next, omega, n_directions)
     if current_polygons is None:
@@ -130,33 +123,26 @@ def synthesize_fdi(k, targets, model, omega: InputPolytope, state, B,
     else:
         sep_before = polygon_distance(current_polygons[i], current_polygons[j])
 
-    # reach polygons from a shifted state are exact translates, so score
-    # candidates by translating the zero-injection polygons
-    KBi = K @ Bi
-    KBj = K @ Bj
-    pos_rows_i = [4 * i, 4 * i + 2]
-    pos_rows_j = [4 * j, 4 * j + 2]
-
+    # reach polygons from a shifted state are exact translates, so candidate
+    # (ui, uj) scores dist(Pi0 + delta_i, Pj0 + delta_j) with
+    # delta = K (Bi ui + Bj uj); rows are (ui, uj) for ui, uj in the
+    # vertices, then the zero injection
     verts = omega.vertices
-    candidates = [(ui, uj) for ui in verts for uj in verts]
-    candidates.append((np.zeros(2), np.zeros(2)))
-
-    best_score = -np.inf
-    best = None
-    for ui, uj in candidates:
-        delta = KBi @ ui + KBj @ uj
-        d = polygon_distance(Pi0.translated(delta[pos_rows_i]),
-                             Pj0.translated(delta[pos_rows_j]))
-        if d > best_score:
-            best_score = d
-            best = (ui, uj)
+    s = len(verts)
+    Ui = np.vstack([np.repeat(verts, s, axis=0), np.zeros(2)])
+    Uj = np.vstack([np.tile(verts, (s, 1)), np.zeros(2)])
+    delta = (Ui @ (K @ embed_input_map(B, i, n_agents)).T
+             + Uj @ (K @ embed_input_map(B, j, n_agents)).T)
+    shifts = delta[:, [4 * i, 4 * i + 2]] - delta[:, [4 * j, 4 * j + 2]]
+    scores = shifted_distances(Pi0, Pj0, shifts)
+    best = int(np.argmax(scores))
 
     u_a = np.zeros(2 * n_agents)
-    u_a[2 * i:2 * i + 2] = best[0]
-    u_a[2 * j:2 * j + 2] = best[1]
+    u_a[2 * i:2 * i + 2] = Ui[best]
+    u_a[2 * j:2 * j + 2] = Uj[best]
     return AttackDecision(k=int(k), targets=(i, j), u_a=u_a,
                           separation_before=float(sep_before),
-                          separation_after=float(best_score))
+                          separation_after=float(scores[best]))
 
 
 def selection_matrix(targets, n_agents, input_block):

@@ -162,7 +162,7 @@ def run(scenario: Scenario, mode: str) -> RunRecord:
             injections[k] = u_a
 
         inputs[k] = control_inputs(scenario, state, graph=active_graph)
-        state = step(scenario, state, fdi=u_a, graph=active_graph)
+        state = step(scenario, state, fdi=u_a, graph=active_graph, u=inputs[k])
         states[k + 1] = state.x
         graph_history[k + 1] = len(graphs) - 1
         pair_errors[k + 1] = _positional_errors(scenario, state.x)

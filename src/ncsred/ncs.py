@@ -225,18 +225,20 @@ def feedback_inputs(s: Scenario, state: StackedState, graph: Optional[Graph] = N
 
 
 def step(s: Scenario, state: StackedState, fdi: Optional[np.ndarray] = None,
-         graph: Optional[Graph] = None) -> StackedState:
+         graph: Optional[Graph] = None, u: Optional[np.ndarray] = None) -> StackedState:
     """One plant step: x_i <- A x_i + B (u_i + u^a_i).
 
     `fdi` is an optional stacked injection of length 2N entering through the
-    same actuator matrix B.
+    same actuator matrix B. `u` optionally supplies this state's
+    `control_inputs` (N x 2) when the caller has already computed them.
     """
     N = s.n_agents
     if fdi is not None:
         fdi = np.asarray(fdi, float)
         if fdi.shape != (INPUT_DIM * N,):
             raise InvalidInputError(f"fdi length {fdi.shape} != {INPUT_DIM * N}")
-    u = control_inputs(s, state, graph)
+    if u is None:
+        u = control_inputs(s, state, graph)
     A, B = s.agent_model.A, s.agent_model.B
     X = state.x.reshape(N, STATE_DIM)
     out = np.empty_like(X)

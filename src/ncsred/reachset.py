@@ -2,7 +2,8 @@
 
 Reach sets are represented by support values along fixed planar query
 directions, lifted into the stacked state space per agent, then intersected
-back into per-agent position polygons.
+back into per-agent position polygons. Distances between polygons are point
+queries against their Minkowski difference.
 """
 from __future__ import annotations
 
@@ -13,6 +14,8 @@ import numpy as np
 from .errors import DegenerateGeometryError, InvalidInputError
 
 FEAS_TOL = 1e-9
+#: face normals closer than this angle (radians) count as one direction
+ANGLE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -186,13 +189,6 @@ class AgentPolygon:
     supports: np.ndarray    # (m,)
     vertices: np.ndarray    # (v, 2) CCW
 
-    def translated(self, delta):
-        d = np.asarray(delta, float)
-        return AgentPolygon(agent=self.agent,
-                            directions=self.directions,
-                            supports=self.supports + self.directions @ d,
-                            vertices=self.vertices + d[None, :])
-
 
 def halfspace_polygon(directions, supports):
     """CCW vertices of the bounded intersection of planar half-planes.
@@ -226,11 +222,8 @@ def halfspace_polygon(directions, supports):
         raise DegenerateGeometryError("empty half-plane intersection")
     # dedupe with a scale-aware tolerance, then order counter-clockwise
     scale = max(1.0, np.abs(P).max())
-    kept = P[:1]
-    for p in P[1:]:
-        if np.min(np.linalg.norm(kept - p, axis=1)) > 1e-9 * scale:
-            kept = np.vstack([kept, p])
-    P = kept
+    near = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=2) <= 1e-9 * scale
+    P = P[~np.tril(near, k=-1).any(axis=1)]
     centroid = P.mean(axis=0)
     order = np.argsort(np.arctan2(P[:, 1] - centroid[1], P[:, 0] - centroid[0]))
     return P[order]
@@ -245,66 +238,74 @@ def agent_polygon(directions, agent, supports) -> AgentPolygon:
                         vertices=verts)
 
 
-def _segments(vertices):
-    v = np.asarray(vertices, float)
-    if v.shape[0] == 1:
-        return v, v
-    return v, np.roll(v, -1, axis=0)
+def _direction_fan(polygons):
+    """Shared CCW face normals and the mid-arc directions between them.
 
-
-def _point_in_convex(vertices, p, tol=FEAS_TOL):
-    v = np.asarray(vertices, float)
-    if v.shape[0] < 3:
-        return False
-    a, b = _segments(v)
-    cross = (b[:, 0] - a[:, 0]) * (p[1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (p[0] - a[:, 0])
-    return bool(np.all(cross >= -tol) or np.all(cross <= tol))
-
-
-def _point_seg(P, s0, s1):
-    # P: (k,2) points, s0/s1: (l,2) segment ends -> (k,l) distances
-    d = s1 - s0
-    L2 = np.einsum("ij,ij->i", d, d)
-    diff = P[:, None, :] - s0[None, :, :]
-    t = np.einsum("kli,li->kl", diff, d)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        t = np.where(L2[None, :] > 0, t / L2[None, :], 0.0)
-    t = np.clip(t, 0.0, 1.0)
-    proj = s0[None, :, :] + t[:, :, None] * d[None, :, :]
-    return np.linalg.norm(P[:, None, :] - proj, axis=2)
-
-
-def _segment_distances(a0, a1, b0, b1):
-    """Pairwise distances between segment sets [a0->a1] x [b0->b1].
-
-    For closed polygon rings the endpoint sets equal the vertex sets, so
-    vertex-to-opposite-segment distances cover every non-crossing case.
+    The faces are every polygon's own directions and their negatives, sorted
+    by angle, with directions closer than ANGLE_TOL merged. Every edge normal
+    of a Minkowski difference of these polygons is then one of the faces.
     """
-    best = np.minimum(_point_seg(a0, b0, b1), _point_seg(b0, a0, a1).T)
+    D = np.vstack([p.directions for p in polygons])
+    D = np.vstack([D, -D])
+    ang = np.sort(np.arctan2(D[:, 1], D[:, 0]))
+    ang = ang[np.concatenate([[True], np.diff(ang) > ANGLE_TOL])]
+    if ang[-1] - ang[0] > 2 * np.pi - ANGLE_TOL:
+        ang = ang[:-1]
+    mid = 0.5 * (ang + np.append(ang[1:], ang[0] + 2 * np.pi))
+    faces = np.column_stack([np.cos(ang), np.sin(ang)])
+    arcs = np.column_stack([np.cos(mid), np.sin(mid)])
+    return faces, arcs
 
-    # proper crossings force distance zero
-    r = a1 - a0
-    s = b1 - b0
-    denom = r[:, None, 0] * s[None, :, 1] - r[:, None, 1] * s[None, :, 0]
-    qp = b0[None, :, :] - a0[:, None, :]
-    tnum = qp[:, :, 0] * s[None, :, 1] - qp[:, :, 1] * s[None, :, 0]
-    unum = qp[:, :, 0] * r[:, None, 1] - qp[:, :, 1] * r[:, None, 0]
+
+def _extreme_vertices(P: AgentPolygon, arcs):
+    """Vertices of P attaining max and min of <arc, v> for each arc direction."""
+    V = np.asarray(P.vertices, float)
+    if V.size == 0:
+        raise DegenerateGeometryError("empty polygon")
+    proj = V[:, :1] * arcs[:, 0] + V[:, 1:] * arcs[:, 1]
+    return V[proj.argmax(axis=0)], V[proj.argmin(axis=0)]
+
+
+def _ring_distances(points, rings, faces):
+    """Distances from points (b, 2) to convex rings (m, 2) or (b, m, 2).
+
+    The edge from ring vertex k - 1 to vertex k lies on the face line with
+    outward normal faces[k]. A point inside within FEAS_TOL scores exactly 0.
+    """
+    prev = np.roll(rings, 1, axis=-2)
+    E = rings - prev
+    W = points[:, None, :] - prev
+    inside = (W[..., 0] * faces[:, 0] + W[..., 1] * faces[:, 1]).max(axis=1) <= FEAS_TOL
+    L2 = E[..., 0] * E[..., 0] + E[..., 1] * E[..., 1]
+    t = W[..., 0] * E[..., 0] + W[..., 1] * E[..., 1]
     with np.errstate(invalid="ignore", divide="ignore"):
-        t = np.where(denom != 0, tnum / denom, np.inf)
-        u = np.where(denom != 0, unum / denom, np.inf)
-    crossing = (t >= 0) & (t <= 1) & (u >= 0) & (u <= 1) & np.isfinite(t) & np.isfinite(u)
-    best[crossing] = 0.0
-    return best
+        t = np.clip(np.where(L2 > 0, t / L2, 0.0), 0.0, 1.0)
+    d = np.hypot(W[..., 0] - t * E[..., 0], W[..., 1] - t * E[..., 1]).min(axis=1)
+    return np.where(inside, 0.0, d)
+
+
+def shifted_distances(P: AgentPolygon, Q: AgentPolygon, shifts):
+    """Distances between P + s and Q for every row s of `shifts` (k, 2).
+
+    dist(P + s, Q) is the distance from the point s to the Minkowski
+    difference Q - P, whose vertices are the differences of the two polygons'
+    support points on a shared direction fan (support functions add under
+    Minkowski sums), so all shifts cost one vectorised point query.
+    """
+    faces, arcs = _direction_fan((P, Q))
+    _, lo = _extreme_vertices(P, arcs)
+    hi, _ = _extreme_vertices(Q, arcs)
+    return _ring_distances(np.asarray(shifts, float).reshape(-1, 2), hi - lo, faces)
+
+
+def pair_distances(polygons):
+    """dist(polygons[i], polygons[j]) for every pair i < j, in lexicographic order."""
+    faces, arcs = _direction_fan(polygons)
+    hi, lo = map(np.array, zip(*(_extreme_vertices(p, arcs) for p in polygons)))
+    ii, jj = np.triu_indices(len(polygons), k=1)
+    return _ring_distances(np.zeros((len(ii), 2)), hi[jj] - lo[ii], faces)
 
 
 def polygon_distance(P: AgentPolygon, Q: AgentPolygon) -> float:
     """Euclidean distance between two convex polygons (0 when they intersect)."""
-    vp = np.asarray(P.vertices, float)
-    vq = np.asarray(Q.vertices, float)
-    if vp.size == 0 or vq.size == 0:
-        raise DegenerateGeometryError("empty polygon")
-    if _point_in_convex(vp, vq[0]) or _point_in_convex(vq, vp[0]):
-        return 0.0
-    a0, a1 = _segments(vp)
-    b0, b1 = _segments(vq)
-    return float(_segment_distances(a0, a1, b0, b1).min())
+    return float(shifted_distances(P, Q, np.zeros(2))[0])

@@ -9,7 +9,9 @@ from ncsred.errors import InvalidInputError
 from ncsred.graph import Graph, laplacian
 from ncsred.laprec import KroneckerModel, RecoveryResult
 from ncsred.ncs import double_integrator
-from ncsred.reachset import agent_polygon, circumscribe_ball, polygon_distance
+from ncsred.reachset import (AgentPolygon, agent_polygon, circumscribe_ball,
+                             embed_input_map, polygon_distance)
+from segment_oracle import segment_distance
 
 FIG_EDGES = {(0, 1), (0, 2), (1, 3), (2, 4)}
 
@@ -55,6 +57,14 @@ class TestSelectTargets:
                     if d > best_d:
                         best, best_d = (i, j), d
             assert got == best
+
+    def test_exact_ties_take_first_pair(self):
+        # every pair overlaps: all score 0
+        assert select_targets([square_at((0, 0))] * 4) == (0, 1)
+        # (0,2), (0,3), (1,2) and (1,3) all score 5; (0,1) and (2,3) score 0
+        polys = [square_at((0, 0)), square_at((0, 0)),
+                 square_at((6, 0)), square_at((6, 0))]
+        assert select_targets(polys) == (0, 2)
 
     def test_needs_two(self):
         with pytest.raises(InvalidInputError):
@@ -136,12 +146,66 @@ class TestSynthesizeFdi:
         assert np.array_equal(a.u_a, b.u_a)
         assert a.separation_after == b.separation_after
 
+    def test_overlapping_targets_score_zero_and_take_first_vertex_pair(self):
+        # decoupled agents at one position: for any (ui, uj) both translated
+        # polygons hold c + B(ui + uj), so every candidate scores 0
+        model = DmdModel(K=np.eye(8), residual=0.0, rank_used=8)
+        omega = circumscribe_ball(0.1, 8, seed=3)
+        B = double_integrator(0.2).B
+        x = np.array([1.0, 0.5, -2.0, 0.3, 1.0, -0.4, -2.0, 0.1])
+        d = synthesize_fdi(0, (0, 1), model, omega, x, B, n_directions=8)
+        assert d.separation_before == 0.0
+        assert d.separation_after == 0.0
+        assert np.array_equal(d.u_a[0:2], omega.vertices[0])
+        assert np.array_equal(d.u_a[2:4], omega.vertices[0])
+
+    def test_matches_brute_force_over_translated_polygons(self):
+        rng = np.random.default_rng(29)
+        B = double_integrator(0.2).B
+        for trial in range(25):
+            n_agents = int(rng.integers(2, 6))
+            n = 4 * n_agents
+            K = rng.normal(size=(n, n))
+            K *= rng.uniform(0.5, 1.0) / np.abs(np.linalg.eigvals(K)).max()
+            model = DmdModel(K=K, residual=0.0, rank_used=n)
+            omega = circumscribe_ball(rng.uniform(0.02, 0.5), int(rng.integers(3, 9)),
+                                      seed=trial)
+            x = rng.normal(scale=3.0, size=n)
+            i, j = map(int, rng.choice(n_agents, size=2, replace=False))
+            got = synthesize_fdi(trial, (i, j), model, omega, x, B)
+
+            Pi0 = agent_reach_polygon(K, B, i, n_agents, K @ x, omega)
+            Pj0 = agent_reach_polygon(K, B, j, n_agents, K @ x, omega)
+            KBi = K @ embed_input_map(B, i, n_agents)
+            KBj = K @ embed_input_map(B, j, n_agents)
+            candidates = [(ui, uj) for ui in omega.vertices for uj in omega.vertices]
+            candidates.append((np.zeros(2), np.zeros(2)))
+            best, best_score = None, -np.inf
+            for ui, uj in candidates:
+                delta = KBi @ ui + KBj @ uj
+                Pi = translated(Pi0, delta[[4 * i, 4 * i + 2]])
+                Pj = translated(Pj0, delta[[4 * j, 4 * j + 2]])
+                score = segment_distance(Pi.vertices, Pj.vertices)
+                if score > best_score:
+                    best, best_score = (ui, uj), score
+            want = np.zeros(2 * n_agents)
+            want[2 * i:2 * i + 2], want[2 * j:2 * j + 2] = best
+            assert got.u_a.tobytes() == want.tobytes()
+            assert got.separation_after == pytest.approx(best_score, abs=1e-9)
+
     def test_rejects_equal_targets(self):
         model = DmdModel(K=np.eye(8), residual=0.0, rank_used=8)
         omega = circumscribe_ball(0.05, 4)
         with pytest.raises(InvalidInputError):
             synthesize_fdi(0, (1, 1), model, omega, np.zeros(8),
                            double_integrator(0.2).B)
+
+
+def translated(P, d):
+    """P moved by d, with its support values and vertices shifted explicitly."""
+    return AgentPolygon(agent=P.agent, directions=P.directions,
+                        supports=P.supports + P.directions @ d,
+                        vertices=P.vertices + d[None, :])
 
 
 class TestSelectionMatrix:
