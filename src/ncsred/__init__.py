@@ -18,9 +18,8 @@ from .laprec import (KroneckerModel, RecoveryResult, project_laplacian_cone,
                      recover, solve_factor_steps)
 from .ncs import (AgentModel, Scenario, StackedState, control_inputs,
                   double_integrator, reference, stacked_closed_loop, step)
-from .reachset import (AgentPolygon, InputPolytope, ReachSpec, agent_polygon,
-                       circumscribe_ball, polygon_distance, reach_spec,
-                       reach_support)
+from .reachset import (AgentPolygon, InputPolytope, agent_polygon,
+                       circumscribe_ball, polygon_distance, reach_support)
 from .scenario_io import build_scenario, load_scenario
 
 __version__ = "0.1.0"

@@ -73,21 +73,27 @@ def select_targets(polygons):
     return int(ii[best]), int(jj[best])
 
 
-def agent_reach_polygon(model_K, B, agent, n_agents, x0, omega, n_directions=16,
-                        horizon=1) -> AgentPolygon:
-    """Position polygon of one agent's h-step reach set from the current state.
+def agent_reach_polygon(model_K, B, agents, n_agents, x0, omega, n_directions=16,
+                        horizon=1) -> list[AgentPolygon]:
+    """Position polygons of the agents' h-step reach sets from the current state.
 
-    The injection channel is the agent's own actuator block; support queries
-    use fixed uniformly spaced planar directions.
+    Returns one AgentPolygon per entry of `agents`, in order. Each agent's
+    injection channel is its own actuator block; support queries use fixed
+    uniformly spaced planar directions, and all agents' queries run in one
+    batched `batch_reach_supports` call.
     """
+    agents = np.asarray(agents, dtype=int)
+    if agents.ndim != 1:
+        raise InvalidInputError("agents must be a sequence of agent indices")
     dirs = planar_directions(n_directions)
     K_seq = [model_K] * horizon
-    Bsel = embed_input_map(B, agent, n_agents)
-    lifts = np.zeros((len(dirs), 4 * n_agents))
-    lifts[:, 4 * agent] = dirs[:, 0]
-    lifts[:, 4 * agent + 2] = dirs[:, 1]
+    Bsel = np.stack([embed_input_map(B, a, n_agents) for a in agents])
+    rows = np.arange(len(agents))
+    lifts = np.zeros((len(agents), len(dirs), 4 * n_agents))
+    lifts[rows, :, 4 * agents] = dirs[:, 0]
+    lifts[rows, :, 4 * agents + 2] = dirs[:, 1]
     sup, _ = batch_reach_supports(K_seq, Bsel, x0, omega, lifts)
-    return agent_polygon(dirs, agent, sup)
+    return [agent_polygon(dirs, a, g) for a, g in zip(agents, sup)]
 
 
 def synthesize_fdi(k, targets, model, omega: InputPolytope, state, B,
@@ -113,13 +119,11 @@ def synthesize_fdi(k, targets, model, omega: InputPolytope, state, B,
     if x.shape != (n,):
         raise InvalidInputError("state length does not match model")
 
-    base_next = K @ x
-    Pi0 = agent_reach_polygon(K, B, i, n_agents, base_next, omega, n_directions)
-    Pj0 = agent_reach_polygon(K, B, j, n_agents, base_next, omega, n_directions)
+    Pi0, Pj0 = agent_reach_polygon(K, B, targets, n_agents, K @ x, omega,
+                                   n_directions)
     if current_polygons is None:
         sep_before = polygon_distance(
-            agent_reach_polygon(K, B, i, n_agents, x, omega, n_directions),
-            agent_reach_polygon(K, B, j, n_agents, x, omega, n_directions))
+            *agent_reach_polygon(K, B, targets, n_agents, x, omega, n_directions))
     else:
         sep_before = polygon_distance(current_polygons[i], current_polygons[j])
 

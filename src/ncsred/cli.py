@@ -93,10 +93,11 @@ def cmd_reachset_dump(args):
     os.makedirs(args.out, exist_ok=True)
     lines = ["step,agent,vertex,x,y"]
     series = []
-    for a in range(scenario.n_agents):
-        poly = agent_reach_polygon(model.K, scenario.agent_model.B, a,
-                                   scenario.n_agents, states[-1], omega,
-                                   cfg.n_directions, args.horizon)
+    polygons = agent_reach_polygon(model.K, scenario.agent_model.B,
+                                   range(scenario.n_agents), scenario.n_agents,
+                                   states[-1], omega, cfg.n_directions,
+                                   args.horizon)
+    for a, poly in enumerate(polygons):
         for vi, v in enumerate(poly.vertices):
             lines.append(f"{args.at},{a},{vi},{v[0]!r},{v[1]!r}")
         ring = np.vstack([poly.vertices, poly.vertices[:1]])

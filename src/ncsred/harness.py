@@ -70,26 +70,23 @@ def _pair_list(n):
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def _positional_errors(s: Scenario, x):
-    N = s.n_agents
-    X = x.reshape(N, 4)
-    pos = X[:, [0, 2]]
-    pairs = _pair_list(N)
-    errs = np.empty(len(pairs))
-    for idx, (i, j) in enumerate(pairs):
-        want = s.offset_difference(i, j)[[0, 2]]
-        errs[idx] = np.linalg.norm(pos[i] - pos[j] - want)
-    return errs
+def _positional_errors(s: Scenario, states, out):
+    """Formation error of every pair i < j (columns) at every row of states."""
+    ii, jj = np.triu_indices(s.n_agents, k=1)
+    pos = states.reshape(len(states), s.n_agents, 4)[..., ::2]
+    d = pos.take(ii, axis=1)
+    d -= pos.take(jj, axis=1)
+    d -= (s.formation_offsets[ii] - s.formation_offsets[jj])[:, ::2]
+    # a stacked 1x2 @ 2x1 product is the BLAS dot that np.linalg.norm takes
+    # per row; norm(axis=...) and einsum round differently on some rows
+    return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0], out=out)
 
 
-def _slot_tracking(s: Scenario, x, k):
-    N = s.n_agents
-    X = x.reshape(N, 4)
-    out = np.empty(N)
-    for i in range(N):
-        slot = s.slot(i, k)
-        out[i] = np.hypot(X[i, 0] - slot[0], X[i, 2] - slot[2])
-    return out
+def _slot_tracking(s: Scenario, states, out):
+    """Position deviation of every agent (columns) from its slot at every row."""
+    X = states.reshape(len(states), s.n_agents, 4)
+    slots = s.formation_offsets[None, :, ::2] + s.track.pos[:len(states), None]
+    return np.hypot(X[..., 0] - slots[..., 0], X[..., 2] - slots[..., 1], out=out)
 
 
 def run(scenario: Scenario, mode: str) -> RunRecord:
@@ -125,14 +122,14 @@ def run(scenario: Scenario, mode: str) -> RunRecord:
     inputs = np.zeros((H, N, 2))
     injections = np.zeros((H, 2 * N))
     decisions = [None] * H
+    # filled after the loop, but allocated before it: allocating them at the
+    # end raised the process's peak RSS
     pair_errors = np.zeros((H + 1, N * (N - 1) // 2))
     tracking = np.zeros((H + 1, N))
     dos_events = []
 
     state = scenario.initial_stacked()
     states[0] = state.x
-    pair_errors[0] = _positional_errors(scenario, state.x)
-    tracking[0] = _slot_tracking(scenario, state.x, 0)
 
     for k in range(H):
         if mode != "nominal":
@@ -150,9 +147,8 @@ def run(scenario: Scenario, mode: str) -> RunRecord:
 
         u_a = None
         if attacking and k >= cfg.start_step and model is not None:
-            polygons = [agent_reach_polygon(model.K, B, a, N, state.x, omega,
-                                            cfg.n_directions, cfg.horizon)
-                        for a in range(N)]
+            polygons = agent_reach_polygon(model.K, B, range(N), N, state.x,
+                                           omega, cfg.n_directions, cfg.horizon)
             targets = select_targets(polygons)
             decision = synthesize_fdi(k, targets, model, omega, state.x, B,
                                       cfg.n_directions,
@@ -165,9 +161,9 @@ def run(scenario: Scenario, mode: str) -> RunRecord:
         state = step(scenario, state, fdi=u_a, graph=active_graph, u=inputs[k])
         states[k + 1] = state.x
         graph_history[k + 1] = len(graphs) - 1
-        pair_errors[k + 1] = _positional_errors(scenario, state.x)
-        tracking[k + 1] = _slot_tracking(scenario, state.x, k + 1)
 
+    _positional_errors(scenario, states, out=pair_errors)
+    _slot_tracking(scenario, states, out=tracking)
     return RunRecord(mode=mode, dt=scenario.agent_model.dt, n_agents=N,
                      states=states, inputs=inputs, injections=injections,
                      decisions=decisions, pair_errors=pair_errors,

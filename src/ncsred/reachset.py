@@ -7,6 +7,7 @@ queries against their Minkowski difference.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,35 +67,6 @@ def circumscribe_ball(rho, s, seed=None, jitter=0.05) -> InputPolytope:
         Aij = np.array([normals[i], normals[j]])
         verts[i] = np.linalg.solve(Aij, np.array([rho, rho]))
     return InputPolytope(vertices=verts, normals=normals, offsets=offsets)
-
-
-@dataclass
-class ReachSpec:
-    """Support values and attaining points per (agent, query direction)."""
-
-    directions: np.ndarray          # (m, 2) unit rows
-    horizon: int
-    supports: dict                  # (agent, dir_index) -> (gamma, x_star)
-
-
-def reach_spec(K_seq, input_map, agents, x0, omega, directions) -> ReachSpec:
-    """Support queries for several agents over shared planar directions.
-
-    `input_map` is the per-agent 4x2 actuator matrix; each agent's reach set
-    uses its own injection channel.
-    """
-    D = np.asarray(directions, float)
-    n_agents = len(np.asarray(x0)) // 4
-    supports = {}
-    for a in agents:
-        Bsel = embed_input_map(input_map, a, n_agents)
-        lifts = np.zeros((len(D), 4 * n_agents))
-        lifts[:, 4 * a] = D[:, 0]
-        lifts[:, 4 * a + 2] = D[:, 1]
-        gammas, points = batch_reach_supports(K_seq, Bsel, x0, omega, lifts)
-        for di in range(len(D)):
-            supports[(a, di)] = (float(gammas[di]), points[di])
-    return ReachSpec(directions=D, horizon=len(K_seq), supports=supports)
 
 
 def planar_directions(m):
@@ -160,20 +132,32 @@ def reach_support(K_seq, Bsel, x0, omega: InputPolytope, final_dir):
 
 
 def batch_reach_supports(K_seq, Bsel, x0, omega: InputPolytope, final_dirs):
-    """Vectorized `reach_support` over rows of final_dirs; returns (gammas, points)."""
+    """Vectorized `reach_support` over rows of final_dirs; returns (gammas, points).
+
+    `Bsel` (n, 2) and `final_dirs` (m, n) may carry a leading agent axis,
+    (A, n, 2) and (A, m, n); gammas are then (A, m) and points (A, m, n).
+    Stacked `@` runs one m-row product per agent, so each agent's values are
+    bit-identical to its own 2-D call (one flat (A*m)-row product is not:
+    BLAS takes another kernel path for larger row counts).
+    """
     K_seq = [np.asarray(K, float) for K in K_seq]
     h = len(K_seq)
     F = np.asarray(final_dirs, float)
-    lam = [None] * (h + 1)
-    lam[h] = F
+    Bsel = np.asarray(Bsel, float)
+    # costates lam_k, from lam_h = F back, are kept only as their input-channel
+    # projections W[k - 1] = lam_k @ Bsel
+    W = [None] * h
+    lam = F
     for k in range(h - 1, -1, -1):
-        lam[k] = lam[k + 1] @ K_seq[k]
+        W[k] = lam @ Bsel
+        if k:
+            lam = lam @ K_seq[k]
     X = np.broadcast_to(np.asarray(x0, float), F.shape).copy()
     for k in range(h):
-        W = lam[k + 1] @ Bsel
-        U = omega.vertices[np.argmax(W @ omega.vertices.T, axis=1)]
-        X = X @ K_seq[k].T + U @ Bsel.T
-    return np.einsum("ij,ij->i", F, X), X
+        U = omega.vertices[np.argmax(W[k] @ omega.vertices.T, axis=-1)]
+        X = X @ K_seq[k].T
+        X += U @ np.swapaxes(Bsel, -1, -2)
+    return np.einsum("...ij,...ij->...i", F, X), X
 
 
 @dataclass
@@ -190,40 +174,59 @@ class AgentPolygon:
     vertices: np.ndarray    # (v, 2) CCW
 
 
-def halfspace_polygon(directions, supports):
-    """CCW vertices of the bounded intersection of planar half-planes.
+@functools.lru_cache(maxsize=16)
+def _face_pairs(key, shape):
+    """Direction-only part of `halfspace_polygon` for the directions whose
+    float64 bytes are `key`.
 
-    Intersects all face-line pairs and keeps points feasible for every
-    half-plane (FEAS_TOL slack). Raises when the directions fail to positively
-    span the plane (unbounded set) or when the intersection is empty.
+    Returns, for every non-parallel face pair (i, j), i < j: the indices,
+    both normals' components and the determinant. Raises when the directions
+    fail to positively span the plane.
     """
-    D = np.asarray(directions, float)
-    g = np.asarray(supports, float)
-    m = D.shape[0]
-    if m < 3:
+    D = np.frombuffer(key, dtype=float).reshape(shape)
+    if shape[0] < 3:
         raise DegenerateGeometryError("need at least 3 half-planes")
     ang = np.sort(np.arctan2(D[:, 1], D[:, 0]))
     gaps = np.diff(np.concatenate([ang, [ang[0] + 2 * np.pi]]))
     if gaps.max() >= np.pi - 1e-12:
         raise DegenerateGeometryError("directions do not positively span the plane")
-
-    ii, jj = np.triu_indices(m, k=1)
+    ii, jj = np.triu_indices(shape[0], k=1)
     a, b = D[ii], D[jj]
     det = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
     ok = np.abs(det) > 1e-12
-    with np.errstate(invalid="ignore", divide="ignore"):
-        px = (g[ii] * b[:, 1] - g[jj] * a[:, 1]) / det
-        py = (a[:, 0] * g[jj] - b[:, 0] * g[ii]) / det
-    P = np.column_stack([px, py])[ok]
-    if P.size:
-        feas = np.all(P @ D.T <= g[None, :] + FEAS_TOL, axis=1)
-        P = P[feas]
+    pairs = tuple(np.ascontiguousarray(v[ok]) for v in
+                  (ii, jj, a[:, 0], a[:, 1], b[:, 0], b[:, 1], det))
+    for v in pairs:
+        v.flags.writeable = False
+    return pairs
+
+
+def halfspace_polygon(directions, supports):
+    """CCW vertices of the bounded intersection of planar half-planes.
+
+    Intersects all non-parallel face-line pairs and keeps points feasible for
+    every half-plane (FEAS_TOL slack), dedupes them within 1e-9 * scale and
+    orders them about their centroid. Raises when the directions fail to
+    positively span the plane (unbounded set) or when the intersection is
+    empty. The direction-only work is cached per direction set.
+    """
+    D = np.ascontiguousarray(directions, float)
+    g = np.asarray(supports, float)
+    ii, jj, a0, a1, b0, b1, det = _face_pairs(D.tobytes(), D.shape)
+    gi, gj = g[ii], g[jj]
+    P = np.empty((len(det), 2))
+    with np.errstate(invalid="ignore"):
+        P[:, 0] = (gi * b1 - gj * a1) / det
+        P[:, 1] = (a0 * gj - b0 * gi) / det
+    P = P[np.all(P @ D.T <= g + FEAS_TOL, axis=1)]
     if P.shape[0] == 0:
         raise DegenerateGeometryError("empty half-plane intersection")
-    # dedupe with a scale-aware tolerance, then order counter-clockwise
+    # a point goes when an earlier one lies within 1e-9 * scale
     scale = max(1.0, np.abs(P).max())
-    near = np.linalg.norm(P[:, None, :] - P[None, :, :], axis=2) <= 1e-9 * scale
-    P = P[~np.tril(near, k=-1).any(axis=1)]
+    dx = P[:, None, 0] - P[None, :, 0]
+    dy = P[:, None, 1] - P[None, :, 1]
+    near = np.sqrt(dx * dx + dy * dy) <= 1e-9 * scale
+    P = P[~(near & np.tri(len(P), k=-1, dtype=bool)).any(axis=1)]
     centroid = P.mean(axis=0)
     order = np.argsort(np.arctan2(P[:, 1] - centroid[1], P[:, 0] - centroid[0]))
     return P[order]

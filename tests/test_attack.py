@@ -83,8 +83,7 @@ class TestSynthesizeFdi:
         assert np.allclose(d.u_a[0:2], omega.vertices[0], atol=0)
         assert np.allclose(d.u_a[2:4], omega.vertices[0], atol=0)
         # with no injection channel the polygons are propagated points
-        p0 = agent_reach_polygon(K, B0, 0, 2, K @ x, omega, 8)
-        p1 = agent_reach_polygon(K, B0, 1, 2, K @ x, omega, 8)
+        p0, p1 = agent_reach_polygon(K, B0, [0, 1], 2, K @ x, omega, 8)
         assert d.separation_after == pytest.approx(polygon_distance(p0, p1), abs=1e-12)
 
     def test_decoupled_integrators_push_apart(self):
@@ -129,8 +128,7 @@ class TestSynthesizeFdi:
             B = double_integrator(0.2).B
             x = rng.normal(size=8)
             d = synthesize_fdi(0, (0, 1), model, omega, x, B, n_directions=8)
-            p0 = agent_reach_polygon(K, B, 0, 2, K @ x, omega, 8)
-            p1 = agent_reach_polygon(K, B, 1, 2, K @ x, omega, 8)
+            p0, p1 = agent_reach_polygon(K, B, [0, 1], 2, K @ x, omega, 8)
             zero_score = polygon_distance(p0, p1)
             assert d.separation_after >= zero_score - 1e-12
 
@@ -174,8 +172,7 @@ class TestSynthesizeFdi:
             i, j = map(int, rng.choice(n_agents, size=2, replace=False))
             got = synthesize_fdi(trial, (i, j), model, omega, x, B)
 
-            Pi0 = agent_reach_polygon(K, B, i, n_agents, K @ x, omega)
-            Pj0 = agent_reach_polygon(K, B, j, n_agents, K @ x, omega)
+            Pi0, Pj0 = agent_reach_polygon(K, B, [i, j], n_agents, K @ x, omega)
             KBi = K @ embed_input_map(B, i, n_agents)
             KBj = K @ embed_input_map(B, j, n_agents)
             candidates = [(ui, uj) for ui in omega.vertices for uj in omega.vertices]
@@ -318,8 +315,8 @@ class TestOnExperimentPipeline:
         omega = circumscribe_ball(s.attack.rho, s.attack.s,
                                   seed=s.rng_seed + OMEGA_SEED_OFFSET,
                                   jitter=s.attack.vertex_jitter)
-        polys = [arp(model.K, s.agent_model.B, a, 5, record.states[100], omega)
-                 for a in range(5)]
+        polys = arp(model.K, s.agent_model.B, range(5), 5, record.states[100],
+                    omega)
         got = select_targets(polys)
         best, best_d = None, -1.0
         for i in range(5):

@@ -6,7 +6,7 @@ from ncsred.reachset import (agent_polygon, batch_reach_supports,
                              circumscribe_ball, embed_input_map,
                              halfspace_polygon, lift_direction,
                              planar_directions, polygon_distance,
-                             reach_spec, reach_support)
+                             reach_support)
 
 
 def square_polygon(center, half):
@@ -165,20 +165,6 @@ class TestReachSupport:
         with pytest.raises(InvalidInputError):
             reach_support([np.eye(2)], np.zeros((2, 1)), np.zeros(2), omega,
                           np.array([2.0, 0.0]))
-
-    def test_reach_spec_support_points_attain_values(self):
-        rng = np.random.default_rng(21)
-        K = 0.9 * np.linalg.qr(rng.normal(size=(12, 12)))[0]
-        B = rng.normal(size=(4, 2))
-        omega = circumscribe_ball(0.1, 5, seed=1)
-        x0 = rng.normal(size=12)
-        dirs = planar_directions(8)
-        spec = reach_spec([K, K], B, [0, 1, 2], x0, omega, dirs)
-        assert spec.horizon == 2
-        assert len(spec.supports) == 24
-        for (a, di), (gamma, point) in spec.supports.items():
-            lift = lift_direction(dirs[di], a, 3)
-            assert abs(lift @ point - gamma) <= 1e-9
 
 
 class TestAgentPolygon:
