@@ -7,15 +7,15 @@ communication structure, and sever the weakest link.
 """
 
 from .attack import (AttackConfig, AttackDecision, DosPlan, plan_dos,
-                     select_targets, selection_matrix, synthesize_fdi)
-from .dmd import DmdModel, SnapshotBuffer, fit, predict
+                     select_targets, synthesize_fdi)
+from .dmd import DmdModel, SnapshotBuffer, fit
 from .errors import (DegenerateGeometryError, EdgeNotFoundError,
                      InsufficientDataError, InvalidInputError, WorkbenchError)
-from .graph import (Graph, add_edge, algebraic_connectivity, is_connected,
-                    laplacian, remove_edge)
+from .graph import (Graph, algebraic_connectivity, is_connected, laplacian,
+                    remove_edge)
 from .harness import MetricsSummary, RunRecord, emit, metrics, run
 from .laprec import (KroneckerModel, RecoveryResult, project_laplacian_cone,
-                     recover, solve_factor_steps)
+                     recover)
 from .ncs import (AgentModel, Scenario, StackedState, control_inputs,
                   double_integrator, reference, stacked_closed_loop, step)
 from .reachset import (AgentPolygon, InputPolytope, agent_polygon,

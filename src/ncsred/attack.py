@@ -21,7 +21,6 @@ class AttackConfig:
     """Attacker knobs; defaults reproduce the 5-UAV experiment."""
 
     rho: float = 0.05
-    d_star: float = 1.0
     s: int = 8
     start_step: int = 51
     dos_step: int = 100
@@ -37,8 +36,6 @@ class AttackConfig:
     def __post_init__(self):
         if self.rho < 0:
             raise InvalidInputError(f"rho must be >= 0, got {self.rho}")
-        if self.d_star <= 0:
-            raise InvalidInputError(f"d_star must be positive, got {self.d_star}")
         if self.s < 3:
             raise InvalidInputError(f"face count must be >= 3, got {self.s}")
         if self.start_step < 1:
@@ -51,6 +48,9 @@ class AttackConfig:
             raise InvalidInputError("refit_every must be >= 1")
         if self.n_directions < 3:
             raise InvalidInputError("n_directions must be >= 3")
+        if not 0 <= self.vertex_jitter < 0.5:
+            raise InvalidInputError(
+                f"vertex_jitter must be in [0, 0.5), got {self.vertex_jitter}")
 
 
 @dataclass
@@ -73,7 +73,7 @@ def select_targets(polygons):
     return int(ii[best]), int(jj[best])
 
 
-def agent_reach_polygon(model_K, B, agents, n_agents, x0, omega, n_directions=16,
+def agent_reach_polygon(model_K, B, agents, x0, omega, n_directions=16,
                         horizon=1) -> list[AgentPolygon]:
     """Position polygons of the agents' h-step reach sets from the current state.
 
@@ -85,6 +85,9 @@ def agent_reach_polygon(model_K, B, agents, n_agents, x0, omega, n_directions=16
     agents = np.asarray(agents, dtype=int)
     if agents.ndim != 1:
         raise InvalidInputError("agents must be a sequence of agent indices")
+    if horizon < 1:
+        raise InvalidInputError(f"reach horizon must be >= 1, got {horizon}")
+    n_agents = model_K.shape[0] // 4
     dirs = planar_directions(n_directions)
     K_seq = [model_K] * horizon
     Bsel = np.stack([embed_input_map(B, a, n_agents) for a in agents])
@@ -96,16 +99,16 @@ def agent_reach_polygon(model_K, B, agents, n_agents, x0, omega, n_directions=16
     return [agent_polygon(dirs, a, g) for a, g in zip(agents, sup)]
 
 
-def synthesize_fdi(k, targets, model, omega: InputPolytope, state, B,
-                   n_directions=16, current_polygons=None) -> AttackDecision:
+def synthesize_fdi(k, targets, model, omega: InputPolytope, state, B, polygons,
+                   n_directions=16) -> AttackDecision:
     """Choose the vertex-pair injection that drives the targets' next-step
     reach polygons farthest apart.
 
     Candidates are all vertex pairs (one vertex per targeted agent) plus the
     zero injection, so the chosen injection never scores below inaction under
     the identified model. Ties keep the earliest vertex-pair candidate.
-    `current_polygons` optionally reuses the selection stage's per-agent
-    polygons for the before-separation. The candidates are scored on 1-step
+    `polygons` are the selection stage's per-agent polygons, indexed by agent;
+    they give the before-separation. The candidates are scored on 1-step
     polygons even when the selection used a longer reach horizon, so with
     `horizon > 1` the two separations are on different horizons.
     """
@@ -119,13 +122,8 @@ def synthesize_fdi(k, targets, model, omega: InputPolytope, state, B,
     if x.shape != (n,):
         raise InvalidInputError("state length does not match model")
 
-    Pi0, Pj0 = agent_reach_polygon(K, B, targets, n_agents, K @ x, omega,
-                                   n_directions)
-    if current_polygons is None:
-        sep_before = polygon_distance(
-            *agent_reach_polygon(K, B, targets, n_agents, x, omega, n_directions))
-    else:
-        sep_before = polygon_distance(current_polygons[i], current_polygons[j])
+    Pi0, Pj0 = agent_reach_polygon(K, B, targets, K @ x, omega, n_directions)
+    sep_before = polygon_distance(polygons[i], polygons[j])
 
     # reach polygons from a shifted state are exact translates, so candidate
     # (ui, uj) scores dist(Pi0 + delta_i, Pj0 + delta_j) with
@@ -149,21 +147,6 @@ def synthesize_fdi(k, targets, model, omega: InputPolytope, state, B,
                           separation_after=float(scores[best]))
 
 
-def selection_matrix(targets, n_agents, input_block):
-    """Stacked injection map (4N x 2N) active only at the targeted agents."""
-    i, j = targets
-    if i == j:
-        raise InvalidInputError("targets must be distinct")
-    for a in (i, j):
-        if not 0 <= a < n_agents:
-            raise InvalidInputError(f"target {a} out of range")
-    input_block = np.asarray(input_block, float)
-    out = np.zeros((4 * n_agents, 2 * n_agents))
-    for a in (i, j):
-        out[4 * a:4 * a + 4, 2 * a:2 * a + 2] = input_block
-    return out
-
-
 def recovered_graph(L_hat, threshold_factor=EDGE_THRESHOLD_FACTOR) -> Graph:
     """Thresholded adjacency of a recovered Laplacian.
 
@@ -172,16 +155,10 @@ def recovered_graph(L_hat, threshold_factor=EDGE_THRESHOLD_FACTOR) -> Graph:
     of the Kronecker factorization.
     """
     L_hat = np.asarray(L_hat, float)
-    n = L_hat.shape[0]
     off = L_hat - np.diag(np.diag(L_hat))
     mx = np.abs(off).max()
-    edges = set()
-    if mx > 0:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if min(off[i, j], off[j, i]) < -threshold_factor * mx:
-                    edges.add((i, j))
-    return Graph(n, frozenset(edges))
+    edges = np.argwhere(np.triu(np.minimum(off, off.T) < -threshold_factor * mx, k=1))
+    return Graph(len(L_hat), frozenset(map(tuple, edges.tolist())))
 
 
 @dataclass

@@ -21,13 +21,17 @@ def _add_scenario_args(p):
     p.add_argument("--out", required=True, help="output directory")
 
 
-def _nominal_prefix(scenario, upto):
-    """States of a nominal run through step `upto` (inclusive)."""
+def _nominal_fit(scenario, upto):
+    """DMD fit on the snapshot window that ends at step `upto` of a nominal
+    run; returns (buffer, model, state at `upto`)."""
     if upto > scenario.horizon_steps:
         raise InvalidInputError(
             f"--at {upto} exceeds horizon_steps {scenario.horizon_steps}")
-    record = harness.run(scenario, "nominal")
-    return record.states[:upto + 1]
+    states = harness.run(scenario, "nominal").states[:upto + 1]
+    buf = dmd.SnapshotBuffer(scenario.attack.snapshot_width, scenario.dim)
+    for x in states:
+        buf.push(x)
+    return buf, dmd.fit(buf, svd_tol=scenario.attack.svd_tol), states[-1]
 
 
 def _write_matrix_csv(path, M):
@@ -64,12 +68,7 @@ def cmd_simulate(args):
 
 def cmd_dmd_export(args):
     scenario = load_scenario(args.scenario, seed=args.seed)
-    cfg = scenario.attack
-    states = _nominal_prefix(scenario, args.at)
-    buf = dmd.SnapshotBuffer(cfg.snapshot_width, scenario.dim)
-    for x in states:
-        buf.push(x)
-    model = dmd.fit(buf, svd_tol=cfg.svd_tol)
+    buf, model, _ = _nominal_fit(scenario, args.at)
     os.makedirs(args.out, exist_ok=True)
     _write_matrix_csv(os.path.join(args.out, "X.csv"), buf.X)
     _write_matrix_csv(os.path.join(args.out, "X_plus.csv"), buf.X_plus)
@@ -82,24 +81,19 @@ def cmd_dmd_export(args):
 def cmd_reachset_dump(args):
     scenario = load_scenario(args.scenario, seed=args.seed)
     cfg = scenario.attack
-    states = _nominal_prefix(scenario, args.at)
-    buf = dmd.SnapshotBuffer(cfg.snapshot_width, scenario.dim)
-    for x in states:
-        buf.push(x)
-    model = dmd.fit(buf, svd_tol=cfg.svd_tol)
+    _, model, x = _nominal_fit(scenario, args.at)
     omega = circumscribe_ball(cfg.rho, cfg.s,
                               seed=scenario.rng_seed + harness.OMEGA_SEED_OFFSET,
                               jitter=cfg.vertex_jitter)
+    polygons = agent_reach_polygon(model.K, scenario.agent_model.B,
+                                   range(scenario.n_agents), x, omega,
+                                   cfg.n_directions, args.horizon)
     os.makedirs(args.out, exist_ok=True)
     lines = ["step,agent,vertex,x,y"]
     series = []
-    polygons = agent_reach_polygon(model.K, scenario.agent_model.B,
-                                   range(scenario.n_agents), scenario.n_agents,
-                                   states[-1], omega, cfg.n_directions,
-                                   args.horizon)
     for a, poly in enumerate(polygons):
-        for vi, v in enumerate(poly.vertices):
-            lines.append(f"{args.at},{a},{vi},{v[0]!r},{v[1]!r}")
+        for vi, (vx, vy) in enumerate(poly.vertices.tolist()):
+            lines.append(f"{args.at},{a},{vi},{vx!r},{vy!r}")
         ring = np.vstack([poly.vertices, poly.vertices[:1]])
         series.append((ring[:, 0].tolist(), ring[:, 1].tolist(),
                        svgplot.PALETTE[a % len(svgplot.PALETTE)], f"agent {a}"))

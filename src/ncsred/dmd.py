@@ -67,7 +67,11 @@ class DmdModel:
     rank_used: int
 
     def predict(self, x):
-        return predict(self, x)
+        """One-step prediction K @ x."""
+        x = np.asarray(x, float)
+        if x.shape != (self.K.shape[1],):
+            raise InvalidInputError(f"state length {x.shape} != {self.K.shape[1]}")
+        return self.K @ x
 
 
 def fit(buf: SnapshotBuffer, svd_tol=DEFAULT_SVD_TOL) -> DmdModel:
@@ -91,11 +95,3 @@ def fit(buf: SnapshotBuffer, svd_tol=DEFAULT_SVD_TOL) -> DmdModel:
     den = np.linalg.norm(Xp)
     residual = float(num / den) if den > 0 else float(num)
     return DmdModel(K=K, residual=residual, rank_used=rank)
-
-
-def predict(m: DmdModel, x):
-    """One-step prediction K @ x."""
-    x = np.asarray(x, float)
-    if x.shape != (m.K.shape[1],):
-        raise InvalidInputError(f"state length {x.shape} != {m.K.shape[1]}")
-    return m.K @ x

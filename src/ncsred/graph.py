@@ -56,9 +56,6 @@ class Graph:
             A[i, j] = A[j, i] = 1.0
         return A
 
-    def degree(self):
-        return np.diag(self.adjacency().sum(axis=1))
-
 
 def laplacian(g: Graph) -> np.ndarray:
     """Degree matrix minus adjacency matrix; symmetric with zero row sums."""
@@ -87,11 +84,6 @@ def remove_edge(g: Graph, i, j) -> Graph:
     if e not in g.edges:
         raise EdgeNotFoundError(f"edge {e} not in graph")
     return Graph(g.n_nodes, g.edges - {e})
-
-
-def add_edge(g: Graph, i, j) -> Graph:
-    """New graph with edge (i, j) added."""
-    return Graph(g.n_nodes, g.edges | {_canonical(i, j)})
 
 
 def is_connected(g: Graph) -> bool:

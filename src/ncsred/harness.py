@@ -56,11 +56,6 @@ class RunRecord:
         return self.states.shape[0] - 1
 
     @property
-    def leader_tracking(self):
-        """Leader position deviation from the reference track per step."""
-        return self.tracking[:, 0]
-
-    @property
     def system_tracking(self):
         """Worst per-agent slot deviation per step."""
         return self.tracking.max(axis=1)
@@ -147,12 +142,11 @@ def run(scenario: Scenario, mode: str) -> RunRecord:
 
         u_a = None
         if attacking and k >= cfg.start_step and model is not None:
-            polygons = agent_reach_polygon(model.K, B, range(N), N, state.x,
-                                           omega, cfg.n_directions, cfg.horizon)
+            polygons = agent_reach_polygon(model.K, B, range(N), state.x, omega,
+                                           cfg.n_directions, cfg.horizon)
             targets = select_targets(polygons)
             decision = synthesize_fdi(k, targets, model, omega, state.x, B,
-                                      cfg.n_directions,
-                                      current_polygons=polygons)
+                                      polygons, cfg.n_directions)
             decisions[k] = decision
             u_a = decision.u_a
             injections[k] = u_a

@@ -17,6 +17,8 @@ geometric crawl.
 """
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,25 +90,22 @@ def project_laplacian_cone(M, tol=PROJECTION_TOL, max_iters=5000):
     return _sym_zerosum_project(x)
 
 
-def _check_shapes(K, n_agents):
-    n = K.shape[0]
-    if K.ndim != 2 or K.shape[1] != n or n % BLOCK != 0:
-        raise InvalidInputError("K must be square with side divisible by 4")
-    if n // BLOCK != n_agents:
-        raise InvalidInputError("K side does not match agent count")
+def _block_view(K):
+    """(N, N, 4, 4) view of K whose entry [i, j] is the (i, j) agent block."""
+    n = K.shape[0] // BLOCK
+    return K.reshape(n, BLOCK, n, BLOCK).swapaxes(1, 2)
 
 
-def _blocks(K, i, j):
-    return K[BLOCK * i:BLOCK * (i + 1), BLOCK * j:BLOCK * (j + 1)]
+def _seq_sum(values):
+    """Left-to-right float sum (np.sum would sum pairwise and round differently)."""
+    return functools.reduce(operator.add, values.tolist(), 0.0)
 
 
 def s_step(K, T, L):
     """Exact minimizer over block-diagonal S given T and L."""
-    n_agents = K.shape[0] // BLOCK
     S = np.zeros_like(K)
-    for i in range(n_agents):
-        S[BLOCK * i:BLOCK * (i + 1), BLOCK * i:BLOCK * (i + 1)] = \
-            _blocks(K, i, i) - T * L[i, i]
+    d = np.arange(K.shape[0] // BLOCK)
+    _block_view(S)[d, d] = _block_view(K)[d, d] - T * L[d, d, None, None]
     return S
 
 
@@ -117,15 +116,11 @@ def t_step(K, L):
     Ridge-regularized when L has no off-diagonal mass; returns
     (T, regularized_flag).
     """
-    n_agents = K.shape[0] // BLOCK
-    num = np.zeros((BLOCK, BLOCK))
-    den = 0.0
-    for i in range(n_agents):
-        for j in range(n_agents):
-            if i == j:
-                continue
-            num += L[i, j] * _blocks(K, i, j)
-            den += L[i, j] ** 2
+    off = ~np.eye(len(L), dtype=bool)
+    w = L[off]
+    # reducing over the leading axis adds the blocks one after another
+    num = np.add.reduce(w[:, None, None] * _block_view(K)[off], axis=0)
+    den = _seq_sum(w * w)
     regularized = den < RIDGE
     return num / (den + RIDGE), regularized
 
@@ -142,37 +137,19 @@ def l_step(K, T):
     n_agents = K.shape[0] // BLOCK
     tt = float(np.sum(T * T))
     regularized = tt < RIDGE
-    L = np.zeros((n_agents, n_agents))
-    for i in range(n_agents):
-        for j in range(n_agents):
-            if i == j:
-                continue
-            L[i, j] = np.sum(T * _blocks(K, i, j)) / (tt + RIDGE)
+    # each block's 16 products summed on their own, as np.sum of one block
+    L = (_block_view(K) * T).reshape(n_agents, n_agents, BLOCK * BLOCK).sum(-1)
+    L /= tt + RIDGE
+    np.fill_diagonal(L, 0.0)
     L = (L + L.T) / 2.0
     np.fill_diagonal(L, -L.sum(axis=1))
     return L, regularized
 
 
-def solve_factor_steps(K, S=None, T=None, L=None):
-    """Update the single factor left as None, holding the other two fixed."""
-    missing = [name for name, v in (("S", S), ("T", T), ("L", L)) if v is None]
-    if len(missing) != 1:
-        raise InvalidInputError("exactly one of S, T, L must be None")
-    if missing[0] == "S":
-        return s_step(K, T, L)
-    if missing[0] == "T":
-        return t_step(K, L)[0]
-    return l_step(K, T)[0]
-
-
 def _offdiag_residual(K, L, T):
-    n_agents = K.shape[0] // BLOCK
-    total = 0.0
-    for i in range(n_agents):
-        for j in range(n_agents):
-            if i != j:
-                total += float(np.sum((_blocks(K, i, j) - T * L[i, j]) ** 2))
-    return total
+    off = ~np.eye(len(L), dtype=bool)
+    R = _block_view(K)[off] - T * L[off][:, None, None]
+    return _seq_sum((R ** 2).reshape(len(R), BLOCK * BLOCK).sum(-1))
 
 
 def residual_gamma(K, model: KroneckerModel):
@@ -199,8 +176,9 @@ def recover(K, threshold=1e-6, max_iters=100, seed=0) -> RecoveryResult:
     improvement dropping below `threshold`.
     """
     K = np.asarray(K, float)
+    if K.ndim != 2 or K.shape[0] != K.shape[1] or K.shape[0] % BLOCK:
+        raise InvalidInputError("K must be square with side divisible by 4")
     n_agents = K.shape[0] // BLOCK
-    _check_shapes(K, n_agents)
     rng = np.random.default_rng(seed)
 
     # S needs no explicit start: each sweep rebuilds it from the diagonal

@@ -35,12 +35,6 @@ class InputPolytope:
         u = np.asarray(u, float)
         return bool(np.all(self.normals @ u <= self.offsets + tol))
 
-    def scaled(self, alpha):
-        """Polytope scaled about the origin by alpha."""
-        return InputPolytope(vertices=self.vertices * alpha,
-                             normals=self.normals.copy(),
-                             offsets=self.offsets * alpha)
-
 
 def circumscribe_ball(rho, s, seed=None, jitter=0.05) -> InputPolytope:
     """s-faced polygon circumscribing the disc of radius rho.
@@ -48,12 +42,15 @@ def circumscribe_ball(rho, s, seed=None, jitter=0.05) -> InputPolytope:
     Faces are tangent to the disc at angles that are uniformly spaced when
     seed is None (axis-aligned for s = 4) and randomly jittered otherwise.
     Jitter is kept small so the vertex radius stays near the regular
-    polygon's rho / cos(pi/s).
+    polygon's rho / cos(pi/s); below 0.5 the tangent angles stay strictly
+    increasing, so the polygon cannot cross itself.
     """
     if s < 3:
         raise InvalidInputError(f"face count must be >= 3, got {s}")
     if rho <= 0:
         raise InvalidInputError(f"rho must be positive, got {rho}")
+    if not 0 <= jitter < 0.5:
+        raise InvalidInputError(f"jitter must be in [0, 0.5), got {jitter}")
     base = np.arange(s, dtype=float)
     if seed is not None:
         rng = np.random.default_rng(seed)
@@ -75,14 +72,6 @@ def planar_directions(m):
         raise InvalidInputError(f"need at least 3 directions, got {m}")
     ang = 2.0 * np.pi * np.arange(m) / m
     return np.column_stack([np.cos(ang), np.sin(ang)])
-
-
-def lift_direction(d, agent, n_agents):
-    """Embed a planar direction into the stacked space at an agent's position slots."""
-    out = np.zeros(4 * n_agents)
-    out[4 * agent] = d[0]
-    out[4 * agent + 2] = d[1]
-    return out
 
 
 def embed_input_map(B, agent, n_agents):

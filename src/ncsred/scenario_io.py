@@ -21,7 +21,6 @@ DEFAULTS = {
     "rng_seed": 0,
     "init_box": (-10.0, 10.0),
     "rho": 0.05,
-    "d_star": 1.0,
     "faces": 8,
     "start_step": 51,
     "dos_step": 100,
@@ -175,7 +174,6 @@ def load_scenario(path=None, seed=None) -> Scenario:
 
     attack = AttackConfig(
         rho=take("rho", float, DEFAULTS["rho"]),
-        d_star=take("d_star", float, DEFAULTS["d_star"]),
         s=take("faces", int, DEFAULTS["faces"]),
         start_step=take("start_step", int, DEFAULTS["start_step"]),
         dos_step=take("dos_step", int, DEFAULTS["dos_step"]),

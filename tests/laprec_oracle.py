@@ -1,0 +1,67 @@
+"""Per-block loop versions of the `laprec` factor steps, kept as an oracle.
+
+These are `laprec.s_step`, `t_step`, `l_step` and `_offdiag_residual` as they
+were before the per-block loops became reductions over one (N, N, 4, 4) block
+view of K. The vectorised versions must return the same values
+(`np.array_equal`), so `recover` takes the same path sweep for sweep.
+"""
+import numpy as np
+
+BLOCK = 4
+RIDGE = 1e-12
+
+
+def _blocks(K, i, j):
+    return K[BLOCK * i:BLOCK * (i + 1), BLOCK * j:BLOCK * (j + 1)]
+
+
+def s_step(K, T, L):
+    """Exact minimizer over block-diagonal S given T and L."""
+    n_agents = K.shape[0] // BLOCK
+    S = np.zeros_like(K)
+    for i in range(n_agents):
+        S[BLOCK * i:BLOCK * (i + 1), BLOCK * i:BLOCK * (i + 1)] = \
+            _blocks(K, i, i) - T * L[i, i]
+    return S
+
+
+def t_step(K, L):
+    """Least-squares T given L over the off-diagonal blocks; (T, regularized)."""
+    n_agents = K.shape[0] // BLOCK
+    num = np.zeros((BLOCK, BLOCK))
+    den = 0.0
+    for i in range(n_agents):
+        for j in range(n_agents):
+            if i == j:
+                continue
+            num += L[i, j] * _blocks(K, i, j)
+            den += L[i, j] ** 2
+    regularized = den < RIDGE
+    return num / (den + RIDGE), regularized
+
+
+def l_step(K, T):
+    """Least-squares symmetric zero-row-sum L given T; (L, regularized)."""
+    n_agents = K.shape[0] // BLOCK
+    tt = float(np.sum(T * T))
+    regularized = tt < RIDGE
+    L = np.zeros((n_agents, n_agents))
+    for i in range(n_agents):
+        for j in range(n_agents):
+            if i == j:
+                continue
+            L[i, j] = np.sum(T * _blocks(K, i, j)) / (tt + RIDGE)
+    L = (L + L.T) / 2.0
+    np.fill_diagonal(L, -L.sum(axis=1))
+    return L, regularized
+
+
+def offdiag_residual(K, L, T):
+    """Squared Frobenius residual of kron(L, T) over the off-diagonal blocks."""
+    n_agents = K.shape[0] // BLOCK
+    total = 0.0
+    for i in range(n_agents):
+        for j in range(n_agents):
+            if i != j:
+                total += float(np.sum((_blocks(K, i, j) - T * L[i, j]) ** 2))
+    return total

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from ncsred.attack import (AttackConfig, agent_reach_polygon, plan_dos,
-                           recovered_graph, select_targets, selection_matrix,
-                           synthesize_fdi)
+                           recovered_graph, select_targets, synthesize_fdi)
 from ncsred.dmd import DmdModel
 from ncsred.errors import InvalidInputError
 from ncsred.graph import Graph, laplacian
+from ncsred.harness import OMEGA_SEED_OFFSET
 from ncsred.laprec import KroneckerModel, RecoveryResult
 from ncsred.ncs import double_integrator
 from ncsred.reachset import (AgentPolygon, agent_polygon, circumscribe_ball,
@@ -20,6 +20,12 @@ def square_at(c, half=0.5):
     dirs = np.array([[1.0, 0], [0, 1.0], [-1.0, 0], [0, -1.0]])
     return agent_polygon(dirs, 0, np.array([c[0] + half, c[1] + half,
                                             -c[0] + half, -c[1] + half]))
+
+
+def current_polygons(K, B, x, omega, n_directions=16):
+    """Every agent's 1-step reach polygon from x, as the selection stage
+    hands them to `synthesize_fdi`."""
+    return agent_reach_polygon(K, B, range(len(K) // 4), x, omega, n_directions)
 
 
 def recovery_from_laplacian(L):
@@ -79,11 +85,12 @@ class TestSynthesizeFdi:
         omega = circumscribe_ball(0.05, 8, seed=4)
         x = rng.normal(size=8)
         B0 = np.zeros((4, 2))
-        d = synthesize_fdi(3, (0, 1), model, omega, x, B0, n_directions=8)
+        d = synthesize_fdi(3, (0, 1), model, omega, x, B0,
+                           current_polygons(K, B0, x, omega, 8), n_directions=8)
         assert np.allclose(d.u_a[0:2], omega.vertices[0], atol=0)
         assert np.allclose(d.u_a[2:4], omega.vertices[0], atol=0)
         # with no injection channel the polygons are propagated points
-        p0, p1 = agent_reach_polygon(K, B0, [0, 1], 2, K @ x, omega, 8)
+        p0, p1 = agent_reach_polygon(K, B0, [0, 1], K @ x, omega, 8)
         assert d.separation_after == pytest.approx(polygon_distance(p0, p1), abs=1e-12)
 
     def test_decoupled_integrators_push_apart(self):
@@ -94,7 +101,8 @@ class TestSynthesizeFdi:
         B = double_integrator(0.2).B
         x = np.zeros(8)
         x[0], x[4] = -1.0, 1.0  # agent 0 left, agent 1 right
-        d = synthesize_fdi(0, (0, 1), model, omega, x, B, n_directions=8)
+        d = synthesize_fdi(0, (0, 1), model, omega, x, B,
+                           current_polygons(K, B, x, omega, 8), n_directions=8)
         u0, u1 = d.u_a[0:2], d.u_a[2:4]
         # hand enumeration: maximal separation pushes agent 0 further left,
         # agent 1 further right, at the square's x-extremes
@@ -109,7 +117,8 @@ class TestSynthesizeFdi:
         omega = circumscribe_ball(0.05, 8, seed=9)
         B = double_integrator(0.2).B
         x = rng.normal(scale=3, size=20)
-        d = synthesize_fdi(10, (1, 4), model, omega, x, B)
+        d = synthesize_fdi(10, (1, 4), model, omega, x, B,
+                           current_polygons(K, B, x, omega))
         for a in range(5):
             ua = d.u_a[2 * a:2 * a + 2]
             if a in (1, 4):
@@ -127,8 +136,9 @@ class TestSynthesizeFdi:
             omega = circumscribe_ball(0.2, 6, seed=trial)
             B = double_integrator(0.2).B
             x = rng.normal(size=8)
-            d = synthesize_fdi(0, (0, 1), model, omega, x, B, n_directions=8)
-            p0, p1 = agent_reach_polygon(K, B, [0, 1], 2, K @ x, omega, 8)
+            d = synthesize_fdi(0, (0, 1), model, omega, x, B,
+                               current_polygons(K, B, x, omega, 8), n_directions=8)
+            p0, p1 = agent_reach_polygon(K, B, [0, 1], K @ x, omega, 8)
             zero_score = polygon_distance(p0, p1)
             assert d.separation_after >= zero_score - 1e-12
 
@@ -139,8 +149,9 @@ class TestSynthesizeFdi:
         omega = circumscribe_ball(0.05, 8, seed=2)
         B = double_integrator(0.2).B
         x = rng.normal(size=8)
-        a = synthesize_fdi(1, (0, 1), model, omega, x, B)
-        b = synthesize_fdi(1, (0, 1), model, omega, x, B)
+        polys = current_polygons(K, B, x, omega)
+        a = synthesize_fdi(1, (0, 1), model, omega, x, B, polys)
+        b = synthesize_fdi(1, (0, 1), model, omega, x, B, polys)
         assert np.array_equal(a.u_a, b.u_a)
         assert a.separation_after == b.separation_after
 
@@ -151,7 +162,8 @@ class TestSynthesizeFdi:
         omega = circumscribe_ball(0.1, 8, seed=3)
         B = double_integrator(0.2).B
         x = np.array([1.0, 0.5, -2.0, 0.3, 1.0, -0.4, -2.0, 0.1])
-        d = synthesize_fdi(0, (0, 1), model, omega, x, B, n_directions=8)
+        d = synthesize_fdi(0, (0, 1), model, omega, x, B,
+                           current_polygons(model.K, B, x, omega, 8), n_directions=8)
         assert d.separation_before == 0.0
         assert d.separation_after == 0.0
         assert np.array_equal(d.u_a[0:2], omega.vertices[0])
@@ -170,9 +182,10 @@ class TestSynthesizeFdi:
                                       seed=trial)
             x = rng.normal(scale=3.0, size=n)
             i, j = map(int, rng.choice(n_agents, size=2, replace=False))
-            got = synthesize_fdi(trial, (i, j), model, omega, x, B)
+            got = synthesize_fdi(trial, (i, j), model, omega, x, B,
+                                 current_polygons(K, B, x, omega))
 
-            Pi0, Pj0 = agent_reach_polygon(K, B, [i, j], n_agents, K @ x, omega)
+            Pi0, Pj0 = agent_reach_polygon(K, B, [i, j], K @ x, omega)
             KBi = K @ embed_input_map(B, i, n_agents)
             KBj = K @ embed_input_map(B, j, n_agents)
             candidates = [(ui, uj) for ui in omega.vertices for uj in omega.vertices]
@@ -195,7 +208,7 @@ class TestSynthesizeFdi:
         omega = circumscribe_ball(0.05, 4)
         with pytest.raises(InvalidInputError):
             synthesize_fdi(0, (1, 1), model, omega, np.zeros(8),
-                           double_integrator(0.2).B)
+                           double_integrator(0.2).B, [])
 
 
 def translated(P, d):
@@ -203,37 +216,6 @@ def translated(P, d):
     return AgentPolygon(agent=P.agent, directions=P.directions,
                         supports=P.supports + P.directions @ d,
                         vertices=P.vertices + d[None, :])
-
-
-class TestSelectionMatrix:
-    def test_two_agents_both_active(self):
-        B = double_integrator(0.2).B
-        M = selection_matrix((0, 1), 2, B)
-        assert M.shape == (8, 4)
-        assert np.array_equal(M[0:4, 0:2], B)
-        assert np.array_equal(M[4:8, 2:4], B)
-
-    def test_five_agents_pattern(self):
-        B = double_integrator(0.2).B
-        M = selection_matrix((0, 3), 5, B)
-        for a in range(5):
-            block = M[4 * a:4 * a + 4, 2 * a:2 * a + 2]
-            if a in (0, 3):
-                assert np.array_equal(block, B)
-            else:
-                assert not block.any()
-
-    def test_composition_zeroes_nontargets(self):
-        B = double_integrator(0.2).B
-        M = selection_matrix((0, 3), 5, B)
-        u = np.arange(10.0)
-        x = M @ u
-        for a in (1, 2, 4):
-            assert not x[4 * a:4 * a + 4].any()
-
-    def test_rejects_equal(self):
-        with pytest.raises(InvalidInputError):
-            selection_matrix((2, 2), 5, double_integrator(0.2).B)
 
 
 class TestRecoveredGraph:
@@ -287,13 +269,20 @@ class TestAttackConfig:
         with pytest.raises(InvalidInputError):
             AttackConfig(rho=-0.1)
         with pytest.raises(InvalidInputError):
-            AttackConfig(d_star=0.0)
-        with pytest.raises(InvalidInputError):
             AttackConfig(s=2)
         with pytest.raises(InvalidInputError):
             AttackConfig(refit_every=0)
         with pytest.raises(InvalidInputError):
             AttackConfig(n_directions=2)
+        # at 0.6 the Omega draw of scenario seed 2 puts the tangent angles
+        # out of order, so the polygon crosses itself; a negative jitter is
+        # an empty draw interval
+        for jitter in (0.6, 0.5, -0.01):
+            with pytest.raises(InvalidInputError, match="jitter"):
+                AttackConfig(vertex_jitter=jitter)
+            with pytest.raises(InvalidInputError, match="jitter"):
+                circumscribe_ball(0.05, 8, seed=2 + OMEGA_SEED_OFFSET, jitter=jitter)
+        assert AttackConfig(vertex_jitter=0.0).vertex_jitter == 0.0
 
     def test_zero_budget_allowed_as_guard(self):
         assert AttackConfig(rho=0.0).rho == 0.0
@@ -315,8 +304,7 @@ class TestOnExperimentPipeline:
         omega = circumscribe_ball(s.attack.rho, s.attack.s,
                                   seed=s.rng_seed + OMEGA_SEED_OFFSET,
                                   jitter=s.attack.vertex_jitter)
-        polys = arp(model.K, s.agent_model.B, range(5), 5, record.states[100],
-                    omega)
+        polys = arp(model.K, s.agent_model.B, range(5), record.states[100], omega)
         got = select_targets(polys)
         best, best_d = None, -1.0
         for i in range(5):

@@ -6,11 +6,15 @@ relative, so these compare with `np.array_equal`, not a tolerance.
 """
 import numpy as np
 import pytest
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import laprec_oracle
 from halfspace_oracle import halfspace_polygon as oracle_polygon
 
+from ncsred import laprec
 from ncsred.attack import AttackConfig, agent_reach_polygon
 from ncsred.errors import DegenerateGeometryError, InvalidInputError
 from ncsred.harness import run
@@ -109,7 +113,7 @@ class TestBatchedReachPolygons:
         m = int(rng.integers(3, 21))
         agents = rng.choice(n_agents, size=int(rng.integers(1, n_agents + 1)),
                             replace=False)
-        got = agent_reach_polygon(K, B, agents, n_agents, x0, omega, m, h)
+        got = agent_reach_polygon(K, B, agents, x0, omega, m, h)
 
         dirs = planar_directions(m)
         assert [p.agent for p in got] == agents.tolist()
@@ -126,7 +130,7 @@ class TestBatchedReachPolygons:
     def test_rejects_scalar_agent(self):
         omega = circumscribe_ball(0.1, 4)
         with pytest.raises(InvalidInputError):
-            agent_reach_polygon(np.eye(8), np.eye(4, 2), 0, 2, np.zeros(8), omega)
+            agent_reach_polygon(np.eye(8), np.eye(4, 2), 0, np.zeros(8), omega)
 
 
 def _loop_pair_errors(s, x):
@@ -174,3 +178,75 @@ def test_harness_metrics_match_per_step_loops(scenario, mode):
                               for k, x in enumerate(record.states)])
     assert np.array_equal(record.pair_errors, want_pairs)
     assert np.array_equal(record.tracking, want_tracking)
+
+
+def _laprec_factors(kind, seed, n_agents):
+    """K, T and L for one factor-step check. "structured" builds
+    K = S + kron(L0, T0) plus noise; "diagonal_L" gives L no off-diagonal
+    mass and "zero_T" sets T = 0, so both ridge branches run."""
+    rng = np.random.default_rng(seed)
+    n = 4 * n_agents
+    K = rng.normal(scale=rng.uniform(0.1, 10.0), size=(n, n))
+    T = rng.normal(size=(4, 4))
+    L = laprec.project_laplacian_cone(rng.normal(size=(n_agents, n_agents)))
+    if kind == "structured":
+        K = 1e-3 * K + np.kron(L, T)
+    elif kind == "diagonal_L":
+        L = np.diag(rng.normal(size=n_agents))
+    elif kind == "zero_T":
+        T = np.zeros((4, 4))
+    return K, T, L
+
+
+def _recover_input(kind, seed, n_agents):
+    """K for a whole recovery. "block_diagonal" has no off-diagonal blocks, so
+    the first sweep finds an L with no off-diagonal mass and then T = 0."""
+    rng = np.random.default_rng(seed)
+    n = 4 * n_agents
+    K = rng.normal(size=(n, n))
+    if kind == "structured":
+        L0 = laprec.project_laplacian_cone(rng.normal(size=(n_agents, n_agents)))
+        K = 1e-3 * K + np.kron(L0, rng.normal(size=(4, 4)))
+    elif kind == "block_diagonal":
+        K = K * np.kron(np.eye(n_agents), np.ones((4, 4)))
+    return K
+
+
+class TestLaprecBlockView:
+    """The factor steps reduce over one (N, N, 4, 4) block view of K in the
+    same order as the per-block loops they replace (`laprec_oracle`), so
+    `recover` takes the same path sweep for sweep."""
+
+    @PROPERTY
+    @given(seed=seeds, n_agents=st.integers(min_value=2, max_value=12),
+           kind=st.sampled_from(["random", "structured", "diagonal_L", "zero_T"]))
+    def test_factor_steps_match_loops(self, seed, n_agents, kind):
+        K, T, L = _laprec_factors(kind, seed, n_agents)
+        assert np.array_equal(laprec.s_step(K, T, L), laprec_oracle.s_step(K, T, L))
+        for got, want in ((laprec.t_step(K, L), laprec_oracle.t_step(K, L)),
+                          (laprec.l_step(K, T), laprec_oracle.l_step(K, T))):
+            assert np.array_equal(got[0], want[0])
+            assert got[1] == want[1]
+        assert (laprec._offdiag_residual(K, L, T)
+                == laprec_oracle.offdiag_residual(K, L, T))
+
+    @PROPERTY
+    @given(seed=seeds, n_agents=st.integers(min_value=2, max_value=12),
+           kind=st.sampled_from(["random", "structured", "block_diagonal"]))
+    def test_recover_matches_loops(self, seed, n_agents, kind):
+        K = _recover_input(kind, seed, n_agents)
+        got = laprec.recover(K, seed=seed)
+        with mock.patch.multiple(laprec, s_step=laprec_oracle.s_step,
+                                 t_step=laprec_oracle.t_step,
+                                 l_step=laprec_oracle.l_step,
+                                 _offdiag_residual=laprec_oracle.offdiag_residual):
+            want = laprec.recover(K, seed=seed)
+        for name in "LST":
+            assert np.array_equal(getattr(got.model, name), getattr(want.model, name))
+        assert got.gamma == want.gamma
+        assert got.iterations == want.iterations
+        assert got.trace == want.trace
+        assert got.frobenius_trace == want.frobenius_trace
+        assert got.regularized == want.regularized
+        if kind == "block_diagonal":
+            assert got.regularized

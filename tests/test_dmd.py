@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ncsred.dmd import DmdModel, SnapshotBuffer, fit, predict
+from ncsred.dmd import DmdModel, SnapshotBuffer, fit
 from ncsred.errors import InsufficientDataError, InvalidInputError
 from ncsred.harness import run
 from ncsred.scenario_io import build_scenario
@@ -99,17 +99,17 @@ class TestPredict:
     def test_identity(self):
         m = DmdModel(K=np.eye(3), residual=0.0, rank_used=3)
         x = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(predict(m, x), x)
+        assert np.array_equal(m.predict(x), x)
 
     def test_scalar(self):
         buf = trajectory_buffer(np.array([[0.5]]), np.array([1.0]), 6)
         model = fit(buf)
-        assert predict(model, np.array([2.0])) == pytest.approx(1.0, abs=1e-14)
+        assert model.predict(np.array([2.0])) == pytest.approx(1.0, abs=1e-14)
 
     def test_mismatch(self):
         m = DmdModel(K=np.eye(3), residual=0.0, rank_used=3)
         with pytest.raises(InvalidInputError):
-            predict(m, np.zeros(4))
+            m.predict(np.zeros(4))
 
 
 class TestOnExperimentRun:
@@ -120,7 +120,7 @@ class TestOnExperimentRun:
         for k in range(101):
             buf.push(record.states[k])
         model = fit(buf)
-        pred = predict(model, record.states[100])
+        pred = model.predict(record.states[100])
         rel = np.linalg.norm(pred - record.states[101]) / np.linalg.norm(record.states[101])
         assert rel < 1e-6
         # later window, deeper into the steady regime
@@ -128,6 +128,6 @@ class TestOnExperimentRun:
         for k in range(250, 301):
             buf.push(record.states[k])
         model = fit(buf)
-        pred = predict(model, record.states[300])
+        pred = model.predict(record.states[300])
         rel = np.linalg.norm(pred - record.states[301]) / np.linalg.norm(record.states[301])
         assert rel < 1e-6

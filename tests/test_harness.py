@@ -3,10 +3,13 @@ import os
 import numpy as np
 import pytest
 
-from ncsred.attack import AttackConfig
+from ncsred.attack import AttackConfig, agent_reach_polygon
 from ncsred.cli import main
+from ncsred.dmd import SnapshotBuffer, fit
 from ncsred.errors import InvalidInputError
-from ncsred.harness import emit, metrics, read_trajectories_csv, run
+from ncsred.harness import (OMEGA_SEED_OFFSET, emit, metrics,
+                            read_trajectories_csv, run)
+from ncsred.reachset import circumscribe_ball
 from ncsred.scenario_io import build_scenario, load_scenario, parse_scenario_text
 
 
@@ -171,6 +174,10 @@ class TestScenarioIO:
         path.write_text("warp_drive = 1\n")
         with pytest.raises(InvalidInputError):
             load_scenario(path)
+        # d_star was a knob no stage read; files that still set it are refused
+        path.write_text("d_star = 1.0\n")
+        with pytest.raises(InvalidInputError, match="unknown scenario keys"):
+            load_scenario(path)
 
     def test_bad_line_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -222,13 +229,41 @@ class TestCli:
 
     def test_reachset_dump(self, tmp_path):
         out = tmp_path / "reach"
-        rc = main(["reachset-dump", "--scenario", self.scenario_file(tmp_path),
+        path = self.scenario_file(tmp_path)
+        rc = main(["reachset-dump", "--scenario", path,
                    "--at", "60", "--horizon", "2", "--out", str(out)])
         assert rc == 0
-        rows = (out / "polygons.csv").read_text().strip().splitlines()
-        assert rows[0] == "step,agent,vertex,x,y"
-        assert len(rows) > 5
+        assert (out / "polygons.csv").read_text().startswith("step,agent,vertex,x,y\n")
+        table = np.loadtxt(out / "polygons.csv", delimiter=",", skiprows=1)
         assert (out / "polygons.svg").exists()
+
+        s = load_scenario(path)
+        cfg = s.attack
+        buf = SnapshotBuffer(cfg.snapshot_width, s.dim)
+        states = run(s, "nominal").states
+        for x in states[:61]:
+            buf.push(x)
+        omega = circumscribe_ball(cfg.rho, cfg.s, seed=s.rng_seed + OMEGA_SEED_OFFSET,
+                                  jitter=cfg.vertex_jitter)
+        polys = agent_reach_polygon(fit(buf, svd_tol=cfg.svd_tol).K,
+                                    s.agent_model.B, range(s.n_agents), states[60],
+                                    omega, cfg.n_directions, 2)
+        assert np.array_equal(table[:, 0], np.full(len(table), 60.0))
+        assert np.array_equal(table[:, 1], np.concatenate(
+            [np.full(len(p.vertices), p.agent) for p in polys]))
+        assert np.array_equal(table[:, 2], np.concatenate(
+            [np.arange(len(p.vertices)) for p in polys]))
+        # repr round-trips, so the dumped coordinates are the vertices' bytes
+        assert np.array_equal(table[:, 3:], np.vstack([p.vertices for p in polys]))
+
+    @pytest.mark.parametrize("horizon", ["0", "-2"])
+    def test_reachset_dump_rejects_horizon_below_one(self, tmp_path, capsys, horizon):
+        out = tmp_path / "reach"
+        rc = main(["reachset-dump", "--scenario", self.scenario_file(tmp_path),
+                   "--at", "60", "--horizon", horizon, "--out", str(out)])
+        assert rc == 2
+        assert "InvalidInputError: reach horizon must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_recover_laplacian_round_trip(self, tmp_path, capsys):
         rng = np.random.default_rng(0)

@@ -4,8 +4,7 @@ import pytest
 from ncsred.errors import InvalidInputError
 from ncsred.graph import Graph, laplacian
 from ncsred.laprec import (KroneckerModel, l_step, project_laplacian_cone,
-                           recover, residual_gamma, s_step, schur_block,
-                           solve_factor_steps, t_step)
+                           recover, residual_gamma, s_step, schur_block, t_step)
 
 FIG_L = laplacian(Graph(5, frozenset({(0, 1), (0, 2), (1, 3), (2, 4)})))
 
@@ -114,17 +113,6 @@ class TestFactorSteps:
         T, reg = t_step(K, L0)
         assert not reg
         assert np.allclose(T, T0, atol=1e-10)
-
-    def test_dispatcher(self):
-        rng = np.random.default_rng(8)
-        T0 = rng.normal(size=(4, 4))
-        S0 = block_diag_S(rng, 2)
-        L0 = laplacian(Graph(2, frozenset({(0, 1)})))
-        K = S0 + np.kron(L0, T0)
-        assert np.allclose(solve_factor_steps(K, T=T0, L=L0), S0, atol=1e-12)
-        assert np.allclose(solve_factor_steps(K, S=S0, L=L0), T0, atol=1e-10)
-        with pytest.raises(InvalidInputError):
-            solve_factor_steps(K, S=S0)
 
     def test_steps_never_increase_frobenius_residual(self):
         # each update pairs with the exact S for its factors, so the full

@@ -4,9 +4,8 @@ import pytest
 from ncsred.errors import DegenerateGeometryError, InvalidInputError
 from ncsred.reachset import (agent_polygon, batch_reach_supports,
                              circumscribe_ball, embed_input_map,
-                             halfspace_polygon, lift_direction,
-                             planar_directions, polygon_distance,
-                             reach_support)
+                             halfspace_polygon, planar_directions,
+                             polygon_distance, reach_support)
 
 
 def square_polygon(center, half):
@@ -95,7 +94,8 @@ class TestReachSupport:
         Bsel = embed_input_map(B, 0, n_agents)
         omega = circumscribe_ball(0.2, 4)  # axis-aligned square, radius 0.2
         x0 = np.arange(8.0)
-        d = lift_direction(np.array([1.0, 0.0]), 0, n_agents)
+        d = np.zeros(4 * n_agents)
+        d[0] = 1.0  # agent 0's x position
         gamma, xs = reach_support([K], Bsel, x0, omega, d)
         # position support = x position + rho * B position weight, corner input
         assert gamma == pytest.approx(x0[0] + 0.2 * 0.5, abs=1e-12)
@@ -157,7 +157,8 @@ class TestReachSupport:
         d = np.array([0.6, 0, 0.8, 0])
         base, _ = reach_support([K] * 3, B, x0, omega, d)
         for alpha in [1.0, 1.5, 2.0, 5.0]:
-            g, _ = reach_support([K] * 3, B, x0, omega.scaled(alpha), d)
+            scaled = circumscribe_ball(0.1 * alpha, 5, seed=2)
+            g, _ = reach_support([K] * 3, B, x0, scaled, d)
             assert g >= base - 1e-12
 
     def test_rejects_non_unit_direction(self):
@@ -211,10 +212,11 @@ class TestAgentPolygon:
         omega = circumscribe_ball(0.2, 8, seed=3)
         x0 = rng.normal(size=dim)
         dirs = planar_directions(16)
+        lifts = np.zeros((16, dim))
+        lifts[:, 4], lifts[:, 6] = dirs[:, 0], dirs[:, 1]  # agent 1's position
         sup = np.empty(16)
-        for i, d in enumerate(dirs):
-            sup[i], _ = reach_support([K], Bsel, x0, omega,
-                                      lift_direction(d, 1, n_agents))
+        for i, d in enumerate(lifts):
+            sup[i], _ = reach_support([K], Bsel, x0, omega, d)
         poly = agent_polygon(dirs, 1, sup)
         U = sample_omega(omega, 5000, rng)
         ends = x0[None, :] @ K.T + U @ Bsel.T
