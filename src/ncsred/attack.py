@@ -88,15 +88,20 @@ def agent_reach_polygon(model_K, B, agents, x0, omega, n_directions=16,
     if horizon < 1:
         raise InvalidInputError(f"reach horizon must be >= 1, got {horizon}")
     n_agents = model_K.shape[0] // 4
+    bad = agents[(agents < 0) | (agents >= n_agents)]
+    if bad.size:
+        raise InvalidInputError(
+            f"agent {bad[0]} out of range for {n_agents} agents")
     dirs = planar_directions(n_directions)
     K_seq = [model_K] * horizon
-    Bsel = np.stack([embed_input_map(B, a, n_agents) for a in agents])
     rows = np.arange(len(agents))
+    Bsel = np.zeros((len(agents), 4 * n_agents, B.shape[1]))
+    Bsel[rows[:, None], 4 * agents[:, None] + np.arange(4)] = B
     lifts = np.zeros((len(agents), len(dirs), 4 * n_agents))
     lifts[rows, :, 4 * agents] = dirs[:, 0]
     lifts[rows, :, 4 * agents + 2] = dirs[:, 1]
     sup, _ = batch_reach_supports(K_seq, Bsel, x0, omega, lifts)
-    return [agent_polygon(dirs, a, g) for a, g in zip(agents, sup)]
+    return agent_polygon(dirs, agents, sup)
 
 
 def synthesize_fdi(k, targets, model, omega: InputPolytope, state, B, polygons,

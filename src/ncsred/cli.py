@@ -24,6 +24,8 @@ def _add_scenario_args(p):
 def _nominal_fit(scenario, upto):
     """DMD fit on the snapshot window that ends at step `upto` of a nominal
     run; returns (buffer, model, state at `upto`)."""
+    if upto < 0:
+        raise InvalidInputError(f"--at must be >= 0, got {upto}")
     if upto > scenario.horizon_steps:
         raise InvalidInputError(
             f"--at {upto} exceeds horizon_steps {scenario.horizon_steps}")

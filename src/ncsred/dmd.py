@@ -1,7 +1,6 @@
 """Attacker-side identification of a one-step linear operator from snapshots."""
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +15,10 @@ class SnapshotBuffer:
 
     Holds at most width+1 columns; a full buffer yields the shifted data pair
     X (columns 1..w) and X+ (columns 2..w+1). Single-writer.
+
+    The columns live in a preallocated ring of 2 (width+1) slots, each
+    written twice, width+1 apart, so the window is always one contiguous
+    slice and X and X+ are one copy each.
     """
 
     def __init__(self, width, dim):
@@ -25,37 +28,43 @@ class SnapshotBuffer:
             raise InvalidInputError(f"dim must be >= 1, got {dim}")
         self.width = int(width)
         self.dim = int(dim)
-        self._cols = deque(maxlen=self.width + 1)
+        self._ring = np.zeros((self.dim, 2 * (self.width + 1)))
+        self._pushed = 0
 
     def push(self, x):
         """Append one state column, evicting the oldest when over capacity."""
         x = np.asarray(x, float)
         if x.shape != (self.dim,):
             raise InvalidInputError(f"column length {x.shape} != {self.dim}")
-        self._cols.append(x.copy())
+        slot = self._pushed % (self.width + 1)
+        self._ring[:, slot] = self._ring[:, slot + self.width + 1] = x
+        self._pushed += 1
 
     def __len__(self):
-        return len(self._cols)
+        return min(self._pushed, self.width + 1)
 
     @property
     def is_full(self):
-        return len(self._cols) == self.width + 1
+        return len(self) == self.width + 1
 
     @property
     def can_fit(self):
-        return len(self._cols) >= 2
+        return len(self) >= 2
+
+    def _window(self, first, last):
+        """Copy of window columns first..last-1, oldest column first."""
+        start = (self._pushed - len(self)) % (self.width + 1)
+        return self._ring[:, start + first:start + last].copy()
 
     @property
     def X(self):
         """dim x (n-1) matrix of all but the newest column."""
-        cols = list(self._cols)
-        return np.column_stack(cols[:-1]) if len(cols) >= 2 else np.zeros((self.dim, 0))
+        return self._window(0, len(self) - 1) if self.can_fit else np.zeros((self.dim, 0))
 
     @property
     def X_plus(self):
         """dim x (n-1) matrix of all but the oldest column."""
-        cols = list(self._cols)
-        return np.column_stack(cols[1:]) if len(cols) >= 2 else np.zeros((self.dim, 0))
+        return self._window(1, len(self)) if self.can_fit else np.zeros((self.dim, 0))
 
 
 @dataclass(frozen=True)

@@ -209,17 +209,24 @@ def control_inputs(s: Scenario, state: StackedState, graph: Optional[Graph] = No
 
 
 def feedback_inputs(s: Scenario, state: StackedState, graph: Optional[Graph] = None):
-    """Coupling and leader-tracking feedback terms only (N x 2)."""
+    """Coupling and leader-tracking feedback terms only (N x 2).
+
+    Every neighbour term K (x_i - x_j - (o_i - o_j)) is one stacked 2x4 @ 4x1
+    product; each agent sums its terms in ascending neighbour order.
+    """
     g = s.graph if graph is None else graph
     N = s.n_agents
     x = np.asarray(state.x, float)
     if x.shape != (s.dim,):
         raise InvalidInputError(f"state length {x.shape} != {s.dim}")
     X = x.reshape(N, STATE_DIM)
+    nbrs = [g.neighbors(i) for i in range(N)]
+    ii = np.repeat(np.arange(N), [len(js) for js in nbrs])
+    jj = np.array([j for js in nbrs for j in js], dtype=int)
+    off = s.formation_offsets
+    dev = X[ii] - X[jj] - (off[ii] - off[jj])
     u = np.zeros((N, INPUT_DIM))
-    for i in range(N):
-        for j in g.neighbors(i):
-            u[i] += s.gain @ (X[i] - X[j] - s.offset_difference(i, j))
+    np.add.at(u, ii, (s.gain @ dev[..., None])[..., 0])
     u[0] += s.leader_gain @ (X[0] - s.track.target(state.k))
     return u
 
@@ -230,7 +237,8 @@ def step(s: Scenario, state: StackedState, fdi: Optional[np.ndarray] = None,
 
     `fdi` is an optional stacked injection of length 2N entering through the
     same actuator matrix B. `u` optionally supplies this state's
-    `control_inputs` (N x 2) when the caller has already computed them.
+    `control_inputs` (N x 2) when the caller has already computed them. All
+    agents update in stacked 4x4 @ 4x1 and 4x2 @ 2x1 products.
     """
     N = s.n_agents
     if fdi is not None:
@@ -239,12 +247,10 @@ def step(s: Scenario, state: StackedState, fdi: Optional[np.ndarray] = None,
             raise InvalidInputError(f"fdi length {fdi.shape} != {INPUT_DIM * N}")
     if u is None:
         u = control_inputs(s, state, graph)
-    A, B = s.agent_model.A, s.agent_model.B
-    X = state.x.reshape(N, STATE_DIM)
-    out = np.empty_like(X)
-    for i in range(N):
-        ui = u[i] if fdi is None else u[i] + fdi[2 * i:2 * i + 2]
-        out[i] = A @ X[i] + B @ ui
+    if fdi is not None:
+        u = u + fdi.reshape(N, INPUT_DIM)
+    out = (s.agent_model.A @ state.x.reshape(N, STATE_DIM, 1)
+           + s.agent_model.B @ np.asarray(u, float)[..., None])
     return StackedState(k=state.k + 1, x=out.reshape(-1))
 
 

@@ -168,9 +168,11 @@ def _face_pairs(key, shape):
     """Direction-only part of `halfspace_polygon` for the directions whose
     float64 bytes are `key`.
 
-    Returns, for every non-parallel face pair (i, j), i < j: the indices,
-    both normals' components and the determinant. Raises when the directions
-    fail to positively span the plane.
+    For every non-parallel face pair (i, j), i < j, with normals a and b, the
+    lines' intersection is (g[I] * C - g[J] * E) / det, column by column, for
+    the returned index pairs I = (i, j), J = (j, i), coefficients
+    C = (b1, a0), E = (a1, b0) and determinant det (k, 1). Raises when the
+    directions fail to positively span the plane.
     """
     D = np.frombuffer(key, dtype=float).reshape(shape)
     if shape[0] < 3:
@@ -183,11 +185,20 @@ def _face_pairs(key, shape):
     a, b = D[ii], D[jj]
     det = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
     ok = np.abs(det) > 1e-12
-    pairs = tuple(np.ascontiguousarray(v[ok]) for v in
-                  (ii, jj, a[:, 0], a[:, 1], b[:, 0], b[:, 1], det))
+    ii, jj, a, b, det = ii[ok], jj[ok], a[ok], b[ok], det[ok]
+    pairs = (np.column_stack([ii, jj]), np.column_stack([jj, ii]),
+             np.column_stack([b[:, 1], a[:, 0]]), np.column_stack([a[:, 1], b[:, 0]]),
+             det[:, None])
     for v in pairs:
         v.flags.writeable = False
     return pairs
+
+
+def _compact(mask):
+    """Per row, the indices of the True entries in order, then the others,
+    cut to the longest row's count; and the True counts."""
+    counts = mask.sum(axis=1)
+    return np.argsort(~mask, axis=1, kind="stable")[:, :counts.max()], counts
 
 
 def halfspace_polygon(directions, supports):
@@ -198,36 +209,52 @@ def halfspace_polygon(directions, supports):
     orders them about their centroid. Raises when the directions fail to
     positively span the plane (unbounded set) or when the intersection is
     empty. The direction-only work is cached per direction set.
+
+    `supports` (m,) gives one vertex array; (A, m) gives a list of A, each
+    the bytes its row alone gives, from one padded pass over all rows.
     """
     D = np.ascontiguousarray(directions, float)
     g = np.asarray(supports, float)
-    ii, jj, a0, a1, b0, b1, det = _face_pairs(D.tobytes(), D.shape)
-    gi, gj = g[ii], g[jj]
-    P = np.empty((len(det), 2))
+    G = np.atleast_2d(g)
+    I, J, C, E, det = _face_pairs(D.tobytes(), D.shape)
     with np.errstate(invalid="ignore"):
-        P[:, 0] = (gi * b1 - gj * a1) / det
-        P[:, 1] = (a0 * gj - b0 * gi) / det
-    P = P[np.all(P @ D.T <= g + FEAS_TOL, axis=1)]
-    if P.shape[0] == 0:
+        P = (G[:, I] * C - G[:, J] * E) / det
+    idx, counts = _compact((P @ D.T <= G[:, None] + FEAS_TOL).all(axis=2))
+    if not counts.all():
         raise DegenerateGeometryError("empty half-plane intersection")
+    # feasible points first, padded with copies of each row's first one,
+    # which the dedupe then drops
+    rows = np.arange(len(G))[:, None]
+    P = P[rows, np.where(np.arange(idx.shape[1]) < counts[:, None], idx, idx[:, :1])]
     # a point goes when an earlier one lies within 1e-9 * scale
-    scale = max(1.0, np.abs(P).max())
-    dx = P[:, None, 0] - P[None, :, 0]
-    dy = P[:, None, 1] - P[None, :, 1]
-    near = np.sqrt(dx * dx + dy * dy) <= 1e-9 * scale
-    P = P[~(near & np.tri(len(P), k=-1, dtype=bool)).any(axis=1)]
-    centroid = P.mean(axis=0)
-    order = np.argsort(np.arctan2(P[:, 1] - centroid[1], P[:, 0] - centroid[0]))
-    return P[order]
+    scale = np.maximum(1.0, np.abs(P).max(axis=(1, 2)))
+    d = P[:, :, None] - P[:, None]
+    d *= d
+    near = np.sqrt(d[..., 0] + d[..., 1]) <= 1e-9 * scale[:, None, None]
+    idx, counts = _compact(near.argmax(axis=2) == np.arange(P.shape[1]))
+    # kept points padded with -0.0, which leaves the in-order sum exact
+    valid = np.arange(idx.shape[1]) < counts[:, None]
+    P = np.where(valid[..., None], P[rows, idx], -0.0)
+    c = P.sum(axis=1) / counts[:, None]
+    ang = np.arctan2(P[..., 1] - c[:, 1:], P[..., 0] - c[:, :1])
+    # padding sorts last, after the kept points in the order a sort of
+    # the row alone gives them
+    P = P[rows, np.argsort(np.where(valid, ang, np.inf), axis=1)][valid]
+    ends = np.cumsum(counts).tolist()
+    polys = [P[e - n:e] for e, n in zip(ends, counts.tolist())]
+    return polys if g.ndim == 2 else polys[0]
 
 
-def agent_polygon(directions, agent, supports) -> AgentPolygon:
-    """Per-agent position polygon from its support values."""
+def agent_polygon(directions, agent, supports):
+    """Position polygon of an agent from its support values (m,); for a
+    sequence of agents and supports (A, m), a list of their polygons."""
+    directions = np.asarray(directions, float)
+    supports = np.asarray(supports, float)
     verts = halfspace_polygon(directions, supports)
-    return AgentPolygon(agent=int(agent),
-                        directions=np.asarray(directions, float),
-                        supports=np.asarray(supports, float),
-                        vertices=verts)
+    if np.ndim(agent) == 0:
+        return AgentPolygon(int(agent), directions, supports, verts)
+    return [AgentPolygon(int(a), directions, g, v)
+            for a, g, v in zip(agent, supports, verts)]
 
 
 def _direction_fan(polygons):
@@ -236,26 +263,42 @@ def _direction_fan(polygons):
     The faces are every polygon's own directions and their negatives, sorted
     by angle, with directions closer than ANGLE_TOL merged. Every edge normal
     of a Minkowski difference of these polygons is then one of the faces.
+    Cached per set of distinct direction arrays; the arrays are read-only.
     """
-    D = np.vstack([p.directions for p in polygons])
+    keys = dict.fromkeys(np.asarray(p.directions, float).tobytes() for p in polygons)
+    return _fan(tuple(keys))
+
+
+@functools.lru_cache(maxsize=16)
+def _fan(keys):
+    D = np.vstack([np.frombuffer(k, dtype=float).reshape(-1, 2) for k in keys])
     D = np.vstack([D, -D])
     ang = np.sort(np.arctan2(D[:, 1], D[:, 0]))
     ang = ang[np.concatenate([[True], np.diff(ang) > ANGLE_TOL])]
     if ang[-1] - ang[0] > 2 * np.pi - ANGLE_TOL:
         ang = ang[:-1]
     mid = 0.5 * (ang + np.append(ang[1:], ang[0] + 2 * np.pi))
-    faces = np.column_stack([np.cos(ang), np.sin(ang)])
-    arcs = np.column_stack([np.cos(mid), np.sin(mid)])
-    return faces, arcs
+    fan = (np.column_stack([np.cos(ang), np.sin(ang)]),
+           np.column_stack([np.cos(mid), np.sin(mid)]))
+    for v in fan:
+        v.flags.writeable = False
+    return fan
 
 
-def _extreme_vertices(P: AgentPolygon, arcs):
-    """Vertices of P attaining max and min of <arc, v> for each arc direction."""
-    V = np.asarray(P.vertices, float)
-    if V.size == 0:
+def _extreme_vertices(polygons, arcs):
+    """Vertices of each polygon attaining max and min of <arc, v> for each
+    arc direction, as (A, arcs, 2) arrays, from one padded pass. Shorter
+    vertex lists are padded with their vertex 0, so argmax and argmin still
+    take the first index."""
+    lens = np.array([len(p.vertices) for p in polygons])
+    if not lens.all():
         raise DegenerateGeometryError("empty polygon")
-    proj = V[:, :1] * arcs[:, 0] + V[:, 1:] * arcs[:, 1]
-    return V[proj.argmax(axis=0)], V[proj.argmin(axis=0)]
+    V = np.concatenate([p.vertices for p in polygons], dtype=float)
+    k = np.arange(lens.max())
+    idx = (np.cumsum(lens) - lens)[:, None] + np.where(k < lens[:, None], k, 0)
+    proj = (V[:, :1] * arcs[:, 0] + V[:, 1:] * arcs[:, 1])[idx]
+    rows = np.arange(len(idx))[:, None]
+    return V[idx[rows, proj.argmax(axis=1)]], V[idx[rows, proj.argmin(axis=1)]]
 
 
 def _ring_distances(points, rings, faces):
@@ -285,15 +328,14 @@ def shifted_distances(P: AgentPolygon, Q: AgentPolygon, shifts):
     Minkowski sums), so all shifts cost one vectorised point query.
     """
     faces, arcs = _direction_fan((P, Q))
-    _, lo = _extreme_vertices(P, arcs)
-    hi, _ = _extreme_vertices(Q, arcs)
-    return _ring_distances(np.asarray(shifts, float).reshape(-1, 2), hi - lo, faces)
+    hi, lo = _extreme_vertices((P, Q), arcs)
+    return _ring_distances(np.asarray(shifts, float).reshape(-1, 2), hi[1] - lo[0], faces)
 
 
 def pair_distances(polygons):
     """dist(polygons[i], polygons[j]) for every pair i < j, in lexicographic order."""
     faces, arcs = _direction_fan(polygons)
-    hi, lo = map(np.array, zip(*(_extreme_vertices(p, arcs) for p in polygons)))
+    hi, lo = _extreme_vertices(polygons, arcs)
     ii, jj = np.triu_indices(len(polygons), k=1)
     return _ring_distances(np.zeros((len(ii), 2)), hi[jj] - lo[ii], faces)
 

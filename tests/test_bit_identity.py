@@ -4,6 +4,8 @@ the per-agent, per-pair and per-step computations they replace.
 The benchmark's decision fingerprints allow separations to drift by 1e-9
 relative, so these compare with `np.array_equal`, not a tolerance.
 """
+from collections import deque
+
 import numpy as np
 import pytest
 from unittest import mock
@@ -12,15 +14,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import laprec_oracle
+import plant_oracle
 from halfspace_oracle import halfspace_polygon as oracle_polygon
 
-from ncsred import laprec
+from ncsred import laprec, ncs
 from ncsred.attack import AttackConfig, agent_reach_polygon
+from ncsred.dmd import SnapshotBuffer
 from ncsred.errors import DegenerateGeometryError, InvalidInputError
+from ncsred.graph import Graph
 from ncsred.harness import run
-from ncsred.reachset import (agent_polygon, batch_reach_supports,
+from ncsred.reachset import (ANGLE_TOL, _direction_fan, _ring_distances,
+                             agent_polygon, batch_reach_supports,
                              circumscribe_ball, embed_input_map,
-                             halfspace_polygon, planar_directions)
+                             halfspace_polygon, pair_distances,
+                             planar_directions, shifted_distances)
 from ncsred.scenario_io import build_scenario
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
@@ -53,8 +60,17 @@ def _random_directions(rng):
 def _half_planes(kind, seed):
     rng = np.random.default_rng(seed)
     D = _random_directions(rng)
+    return D, _supports(kind, D, rng)
+
+
+def _supports(kind, D, rng):
+    """Support values on the directions D: a point's, an empty set's
+    (every half-plane pulled in past a common point), or a random point
+    cloud's, with redundant faces or at scales of 1e6-1e9."""
     if kind == "point":
-        return D, D @ rng.normal(scale=5.0, size=2)
+        return D @ rng.normal(scale=5.0, size=2)
+    if kind == "empty":
+        return D @ rng.normal(scale=5.0, size=2) - rng.uniform(0.1, 5.0)
     center, spread = rng.normal(scale=5.0, size=2), 2.0
     if kind == "large":
         scale = 10.0 ** rng.uniform(6, 9)
@@ -63,7 +79,7 @@ def _half_planes(kind, seed):
     g = (pts @ D.T).max(axis=0)
     if kind == "redundant":
         g = g + rng.exponential(3.0, size=len(g)) * (rng.random(len(g)) < 0.5)
-    return D, g
+    return g
 
 
 class TestHalfspacePolygon:
@@ -78,6 +94,29 @@ class TestHalfspacePolygon:
             assert got == want
         else:
             assert np.array_equal(got, want)
+
+    @PROPERTY
+    @given(seed=seeds, kinds=st.lists(st.sampled_from(["support", "redundant",
+                                                       "point", "large"]),
+                                      min_size=1, max_size=12),
+           empty_row=st.integers(min_value=-12, max_value=11))
+    def test_batch_rows_match_oracle(self, seed, kinds, empty_row):
+        """Rows of mixed kinds on one direction set; a batch raises what its
+        first failing row raises."""
+        if 0 <= empty_row < len(kinds):
+            kinds[empty_row] = "empty"
+        rng = np.random.default_rng(seed)
+        D = _random_directions(rng)
+        G = np.array([_supports(kind, D, rng) for kind in kinds])
+        want = [_outcome(oracle_polygon, D, g) for g in G]
+        got = _outcome(halfspace_polygon, D, G)
+        errors = [w for w in want if isinstance(w, str)]
+        if errors:
+            assert got == errors[0]
+        else:
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
 
     def test_cached_directions_are_not_shared_state(self):
         D = planar_directions(8)
@@ -131,6 +170,170 @@ class TestBatchedReachPolygons:
         omega = circumscribe_ball(0.1, 4)
         with pytest.raises(InvalidInputError):
             agent_reach_polygon(np.eye(8), np.eye(4, 2), 0, np.zeros(8), omega)
+
+    @pytest.mark.parametrize("agent", [7, -1])
+    def test_rejects_agent_out_of_range(self, agent):
+        omega = circumscribe_ball(0.1, 4)
+        with pytest.raises(InvalidInputError, match=f"agent {agent} out of range"):
+            agent_reach_polygon(np.eye(20), np.eye(4, 2), [0, agent], np.zeros(20),
+                                omega)
+
+
+def _uncached_fan(polygons):
+    """`_direction_fan` as it was before its cache: every polygon's
+    directions and their negatives, sorted, merged within ANGLE_TOL."""
+    D = np.vstack([p.directions for p in polygons])
+    D = np.vstack([D, -D])
+    ang = np.sort(np.arctan2(D[:, 1], D[:, 0]))
+    ang = ang[np.concatenate([[True], np.diff(ang) > ANGLE_TOL])]
+    if ang[-1] - ang[0] > 2 * np.pi - ANGLE_TOL:
+        ang = ang[:-1]
+    mid = 0.5 * (ang + np.append(ang[1:], ang[0] + 2 * np.pi))
+    return (np.column_stack([np.cos(ang), np.sin(ang)]),
+            np.column_stack([np.cos(mid), np.sin(mid)]))
+
+
+class TestDirectionFan:
+    @PROPERTY
+    @given(seed=seeds, n_polygons=st.integers(min_value=1, max_value=6))
+    def test_matches_uncached_fan(self, seed, n_polygons):
+        rng = np.random.default_rng(seed)
+        sets = [_random_directions(rng) for _ in range(int(rng.integers(1, 3)))]
+        polys = [mock.Mock(directions=sets[int(rng.integers(len(sets)))])
+                 for _ in range(n_polygons)]
+        for got, want in zip(_direction_fan(polys), _uncached_fan(polys)):
+            assert np.array_equal(got, want)
+
+    def test_cached_directions_are_not_shared_state(self):
+        D = planar_directions(8)
+        P = agent_polygon(D, 0, np.ones(8))
+        first = _direction_fan([P])
+        assert not any(v.flags.writeable for v in first)
+        D[:] = np.roll(D, 1, axis=0) * [1.0, 0.5]  # the caller's array changes
+        D /= np.linalg.norm(D, axis=1, keepdims=True)
+        for got, want in zip(_direction_fan([P]), _uncached_fan([P])):
+            assert np.array_equal(got, want)
+        fresh = agent_polygon(planar_directions(8), 0, np.ones(8))
+        for got, want in zip(_direction_fan([fresh]), first):
+            assert np.array_equal(got, want)
+
+
+def _extreme(P, arcs):
+    """One polygon's max and min vertices per arc, first index on ties."""
+    proj = P.vertices[:, :1] * arcs[:, 0] + P.vertices[:, 1:] * arcs[:, 1]
+    return P.vertices[proj.argmax(axis=0)], P.vertices[proj.argmin(axis=0)]
+
+
+class TestPaddedExtremeVertices:
+    """`pair_distances` and `shifted_distances` take every polygon's extreme
+    vertices in one padded pass; the scores equal those from one polygon at a
+    time, on polygons with differing vertex counts and direction sets."""
+
+    @PROPERTY
+    @given(seed=seeds, n_polygons=st.integers(min_value=2, max_value=10))
+    def test_matches_per_polygon_pass(self, seed, n_polygons):
+        rng = np.random.default_rng(seed)
+        sets = [planar_directions(int(rng.integers(3, 20))) for _ in range(2)]
+        polys = []
+        for a in range(n_polygons):
+            D = sets[int(rng.integers(2))]
+            pts = rng.normal(scale=10.0, size=2) + rng.normal(
+                scale=rng.choice([0.0, 1.0]), size=(int(rng.integers(1, 6)), 2))
+            polys.append(agent_polygon(D, a, (pts @ D.T).max(axis=0)))
+        faces, arcs = _uncached_fan(polys)
+        hi, lo = map(np.array, zip(*(_extreme(p, arcs) for p in polys)))
+        ii, jj = np.triu_indices(n_polygons, k=1)
+        want = _ring_distances(np.zeros((len(ii), 2)), hi[jj] - lo[ii], faces)
+        assert np.array_equal(pair_distances(polys), want)
+
+        P, Q = polys[:2]
+        shifts = rng.normal(scale=5.0, size=(7, 2))
+        faces, arcs = _uncached_fan((P, Q))
+        want = _ring_distances(shifts, _extreme(Q, arcs)[0] - _extreme(P, arcs)[1],
+                               faces)
+        assert np.array_equal(shifted_distances(P, Q, shifts), want)
+
+
+def _plant_scenario(rng, n):
+    """n agents on a random edge set (empty in about a fifth of draws) with
+    random gains, offsets and initial states."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    p = 0.0 if rng.random() < 0.2 else rng.random()
+    edges = {e for e in pairs if rng.random() < p}
+    return build_scenario(seed=int(rng.integers(1000)), n_agents=n,
+                          horizon_steps=40, edges=edges,
+                          gain=rng.normal(size=(2, 4)),
+                          leader_gain=rng.normal(size=(2, 4)),
+                          offsets=rng.normal(scale=8.0, size=(n, 4)))
+
+
+class TestStackedPlant:
+    """Neighbour terms and agent updates are stacked per-item products, and
+    the terms accumulate in the loops' (i, ascending j) order, so the plant
+    returns the loop oracle's bytes (`plant_oracle`)."""
+
+    @PROPERTY
+    @given(seed=seeds, n=st.integers(min_value=1, max_value=12),
+           with_fdi=st.booleans(), pass_u=st.booleans())
+    def test_matches_loops(self, seed, n, with_fdi, pass_u):
+        rng = np.random.default_rng(seed)
+        s = _plant_scenario(rng, n)
+        state = ncs.StackedState(k=int(rng.integers(0, 40)),
+                                 x=rng.normal(scale=20.0, size=4 * n))
+        graph = Graph(n, {e for e in s.graph.edges if rng.random() < 0.5})
+        for g in (None, graph):
+            assert np.array_equal(ncs.feedback_inputs(s, state, g),
+                                  plant_oracle.feedback_inputs(s, state, g))
+        fdi = rng.normal(size=2 * n) if with_fdi else None
+        u = rng.normal(size=(n, 2)) if pass_u else None
+        got = ncs.step(s, state, fdi=fdi, graph=graph, u=u)
+        want = plant_oracle.step(s, state, fdi=fdi, graph=graph, u=u)
+        assert got.k == want.k
+        assert np.array_equal(got.x, want.x)
+
+
+class _DequeBuffer:
+    """The deque + column_stack window `SnapshotBuffer` used to keep."""
+
+    def __init__(self, width):
+        self.cols = deque(maxlen=width + 1)
+
+    def push(self, x):
+        self.cols.append(np.array(x, float))
+
+    def matrices(self):
+        cols = list(self.cols)
+        if len(cols) < 2:
+            return None
+        return np.column_stack(cols[:-1]), np.column_stack(cols[1:])
+
+
+class TestSnapshotRing:
+    @PROPERTY
+    @given(seed=seeds, width=st.integers(min_value=1, max_value=12),
+           dim=st.integers(min_value=1, max_value=9))
+    def test_matches_deque_through_three_wraps(self, seed, width, dim):
+        rng = np.random.default_rng(seed)
+        buf, oracle = SnapshotBuffer(width, dim), _DequeBuffer(width)
+        for _ in range(3 * (width + 1) + int(rng.integers(0, width + 1))):
+            x = rng.normal(size=dim)
+            buf.push(x)
+            oracle.push(x)
+            assert len(buf) == len(oracle.cols)
+            assert buf.is_full == (len(oracle.cols) == width + 1)
+            assert buf.can_fit == (len(oracle.cols) >= 2)
+            want = oracle.matrices()
+            X, Xp = buf.X, buf.X_plus
+            if want is None:
+                assert X.shape == Xp.shape == (dim, 0)
+                continue
+            for got, ref in zip((X, Xp), want):
+                assert np.array_equal(got, ref)
+                assert got.flags.c_contiguous and got.tobytes() == ref.tobytes()
+            X[:] = np.nan  # a caller's edit stays out of the buffer
+            Xp[:] = np.nan
+            assert np.array_equal(buf.X, want[0])
+            assert np.array_equal(buf.X_plus, want[1])
 
 
 def _loop_pair_errors(s, x):

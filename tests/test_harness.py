@@ -265,6 +265,16 @@ class TestCli:
         assert "InvalidInputError: reach horizon must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, at", [("reachset-dump", "-5"),
+                                             ("dmd-export", "-450")])
+    def test_negative_at_rejected(self, tmp_path, capsys, command, at):
+        out = tmp_path / "out"
+        rc = main([command, "--scenario", self.scenario_file(tmp_path),
+                   "--at", at, "--out", str(out)])
+        assert rc == 2
+        assert f"InvalidInputError: --at must be >= 0, got {at}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_recover_laplacian_round_trip(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         from ncsred.graph import Graph, laplacian
