@@ -9,8 +9,9 @@ import numpy as np
 from .errors import InvalidInputError
 from .graph import Graph, algebraic_connectivity, is_connected, remove_edge
 from .reachset import (AgentPolygon, InputPolytope, agent_polygon,
-                       batch_reach_supports, embed_input_map, pair_distances,
-                       planar_directions, polygon_distance, shifted_distances)
+                       batch_reach_supports, embed_input_map,
+                       input_image_distances, pair_distances, pair_indices,
+                       planar_directions, polygon_distance)
 
 FIEDLER_TIE_TOL = 1e-9
 EDGE_THRESHOLD_FACTOR = 0.5
@@ -68,7 +69,7 @@ def select_targets(polygons):
     """Agent pair whose polygons are farthest apart; lexicographic tie-break."""
     if len(polygons) < 2:
         raise InvalidInputError("need at least 2 agent polygons")
-    ii, jj = np.triu_indices(len(polygons), k=1)
+    ii, jj = pair_indices(len(polygons))
     best = int(np.argmax(pair_distances(polygons)))
     return int(ii[best]), int(jj[best])
 
@@ -116,6 +117,11 @@ def synthesize_fdi(k, targets, model, omega: InputPolytope, state, B, polygons,
     they give the before-separation. The candidates are scored on 1-step
     polygons even when the selection used a longer reach horizon, so with
     `horizon > 1` the two separations are on different horizons.
+
+    A target's 1-step polygon from K x is its position in c = K K x plus the
+    run-constant input image S = {B_pos u : u in omega}. So candidate (ui, uj),
+    which moves the targets by delta = K (Bi ui + Bj uj), scores dist(S + s, S)
+    with s = delta_i - delta_j + c_i - c_j: a point query against S - S.
     """
     i, j = targets
     if i == j:
@@ -127,21 +133,18 @@ def synthesize_fdi(k, targets, model, omega: InputPolytope, state, B, polygons,
     if x.shape != (n,):
         raise InvalidInputError("state length does not match model")
 
-    Pi0, Pj0 = agent_reach_polygon(K, B, targets, K @ x, omega, n_directions)
     sep_before = polygon_distance(polygons[i], polygons[j])
-
-    # reach polygons from a shifted state are exact translates, so candidate
-    # (ui, uj) scores dist(Pi0 + delta_i, Pj0 + delta_j) with
-    # delta = K (Bi ui + Bj uj); rows are (ui, uj) for ui, uj in the
-    # vertices, then the zero injection
+    c = K @ (K @ x)
+    # rows are (ui, uj) for ui, uj in the vertices, then the zero injection
     verts = omega.vertices
     s = len(verts)
     Ui = np.vstack([np.repeat(verts, s, axis=0), np.zeros(2)])
     Uj = np.vstack([np.tile(verts, (s, 1)), np.zeros(2)])
     delta = (Ui @ (K @ embed_input_map(B, i, n_agents)).T
              + Uj @ (K @ embed_input_map(B, j, n_agents)).T)
-    shifts = delta[:, [4 * i, 4 * i + 2]] - delta[:, [4 * j, 4 * j + 2]]
-    scores = shifted_distances(Pi0, Pj0, shifts)
+    pi, pj = [4 * i, 4 * i + 2], [4 * j, 4 * j + 2]
+    shifts = delta[:, pi] - delta[:, pj] + (c[pi] - c[pj])
+    scores = input_image_distances(omega, B[[0, 2]], n_directions, shifts)
     best = int(np.argmax(scores))
 
     u_a = np.zeros(2 * n_agents)

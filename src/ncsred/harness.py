@@ -360,18 +360,3 @@ def emit(record: RunRecord, out_dir):
     written.append(path)
     return written
 
-
-def read_trajectories_csv(path):
-    """Parse an emitted trajectories.csv back into a (H+1, 4N) state array."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header != ["k", "t", "agent", "x", "vx", "y", "vy"]:
-            raise InvalidInputError(f"unexpected trajectories header in {path}")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    ks = sorted({int(r[0]) for r in rows})
-    agents = sorted({int(r[2]) for r in rows})
-    out = np.zeros((len(ks), 4 * len(agents)))
-    for r in rows:
-        k, a = int(r[0]), int(r[2])
-        out[k, 4 * a:4 * a + 4] = [float(r[3]), float(r[4]), float(r[5]), float(r[6])]
-    return out

@@ -180,17 +180,6 @@ class Scenario:
     def dim(self):
         return STATE_DIM * self.n_agents
 
-    def offset_difference(self, i, j):
-        """Desired state difference between agents i and j."""
-        return self.formation_offsets[i] - self.formation_offsets[j]
-
-    def slot(self, i, k):
-        """Desired absolute state of agent i at step k (offset + moving target)."""
-        return self.formation_offsets[i] + self.track.target(k)
-
-    def stacked_slots(self, k):
-        return np.concatenate([self.slot(i, k) for i in range(self.n_agents)])
-
     def initial_stacked(self):
         return StackedState(k=0, x=self.initial_states.reshape(-1).copy())
 

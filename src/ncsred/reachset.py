@@ -82,46 +82,17 @@ def embed_input_map(B, agent, n_agents):
 
 
 def reach_support(K_seq, Bsel, x0, omega: InputPolytope, final_dir):
-    """Support value and support point of the h-step reach set along final_dir.
-
-    Costates are back-propagated through the transposed one-step matrices from
-    the query direction; the support point is then rolled forward picking, at
-    each step, the polytope vertex maximizing the costate inner product. For
-    the identified linear system this yields the exact support function of the
-    reach set from the point {x0}.
-    """
-    K_seq = [np.asarray(K, float) for K in K_seq]
-    h = len(K_seq)
-    if h < 1:
-        raise InvalidInputError("horizon must be >= 1")
-    x0 = np.asarray(x0, float)
-    final_dir = np.asarray(final_dir, float)
-    n = x0.shape[0]
-    if final_dir.shape != (n,):
-        raise InvalidInputError("final_dir length does not match state")
-    if abs(np.linalg.norm(final_dir) - 1.0) > 1e-6:
-        raise InvalidInputError("final_dir must be a unit vector")
-    Bsel = np.asarray(Bsel, float)
-    if Bsel.shape[0] != n:
-        raise InvalidInputError("Bsel rows do not match state dimension")
-    for K in K_seq:
-        if K.shape != (n, n):
-            raise InvalidInputError("one-step matrix shape mismatch")
-
-    lam = [None] * (h + 1)
-    lam[h] = final_dir
-    for k in range(h - 1, -1, -1):
-        lam[k] = K_seq[k].T @ lam[k + 1]
-    x = x0
-    for k in range(h):
-        w = Bsel.T @ lam[k + 1]
-        u = omega.vertices[int(np.argmax(omega.vertices @ w))]
-        x = K_seq[k] @ x + Bsel @ u
-    return float(final_dir @ x), x
+    """Support value and support point of the h-step reach set along final_dir;
+    the one-row case of `batch_reach_supports`."""
+    gammas, points = batch_reach_supports(K_seq, Bsel, x0, omega,
+                                          np.asarray(final_dir, float)[None])
+    return float(gammas[0]), points[0]
 
 
 def batch_reach_supports(K_seq, Bsel, x0, omega: InputPolytope, final_dirs):
-    """Vectorized `reach_support` over rows of final_dirs; returns (gammas, points).
+    """Exact support values and points (gammas, points) of the h-step reach
+    set from {x0} along each unit row of final_dirs: costates run back from
+    the rows, then the points roll forward on the costate-maximizing vertices.
 
     `Bsel` (n, 2) and `final_dirs` (m, n) may carry a leading agent axis,
     (A, n, 2) and (A, m, n); gammas are then (A, m) and points (A, m, n).
@@ -131,8 +102,20 @@ def batch_reach_supports(K_seq, Bsel, x0, omega: InputPolytope, final_dirs):
     """
     K_seq = [np.asarray(K, float) for K in K_seq]
     h = len(K_seq)
+    if h < 1:
+        raise InvalidInputError("horizon must be >= 1")
     F = np.asarray(final_dirs, float)
     Bsel = np.asarray(Bsel, float)
+    x0 = np.asarray(x0, float)
+    n = x0.shape[0]
+    if F.shape[-1] != n:
+        raise InvalidInputError("final_dir length does not match state")
+    if np.abs(np.sqrt(np.einsum("...i,...i", F, F)) - 1.0).max() > 1e-6:
+        raise InvalidInputError("final_dir must be a unit vector")
+    if Bsel.shape[-2] != n:
+        raise InvalidInputError("Bsel rows do not match state dimension")
+    if any(K.shape != (n, n) for K in K_seq):
+        raise InvalidInputError("one-step matrix shape mismatch")
     # costates lam_k, from lam_h = F back, are kept only as their input-channel
     # projections W[k - 1] = lam_k @ Bsel
     W = [None] * h
@@ -141,7 +124,7 @@ def batch_reach_supports(K_seq, Bsel, x0, omega: InputPolytope, final_dirs):
         W[k] = lam @ Bsel
         if k:
             lam = lam @ K_seq[k]
-    X = np.broadcast_to(np.asarray(x0, float), F.shape).copy()
+    X = np.broadcast_to(x0, F.shape).copy()
     for k in range(h):
         U = omega.vertices[np.argmax(W[k] @ omega.vertices.T, axis=-1)]
         X = X @ K_seq[k].T
@@ -307,7 +290,7 @@ def _ring_distances(points, rings, faces):
     The edge from ring vertex k - 1 to vertex k lies on the face line with
     outward normal faces[k]. A point inside within FEAS_TOL scores exactly 0.
     """
-    prev = np.roll(rings, 1, axis=-2)
+    prev = np.concatenate((rings[..., -1:, :], rings[..., :-1, :]), axis=-2)
     E = rings - prev
     W = points[:, None, :] - prev
     inside = (W[..., 0] * faces[:, 0] + W[..., 1] * faces[:, 1]).max(axis=1) <= FEAS_TOL
@@ -332,12 +315,48 @@ def shifted_distances(P: AgentPolygon, Q: AgentPolygon, shifts):
     return _ring_distances(np.asarray(shifts, float).reshape(-1, 2), hi[1] - lo[0], faces)
 
 
+@functools.lru_cache(maxsize=16)
+def pair_indices(n):
+    """Read-only index arrays (ii, jj) of every pair i < j of n items, in
+    lexicographic order."""
+    pairs = np.triu_indices(n, k=1)
+    for v in pairs:
+        v.flags.writeable = False
+    return pairs
+
+
 def pair_distances(polygons):
     """dist(polygons[i], polygons[j]) for every pair i < j, in lexicographic order."""
     faces, arcs = _direction_fan(polygons)
     hi, lo = _extreme_vertices(polygons, arcs)
-    ii, jj = np.triu_indices(len(polygons), k=1)
+    ii, jj = pair_indices(len(polygons))
     return _ring_distances(np.zeros((len(ii), 2)), hi[jj] - lo[ii], faces)
+
+
+def input_image_distances(omega: InputPolytope, Bpos, n_directions, shifts):
+    """dist(S + s, S) for every row s of `shifts` (k, 2), where S is the image
+    {Bpos u : u in omega} (Bpos 2 x 2) on `planar_directions(n_directions)`.
+
+    That is the distance from s to S - S, which depends on nothing else, so
+    its ring is built once per (omega, Bpos, n_directions) and cached.
+    """
+    keys = (np.ascontiguousarray(a, float).tobytes() for a in (omega.vertices, Bpos))
+    ring, faces = _input_difference(*keys, n_directions)
+    return _ring_distances(np.asarray(shifts, float).reshape(-1, 2), ring, faces)
+
+
+@functools.lru_cache(maxsize=16)
+def _input_difference(vkey, bkey, m):
+    """Read-only ring and face normals of S - S for `input_image_distances`,
+    as `shifted_distances(S, S, .)` builds them."""
+    D = planar_directions(m)
+    V = np.frombuffer(vkey).reshape(-1, 2)
+    S = agent_polygon(D, -1, (D @ np.frombuffer(bkey).reshape(2, 2) @ V.T).max(axis=1))
+    faces, arcs = _direction_fan((S,))
+    hi, lo = _extreme_vertices((S,), arcs)
+    ring = hi[0] - lo[0]
+    ring.flags.writeable = False
+    return ring, faces
 
 
 def polygon_distance(P: AgentPolygon, Q: AgentPolygon) -> float:

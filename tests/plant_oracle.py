@@ -9,6 +9,7 @@ stacked versions must return the same bytes.
 import numpy as np
 
 from ncsred.ncs import StackedState
+from scenario_helpers import offset_difference
 
 
 def feedback_inputs(s, state, graph=None):
@@ -18,7 +19,7 @@ def feedback_inputs(s, state, graph=None):
     u = np.zeros((N, 2))
     for i in range(N):
         for j in g.neighbors(i):
-            u[i] += s.gain @ (X[i] - X[j] - s.offset_difference(i, j))
+            u[i] += s.gain @ (X[i] - X[j] - offset_difference(s, i, j))
     u[0] += s.leader_gain @ (X[0] - s.track.target(state.k))
     return u
 

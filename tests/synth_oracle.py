@@ -1,0 +1,36 @@
+"""`attack.synthesize_fdi` as it was before it scored candidates against the
+run-constant input difference, kept as an oracle.
+
+It builds both targets' 1-step reach polygons from K x with
+`agent_reach_polygon` and scores every candidate translate against their own
+Minkowski difference. The pipeline's version must choose the same injection
+bytes and give the same separations to within 1e-9.
+"""
+import numpy as np
+
+from ncsred.attack import AttackDecision, agent_reach_polygon
+from ncsred.reachset import embed_input_map, polygon_distance, shifted_distances
+
+
+def synthesize_fdi(k, targets, model, omega, state, B, polygons, n_directions=16):
+    i, j = targets
+    K = model.K
+    n_agents = K.shape[0] // 4
+    x = np.asarray(state, float)
+    Pi0, Pj0 = agent_reach_polygon(K, B, targets, K @ x, omega, n_directions)
+    sep_before = polygon_distance(polygons[i], polygons[j])
+    verts = omega.vertices
+    s = len(verts)
+    Ui = np.vstack([np.repeat(verts, s, axis=0), np.zeros(2)])
+    Uj = np.vstack([np.tile(verts, (s, 1)), np.zeros(2)])
+    delta = (Ui @ (K @ embed_input_map(B, i, n_agents)).T
+             + Uj @ (K @ embed_input_map(B, j, n_agents)).T)
+    shifts = delta[:, [4 * i, 4 * i + 2]] - delta[:, [4 * j, 4 * j + 2]]
+    scores = shifted_distances(Pi0, Pj0, shifts)
+    best = int(np.argmax(scores))
+    u_a = np.zeros(2 * n_agents)
+    u_a[2 * i:2 * i + 2] = Ui[best]
+    u_a[2 * j:2 * j + 2] = Uj[best]
+    return AttackDecision(k=int(k), targets=(i, j), u_a=u_a,
+                          separation_before=float(sep_before),
+                          separation_after=float(scores[best]))

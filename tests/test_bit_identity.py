@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import laprec_oracle
 import plant_oracle
 from halfspace_oracle import halfspace_polygon as oracle_polygon
+from scenario_helpers import offset_difference, slot
 
 from ncsred import laprec, ncs
 from ncsred.attack import AttackConfig, agent_reach_polygon
@@ -342,7 +343,7 @@ def _loop_pair_errors(s, x):
     out = []
     for i in range(s.n_agents):
         for j in range(i + 1, s.n_agents):
-            want = s.offset_difference(i, j)[[0, 2]]
+            want = offset_difference(s, i, j)[[0, 2]]
             out.append(np.linalg.norm(pos[i] - pos[j] - want))
     return np.array(out)
 
@@ -352,8 +353,8 @@ def _loop_tracking(s, x, k):
     X = x.reshape(s.n_agents, 4)
     out = []
     for i in range(s.n_agents):
-        slot = s.slot(i, k)
-        out.append(np.hypot(X[i, 0] - slot[0], X[i, 2] - slot[2]))
+        want = slot(s, i, k)
+        out.append(np.hypot(X[i, 0] - want[0], X[i, 2] - want[2]))
     return np.array(out)
 
 

@@ -7,10 +7,10 @@ from ncsred.attack import AttackConfig, agent_reach_polygon
 from ncsred.cli import main
 from ncsred.dmd import SnapshotBuffer, fit
 from ncsred.errors import InvalidInputError
-from ncsred.harness import (OMEGA_SEED_OFFSET, emit, metrics,
-                            read_trajectories_csv, run)
+from ncsred.harness import OMEGA_SEED_OFFSET, emit, metrics, run
 from ncsred.reachset import circumscribe_ball
 from ncsred.scenario_io import build_scenario, load_scenario, parse_scenario_text
+from scenario_helpers import read_trajectories_csv
 
 
 def short_scenario(seed=0, horizon=80, **attack_overrides):

@@ -5,6 +5,7 @@ from ncsred.errors import InvalidInputError
 from ncsred.ncs import (StackedState, control_inputs, double_integrator,
                         feedback_inputs, reference, stacked_closed_loop, step)
 from ncsred.scenario_io import build_scenario
+from scenario_helpers import offset_difference, stacked_slots
 
 
 def zero_reference(k):
@@ -60,13 +61,13 @@ class TestControlInputs:
     def test_on_formation_zero(self):
         s = build_scenario(seed=0, n_agents=5, horizon_steps=10,
                            ref_fn=zero_reference)
-        x = s.stacked_slots(0)
+        x = stacked_slots(s, 0)
         u = control_inputs(s, StackedState(k=0, x=x))
         assert np.abs(u).max() < 1e-12
 
     def test_feedback_vanishes_on_track(self):
         s = build_scenario(seed=0, horizon_steps=10)
-        x = s.stacked_slots(3)
+        x = stacked_slots(s, 3)
         u = feedback_inputs(s, StackedState(k=3, x=x))
         assert np.abs(u).max() < 1e-9
 
@@ -170,16 +171,16 @@ class TestErrorDynamicsConsistency:
         rng = np.random.default_rng(9)
         for k in [0, 5, 19]:
             x = rng.normal(scale=10.0, size=s.dim)
-            slots_k = s.stacked_slots(k)
-            slots_k1 = s.stacked_slots(k + 1)
+            slots_k = stacked_slots(s, k)
+            slots_k1 = stacked_slots(s, k + 1)
             got = step(s, StackedState(k=k, x=x)).x
             assert np.allclose(got, M @ (x - slots_k) + slots_k1, atol=1e-10)
 
     def test_slot_trajectory_invariant(self):
         s = build_scenario(seed=2, horizon_steps=20)
         for k in [0, 10]:
-            got = step(s, StackedState(k=k, x=s.stacked_slots(k))).x
-            assert np.allclose(got, s.stacked_slots(k + 1), atol=1e-9)
+            got = step(s, StackedState(k=k, x=stacked_slots(s, k))).x
+            assert np.allclose(got, stacked_slots(s, k + 1), atol=1e-9)
 
     def test_nominal_formation_converges(self):
         s = build_scenario(seed=0)
@@ -203,10 +204,10 @@ class TestScenarioValidation:
         s = build_scenario(seed=0, horizon_steps=5)
         for i in range(5):
             for j in range(5):
-                assert np.array_equal(s.offset_difference(i, j),
-                                      -s.offset_difference(j, i))
+                assert np.array_equal(offset_difference(s, i, j),
+                                      -offset_difference(s, j, i))
                 for m in range(5):
                     assert np.allclose(
-                        s.offset_difference(i, j),
-                        s.offset_difference(i, m) + s.offset_difference(m, j),
+                        offset_difference(s, i, j),
+                        offset_difference(s, i, m) + offset_difference(s, m, j),
                         atol=1e-12)

@@ -167,6 +167,25 @@ class TestReachSupport:
             reach_support([np.eye(2)], np.zeros((2, 1)), np.zeros(2), omega,
                           np.array([2.0, 0.0]))
 
+    def test_batch_checks_agent_axis_inputs(self):
+        omega = circumscribe_ball(0.1, 4)
+        K, B, x0 = np.eye(8), np.zeros((2, 8, 2)), np.zeros(8)
+        lifts = np.zeros((2, 3, 8))
+        lifts[:, :, 0] = 1.0
+        batch_reach_supports([K], B, x0, omega, lifts)
+        bad = lifts.copy()
+        bad[1, 2, 0] = 0.5
+        cases = [
+            ([K], B, x0, bad, "unit vector"),
+            ([K], B, x0, lifts[..., :6], "final_dir length"),
+            ([K], B[:, :6], x0, lifts, "Bsel rows"),
+            ([K, np.eye(6)], B, x0, lifts, "shape mismatch"),
+            ([], B, x0, lifts, "horizon"),
+        ]
+        for K_seq, Bsel, x, F, match in cases:
+            with pytest.raises(InvalidInputError, match=match):
+                batch_reach_supports(K_seq, Bsel, x, omega, F)
+
 
 class TestAgentPolygon:
     def test_disc_supports_give_octagon(self):
