@@ -19,7 +19,8 @@ class Graph:
     """Immutable undirected graph on nodes 0..n_nodes-1.
 
     Edges are stored as a frozenset of (i, j) pairs with i < j; duplicate
-    and reversed pairs collapse to one edge.
+    and reversed pairs collapse to one edge. Each node's sorted neighbours are
+    tabulated once, at construction.
     """
 
     n_nodes: int
@@ -35,20 +36,21 @@ class Graph:
                 raise InvalidInputError(
                     f"edge ({i},{j}) out of range for {self.n_nodes} nodes")
             canon.add(_canonical(i, j))
+        adj = [[] for _ in range(self.n_nodes)]
+        for i, j in sorted(canon):  # sorted edges list each node's neighbours in order
+            adj[i].append(j)
+            adj[j].append(i)
         object.__setattr__(self, "edges", frozenset(canon))
+        object.__setattr__(self, "_adj", tuple(map(tuple, adj)))
 
     def has_edge(self, i, j):
         return _canonical(i, j) in self.edges
 
     def neighbors(self, i):
         """Sorted neighbor indices of node i."""
-        out = []
-        for a, b in self.edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return sorted(out)
+        if not 0 <= i < self.n_nodes:
+            raise InvalidInputError(f"node {i} out of range for {self.n_nodes} nodes")
+        return list(self._adj[i])
 
     def adjacency(self):
         A = np.zeros((self.n_nodes, self.n_nodes))

@@ -80,7 +80,7 @@ def _positional_errors(s: Scenario, states, out):
 def _slot_tracking(s: Scenario, states, out):
     """Position deviation of every agent (columns) from its slot at every row."""
     X = states.reshape(len(states), s.n_agents, 4)
-    slots = s.formation_offsets[None, :, ::2] + s.track.pos[:len(states), None]
+    slots = s.formation_offsets[None, :, ::2] + s.track.states[:len(states), None, ::2]
     return np.hypot(X[..., 0] - slots[..., 0], X[..., 2] - slots[..., 1], out=out)
 
 

@@ -74,11 +74,12 @@ def double_integrator(dt) -> AgentModel:
 
 
 def reference(k) -> np.ndarray:
-    """Reference trajectory sample at step k (angles in radians)."""
-    if k < 0:
-        raise InvalidInputError(f"step index must be >= 0, got {k}")
-    return np.array([-k * np.sin(3.0 * k / 100.0), 1.0,
-                     -k * np.cos(3.0 * k / 100.0), 1.0])
+    """Reference [px, vx, py, vy] per step of k, an int or int array (radians)."""
+    k = np.asarray(k)
+    if k.size and k.min() < 0:
+        raise InvalidInputError(f"step index must be >= 0, got {k.min()}")
+    a, one = 3.0 * k / 100.0, np.ones(k.shape)
+    return np.stack([-k * np.sin(a), one, -k * np.cos(a), one], axis=-1)
 
 
 class ReferenceTrack:
@@ -93,37 +94,36 @@ class ReferenceTrack:
 
     hold exactly. The velocity recursion admits a (-1)^k ripple; a one-shot
     least-squares correction removes it so u stays smooth.
+
+    `ref_fn` maps the integer array of steps 0..horizon+2 to one finite row
+    each. v[k+1] = a[k] - v[k] runs as a cumulative sum of (-1)^k v[k], which
+    rounds like the sequential loop; zeros are redone in order for their sign.
     """
 
     def __init__(self, ref_fn, horizon, dt):
         n = horizon + 2
-        ks = np.arange(n + 1)
-        samples = np.array([ref_fn(int(k)) for k in ks])
-        self.dt = float(dt)
-        self.horizon = int(horizon)
-        pos = samples[:, [0, 2]]
-        vel = np.zeros_like(pos)
-        vel[0] = (pos[1] - pos[0]) / dt
-        for k in range(n):
-            vel[k + 1] = 2.0 * (pos[k + 1] - pos[k]) / dt - vel[k]
+        samples = np.asarray(ref_fn(np.arange(n + 1)), float)
+        if samples.shape != (n + 1, STATE_DIM):
+            raise InvalidInputError(f"reference gave {samples.shape}, expected {(n + 1, 4)}")
+        finite = np.isfinite(samples).all(axis=1)
+        if not finite.all():
+            raise InvalidInputError(f"reference step {np.argmin(finite)} is not finite")
+        # one contiguous row per coordinate: the ripple sums then add each
+        # coordinate pairwise, as they did on the loop's column-major arrays
+        pos = samples.T[[0, 2]]
+        a = 2.0 * np.diff(pos) / dt
+        signs = (-1.0) ** np.arange(n + 1)
+        w = np.hstack([(pos[:, 1:2] - pos[:, :1]) / dt, signs[1:] * a])
+        vel = signs * np.cumsum(w, axis=1)
+        for col, k in zip(*np.nonzero(vel[:, 1:] == 0.0)):
+            vel[col, k + 1] = a[col, k] - vel[col, k]
         # kill the alternating mode: v + (-1)^k c has minimal roughness
-        dv = np.diff(vel, axis=0)
-        signs = (-1.0) ** np.arange(len(dv))
-        c = (signs[:, None] * dv).sum(axis=0) / (2.0 * len(dv))
-        vel += ((-1.0) ** np.arange(n + 1))[:, None] * c
-        acc = np.diff(vel, axis=0) / dt
-        self.pos = pos
-        self.vel = vel
-        self.acc = acc
-
-    def target(self, k):
-        """Tracked state [px, vx, py, vy] at step k."""
-        return np.array([self.pos[k, 0], self.vel[k, 0],
-                         self.pos[k, 1], self.vel[k, 1]])
-
-    def feedforward(self, k):
-        """Acceleration that keeps the target on the position track at step k."""
-        return self.acc[k].copy()
+        dv = np.diff(vel)
+        c = (signs[:-1] * dv).sum(axis=1, keepdims=True) / (2.0 * dv.shape[1])
+        vel += signs * c
+        self.acc = (np.diff(vel) / dt).T
+        #: tracked state [px, vx, py, vy] per step
+        self.states = np.stack([pos[0], vel[0], pos[1], vel[1]], axis=1)
 
 
 @dataclass
@@ -139,6 +139,7 @@ class Scenario:
     """Full experiment description: plant, gains, formation, and attack knobs.
 
     Treated as immutable after construction; runs never mutate it.
+    `reference` maps an integer array of n steps to their (n, 4) samples.
     """
 
     n_agents: int
@@ -147,7 +148,7 @@ class Scenario:
     gain: np.ndarray
     leader_gain: np.ndarray
     formation_offsets: np.ndarray
-    reference: Callable[[int], np.ndarray]
+    reference: Callable[[np.ndarray], np.ndarray]
     horizon_steps: int
     initial_states: np.ndarray
     rng_seed: int
@@ -193,7 +194,7 @@ def control_inputs(s: Scenario, state: StackedState, graph: Optional[Graph] = No
     (`feedback_inputs` exposes the pure feedback part).
     """
     u = feedback_inputs(s, state, graph)
-    u += s.track.feedforward(state.k)[None, :]
+    u += s.track.acc[state.k][None, :]
     return u
 
 
@@ -216,7 +217,7 @@ def feedback_inputs(s: Scenario, state: StackedState, graph: Optional[Graph] = N
     dev = X[ii] - X[jj] - (off[ii] - off[jj])
     u = np.zeros((N, INPUT_DIM))
     np.add.at(u, ii, (s.gain @ dev[..., None])[..., 0])
-    u[0] += s.leader_gain @ (X[0] - s.track.target(state.k))
+    u[0] += s.leader_gain @ (X[0] - s.track.states[state.k])
     return u
 
 

@@ -37,11 +37,8 @@ DEFAULTS = {
 
 def initial_states_from_box(n_agents, box, seed):
     """Positions uniform in the box (velocities zero), seeded."""
-    rng = np.random.default_rng(seed)
     out = np.zeros((n_agents, 4))
-    for i in range(n_agents):
-        out[i, 0] = rng.uniform(box[0], box[1])
-        out[i, 2] = rng.uniform(box[0], box[1])
+    out[:, [0, 2]] = np.random.default_rng(seed).uniform(*box, size=(n_agents, 2))
     return out
 
 
@@ -58,8 +55,7 @@ def build_scenario(seed=0, n_agents=5, dt=0.2, horizon_steps=500,
     attack = AttackConfig() if attack is None else attack
     if offsets.shape == (n_agents, 2):
         full = np.zeros((n_agents, 4))
-        full[:, 0] = offsets[:, 0]
-        full[:, 2] = offsets[:, 1]
+        full[:, [0, 2]] = offsets
         offsets = full
     return Scenario(
         n_agents=n_agents,

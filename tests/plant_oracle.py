@@ -20,14 +20,14 @@ def feedback_inputs(s, state, graph=None):
     for i in range(N):
         for j in g.neighbors(i):
             u[i] += s.gain @ (X[i] - X[j] - offset_difference(s, i, j))
-    u[0] += s.leader_gain @ (X[0] - s.track.target(state.k))
+    u[0] += s.leader_gain @ (X[0] - s.track.states[state.k])
     return u
 
 
 def step(s, state, fdi=None, graph=None, u=None):
     N = s.n_agents
     if u is None:
-        u = feedback_inputs(s, state, graph) + s.track.feedforward(state.k)[None, :]
+        u = feedback_inputs(s, state, graph) + s.track.acc[state.k][None, :]
     A, B = s.agent_model.A, s.agent_model.B
     X = state.x.reshape(N, 4)
     out = np.empty_like(X)

@@ -15,7 +15,7 @@ def offset_difference(s, i, j):
 
 def slot(s, i, k):
     """Desired absolute state of agent i at step k (offset + moving target)."""
-    return s.formation_offsets[i] + s.track.target(k)
+    return s.formation_offsets[i] + s.track.states[k]
 
 
 def stacked_slots(s, k):

@@ -164,3 +164,31 @@ class TestInvariants:
             L = laplacian(g)
             assert np.linalg.norm(L @ v - lam2 * v) <= 1e-8
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+
+
+def scan_neighbors(g, i):
+    """Neighbours of node i by a scan over every edge, as `neighbors` once was."""
+    return sorted(b if a == i else a for a, b in g.edges if i in (a, b))
+
+
+class TestNeighborTable:
+    def test_matches_edge_scan(self):
+        rng = np.random.default_rng(19)
+        for _ in range(300):
+            g = random_graph(rng)
+            while True:
+                assert [g.neighbors(i) for i in range(g.n_nodes)] == \
+                    [scan_neighbors(g, i) for i in range(g.n_nodes)]
+                if not g.edges:
+                    break
+                g = remove_edge(g, *sorted(g.edges)[int(rng.integers(len(g.edges)))])
+
+    def test_returns_a_fresh_list(self):
+        g = fig_graph()
+        g.neighbors(0).append(4)
+        assert g.neighbors(0) == [1, 2]
+
+    @pytest.mark.parametrize("node", [-1, 5])
+    def test_rejects_node_out_of_range(self, node):
+        with pytest.raises(InvalidInputError, match="out of range"):
+            fig_graph().neighbors(node)

@@ -9,7 +9,7 @@ from scenario_helpers import offset_difference, stacked_slots
 
 
 def zero_reference(k):
-    return np.zeros(4)
+    return np.zeros(np.shape(k) + (4,))
 
 
 def small_scenario(n_agents, edges, leader_gain=None, gain=None, ref_fn=None,
@@ -88,14 +88,14 @@ class TestControlInputs:
         # independent re-evaluation of the control law, written long-hand
         X = x.reshape(5, 4)
         nbrs = {0: [1, 2], 1: [0, 3], 2: [0, 4], 3: [1], 4: [2]}
-        ff = s.track.feedforward(k)
+        ff = s.track.acc[k]
         for i in range(5):
             want = ff.copy()
             for j in nbrs[i]:
                 diff = X[i] - X[j] - (s.formation_offsets[i] - s.formation_offsets[j])
                 want = want + s.gain @ diff
             if i == 0:
-                want = want + s.leader_gain @ (X[0] - s.track.target(k))
+                want = want + s.leader_gain @ (X[0] - s.track.states[k])
             assert np.allclose(u[i], want, atol=1e-12)
 
 
