@@ -1,6 +1,7 @@
 """Attack synthesis: target selection, injection choice, and DoS planning."""
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -8,7 +9,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .graph import Graph, algebraic_connectivity, is_connected, remove_edge
-from .reachset import (AgentPolygon, InputPolytope, agent_polygon,
+from .reachset import (AgentPolygon, InputPolytope, _frozen, agent_polygon,
                        batch_reach_supports, embed_input_map,
                        input_image_distances, pair_distances, pair_indices,
                        planar_directions, polygon_distance)
@@ -84,8 +85,8 @@ def agent_reach_polygon(model_K, B, agents, x0, omega, n_directions=16,
     batched `batch_reach_supports` call.
     """
     agents = np.asarray(agents, dtype=int)
-    if agents.ndim != 1:
-        raise InvalidInputError("agents must be a sequence of agent indices")
+    if agents.ndim != 1 or not agents.size:
+        raise InvalidInputError("agents must be a non-empty sequence of agent indices")
     if horizon < 1:
         raise InvalidInputError(f"reach horizon must be >= 1, got {horizon}")
     n_agents = model_K.shape[0] // 4
@@ -93,16 +94,26 @@ def agent_reach_polygon(model_K, B, agents, x0, omega, n_directions=16,
     if bad.size:
         raise InvalidInputError(
             f"agent {bad[0]} out of range for {n_agents} agents")
-    dirs = planar_directions(n_directions)
-    K_seq = [model_K] * horizon
-    rows = np.arange(len(agents))
-    Bsel = np.zeros((len(agents), 4 * n_agents, B.shape[1]))
-    Bsel[rows[:, None], 4 * agents[:, None] + np.arange(4)] = B
-    lifts = np.zeros((len(agents), len(dirs), 4 * n_agents))
-    lifts[rows, :, 4 * agents] = dirs[:, 0]
-    lifts[rows, :, 4 * agents + 2] = dirs[:, 1]
-    sup, _ = batch_reach_supports(K_seq, Bsel, x0, omega, lifts)
+    B = np.asarray(B, float)
+    dirs, Bsel, lifts = _reach_operands(B.tobytes(), B.shape, agents.tobytes(),
+                                        n_agents, n_directions)
+    sup, _ = batch_reach_supports([model_K] * horizon, Bsel, x0, omega, lifts)
     return agent_polygon(dirs, agents, sup)
+
+
+@functools.lru_cache(maxsize=16)
+def _reach_operands(bkey, bshape, akey, n_agents, n_directions):
+    """Read-only directions, stacked injection maps Bsel and direction lifts
+    of `agent_reach_polygon`, which depend only on the run."""
+    B = np.frombuffer(bkey).reshape(bshape)
+    agents = np.frombuffer(akey, dtype=int)
+    dirs = planar_directions(n_directions)
+    Bsel = np.array([embed_input_map(B, a, n_agents) for a in agents])
+    # a lift puts each direction on one agent's position coordinates
+    lift = np.zeros((4, n_directions))
+    lift[::2] = dirs.T
+    lifts = np.array([embed_input_map(lift, a, n_agents).T for a in agents])
+    return _frozen(dirs, Bsel, lifts)
 
 
 def synthesize_fdi(k, targets, model, omega: InputPolytope, state, B, polygons,
@@ -135,11 +146,7 @@ def synthesize_fdi(k, targets, model, omega: InputPolytope, state, B, polygons,
 
     sep_before = polygon_distance(polygons[i], polygons[j])
     c = K @ (K @ x)
-    # rows are (ui, uj) for ui, uj in the vertices, then the zero injection
-    verts = omega.vertices
-    s = len(verts)
-    Ui = np.vstack([np.repeat(verts, s, axis=0), np.zeros(2)])
-    Uj = np.vstack([np.tile(verts, (s, 1)), np.zeros(2)])
+    Ui, Uj = _candidates(np.ascontiguousarray(omega.vertices, float).tobytes())
     delta = (Ui @ (K @ embed_input_map(B, i, n_agents)).T
              + Uj @ (K @ embed_input_map(B, j, n_agents)).T)
     pi, pj = [4 * i, 4 * i + 2], [4 * j, 4 * j + 2]
@@ -153,6 +160,15 @@ def synthesize_fdi(k, targets, model, omega: InputPolytope, state, B, polygons,
     return AttackDecision(k=int(k), targets=(i, j), u_a=u_a,
                           separation_before=float(sep_before),
                           separation_after=float(scores[best]))
+
+
+@functools.lru_cache(maxsize=16)
+def _candidates(vkey):
+    """Read-only candidate tables (Ui, Uj) of `synthesize_fdi`: rows are
+    (ui, uj) for ui, uj in the vertices, then the zero injection."""
+    V = np.frombuffer(vkey).reshape(-1, 2)
+    return _frozen(np.vstack([np.repeat(V, len(V), axis=0), np.zeros(2)]),
+                   np.vstack([np.tile(V, (len(V), 1)), np.zeros(2)]))
 
 
 def recovered_graph(L_hat, threshold_factor=EDGE_THRESHOLD_FACTOR) -> Graph:

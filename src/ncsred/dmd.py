@@ -99,7 +99,7 @@ def fit(buf: SnapshotBuffer, svd_tol=DEFAULT_SVD_TOL) -> DmdModel:
     else:
         rank = int(np.sum(sig > svd_tol * sig[0]))
         Ur, sr, Vr = U[:, :rank], sig[:rank], Vt[:rank]
-        K = (Xp @ Vr.T) @ np.diag(1.0 / sr) @ Ur.T
+        K = ((Xp @ Vr.T) * (1.0 / sr)) @ Ur.T
     num = np.linalg.norm(Xp - K @ X)
     den = np.linalg.norm(Xp)
     residual = float(num / den) if den > 0 else float(num)

@@ -12,7 +12,7 @@ from .attack import (agent_reach_polygon, plan_dos, select_targets,
                      synthesize_fdi)
 from .errors import InvalidInputError
 from .graph import Graph, remove_edge
-from .ncs import Scenario, control_inputs, step
+from .ncs import Scenario, control_inputs, neighbor_index, step
 from .reachset import circumscribe_ball
 
 MODES = ("nominal", "fdi", "fdi_dos")
@@ -111,6 +111,7 @@ def run(scenario: Scenario, mode: str) -> RunRecord:
     model = None
     active_graph = scenario.graph
     graphs = [active_graph]
+    index = neighbor_index(active_graph)
     graph_history = np.zeros(H + 1, dtype=int)
 
     states = np.zeros((H + 1, dim))
@@ -139,6 +140,7 @@ def run(scenario: Scenario, mode: str) -> RunRecord:
             dos_events.append(event)
             if active_graph is not graphs[-1]:
                 graphs.append(active_graph)
+                index = neighbor_index(active_graph)
 
         u_a = None
         if attacking and k >= cfg.start_step and model is not None:
@@ -151,7 +153,7 @@ def run(scenario: Scenario, mode: str) -> RunRecord:
             u_a = decision.u_a
             injections[k] = u_a
 
-        inputs[k] = control_inputs(scenario, state, graph=active_graph)
+        inputs[k] = control_inputs(scenario, state, index=index)
         state = step(scenario, state, fdi=u_a, graph=active_graph, u=inputs[k])
         states[k + 1] = state.x
         graph_history[k + 1] = len(graphs) - 1

@@ -185,7 +185,16 @@ class Scenario:
         return StackedState(k=0, x=self.initial_states.reshape(-1).copy())
 
 
-def control_inputs(s: Scenario, state: StackedState, graph: Optional[Graph] = None):
+def neighbor_index(g: Graph):
+    """Index arrays (ii, jj) of g's neighbour terms, in (i, ascending j) order;
+    a run builds them once per active graph."""
+    nbrs = [g.neighbors(i) for i in range(g.n_nodes)]
+    ii = np.repeat(np.arange(g.n_nodes), [len(js) for js in nbrs])
+    return ii, np.array([j for js in nbrs for j in js], dtype=int)
+
+
+def control_inputs(s: Scenario, state: StackedState, graph: Optional[Graph] = None,
+                   index=None):
     """Per-agent control inputs (N x 2) at the state's step.
 
     Followers sum coupling terms over their neighborhoods; the leader adds its
@@ -193,26 +202,28 @@ def control_inputs(s: Scenario, state: StackedState, graph: Optional[Graph] = No
     feedforward acceleration, which keeps the closed loop on the reference
     (`feedback_inputs` exposes the pure feedback part).
     """
-    u = feedback_inputs(s, state, graph)
+    u = feedback_inputs(s, state, graph, index)
     u += s.track.acc[state.k][None, :]
     return u
 
 
-def feedback_inputs(s: Scenario, state: StackedState, graph: Optional[Graph] = None):
+def feedback_inputs(s: Scenario, state: StackedState, graph: Optional[Graph] = None,
+                    index=None):
     """Coupling and leader-tracking feedback terms only (N x 2).
 
     Every neighbour term K (x_i - x_j - (o_i - o_j)) is one stacked 2x4 @ 4x1
-    product; each agent sums its terms in ascending neighbour order.
+    product; each agent sums its terms in ascending neighbour order. A
+    caller's `index`, the graph's `neighbor_index`, stands in for `graph`.
     """
-    g = s.graph if graph is None else graph
     N = s.n_agents
     x = np.asarray(state.x, float)
     if x.shape != (s.dim,):
         raise InvalidInputError(f"state length {x.shape} != {s.dim}")
     X = x.reshape(N, STATE_DIM)
-    nbrs = [g.neighbors(i) for i in range(N)]
-    ii = np.repeat(np.arange(N), [len(js) for js in nbrs])
-    jj = np.array([j for js in nbrs for j in js], dtype=int)
+    g = s.graph if graph is None else graph
+    if index is None and g.n_nodes != N:
+        raise InvalidInputError(f"graph has {g.n_nodes} nodes, expected {N}")
+    ii, jj = neighbor_index(g) if index is None else index
     off = s.formation_offsets
     dev = X[ii] - X[jj] - (off[ii] - off[jj])
     u = np.zeros((N, INPUT_DIM))

@@ -19,6 +19,13 @@ FEAS_TOL = 1e-9
 ANGLE_TOL = 1e-12
 
 
+def _frozen(*arrays):
+    """The arrays, made read-only: cached tables are shared by every caller."""
+    for v in arrays:
+        v.flags.writeable = False
+    return arrays
+
+
 @dataclass(frozen=True)
 class InputPolytope:
     """Convex polygon of admissible per-channel injections, circumscribing a disc.
@@ -137,13 +144,17 @@ class AgentPolygon:
     """Planar position polygon of one agent's reach set.
 
     Vertices are the counter-clockwise boundary of the intersection of the
-    supporting half-planes <d_k, p> <= gamma_k.
+    supporting half-planes <d_k, p> <= gamma_k. `agent_polygon` keeps the
+    vertices' extremes on the direction fan of `directions`, from the pass
+    that orders them, so distance queries on that fan need not project the
+    vertices again; a polygon built by hand leaves them None.
     """
 
     agent: int
     directions: np.ndarray  # (m, 2)
     supports: np.ndarray    # (m,)
     vertices: np.ndarray    # (v, 2) CCW
+    extremes: tuple | None = None  # (arcs, hi, lo), each hi / lo (arcs, 2)
 
 
 @functools.lru_cache(maxsize=16)
@@ -169,12 +180,9 @@ def _face_pairs(key, shape):
     det = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
     ok = np.abs(det) > 1e-12
     ii, jj, a, b, det = ii[ok], jj[ok], a[ok], b[ok], det[ok]
-    pairs = (np.column_stack([ii, jj]), np.column_stack([jj, ii]),
-             np.column_stack([b[:, 1], a[:, 0]]), np.column_stack([a[:, 1], b[:, 0]]),
-             det[:, None])
-    for v in pairs:
-        v.flags.writeable = False
-    return pairs
+    return _frozen(np.column_stack([ii, jj]), np.column_stack([jj, ii]),
+                   np.column_stack([b[:, 1], a[:, 0]]),
+                   np.column_stack([a[:, 1], b[:, 0]]), det[:, None])
 
 
 def _compact(mask):
@@ -196,9 +204,16 @@ def halfspace_polygon(directions, supports):
     `supports` (m,) gives one vertex array; (A, m) gives a list of A, each
     the bytes its row alone gives, from one padded pass over all rows.
     """
-    D = np.ascontiguousarray(directions, float)
     g = np.asarray(supports, float)
-    G = np.atleast_2d(g)
+    P, counts = _ccw_batch(directions, np.atleast_2d(g))
+    polys = [row[:n] for row, n in zip(P, counts.tolist())]
+    return polys if g.ndim == 2 else polys[0]
+
+
+def _ccw_batch(directions, G):
+    """`halfspace_polygon` of every row of G (A, m) as one padded (A, w, 2)
+    array: row a holds its counts[a] CCW vertices, then -0.0 padding."""
+    D = np.ascontiguousarray(directions, float)
     I, J, C, E, det = _face_pairs(D.tobytes(), D.shape)
     with np.errstate(invalid="ignore"):
         P = (G[:, I] * C - G[:, J] * E) / det
@@ -222,22 +237,21 @@ def halfspace_polygon(directions, supports):
     ang = np.arctan2(P[..., 1] - c[:, 1:], P[..., 0] - c[:, :1])
     # padding sorts last, after the kept points in the order a sort of
     # the row alone gives them
-    P = P[rows, np.argsort(np.where(valid, ang, np.inf), axis=1)][valid]
-    ends = np.cumsum(counts).tolist()
-    polys = [P[e - n:e] for e, n in zip(ends, counts.tolist())]
-    return polys if g.ndim == 2 else polys[0]
+    return P[rows, np.argsort(np.where(valid, ang, np.inf), axis=1)], counts
 
 
 def agent_polygon(directions, agent, supports):
     """Position polygon of an agent from its support values (m,); for a
-    sequence of agents and supports (A, m), a list of their polygons."""
+    sequence of agents and supports (A, m), a list of their polygons, each
+    with its extremes (see AgentPolygon) from the same padded pass."""
     directions = np.asarray(directions, float)
-    supports = np.asarray(supports, float)
-    verts = halfspace_polygon(directions, supports)
-    if np.ndim(agent) == 0:
-        return AgentPolygon(int(agent), directions, supports, verts)
-    return [AgentPolygon(int(a), directions, g, v)
-            for a, g, v in zip(agent, supports, verts)]
+    G = np.atleast_2d(np.asarray(supports, float))
+    P, counts = _ccw_batch(directions, G)
+    arcs = _fan((directions.tobytes(),))[1]
+    hi, lo = _padded_extremes(P, counts, arcs)
+    polys = [AgentPolygon(int(a), directions, g, P[r, :n], (arcs, hi[r], lo[r]))
+             for r, (a, g, n) in enumerate(zip(np.atleast_1d(agent), G, counts.tolist()))]
+    return polys if np.ndim(agent) else polys[0]
 
 
 def _direction_fan(polygons):
@@ -261,40 +275,52 @@ def _fan(keys):
     if ang[-1] - ang[0] > 2 * np.pi - ANGLE_TOL:
         ang = ang[:-1]
     mid = 0.5 * (ang + np.append(ang[1:], ang[0] + 2 * np.pi))
-    fan = (np.column_stack([np.cos(ang), np.sin(ang)]),
-           np.column_stack([np.cos(mid), np.sin(mid)]))
-    for v in fan:
-        v.flags.writeable = False
-    return fan
+    return _frozen(np.column_stack([np.cos(ang), np.sin(ang)]),
+                   np.column_stack([np.cos(mid), np.sin(mid)]))
 
 
 def _extreme_vertices(polygons, arcs):
     """Vertices of each polygon attaining max and min of <arc, v> for each
-    arc direction, as (A, arcs, 2) arrays, from one padded pass. Shorter
-    vertex lists are padded with their vertex 0, so argmax and argmin still
-    take the first index."""
+    arc direction, as (A, arcs, 2) arrays: the stored rows when every polygon
+    keeps extremes on these arcs, else one padded pass over all vertices."""
+    if all(p.extremes is not None and p.extremes[0] is arcs for p in polygons):
+        return (np.array([p.extremes[1] for p in polygons]),
+                np.array([p.extremes[2] for p in polygons]))
     lens = np.array([len(p.vertices) for p in polygons])
     if not lens.all():
         raise DegenerateGeometryError("empty polygon")
     V = np.concatenate([p.vertices for p in polygons], dtype=float)
     k = np.arange(lens.max())
     idx = (np.cumsum(lens) - lens)[:, None] + np.where(k < lens[:, None], k, 0)
-    proj = (V[:, :1] * arcs[:, 0] + V[:, 1:] * arcs[:, 1])[idx]
-    rows = np.arange(len(idx))[:, None]
-    return V[idx[rows, proj.argmax(axis=1)]], V[idx[rows, proj.argmin(axis=1)]]
+    return _padded_extremes(V[idx], lens, arcs)
 
 
-def _ring_distances(points, rings, faces):
+def _padded_extremes(P, counts, arcs):
+    """`_extreme_vertices` of rows P (A, w, 2) of counts[a] vertices each, the
+    rest read as vertex 0, so argmax and argmin still take the first index."""
+    V = np.where((np.arange(P.shape[1]) < counts[:, None])[..., None], P, P[:, :1])
+    proj = V[..., :1] * arcs[:, 0] + V[..., 1:] * arcs[:, 1]
+    rows = np.arange(len(P))[:, None]
+    return V[rows, proj.argmax(axis=1)], V[rows, proj.argmin(axis=1)]
+
+
+def _ring_edges(rings):
+    """Each ring vertex's predecessor, the edge from it and its squared length."""
+    prev = np.concatenate((rings[..., -1:, :], rings[..., :-1, :]), axis=-2)
+    E = rings - prev
+    return prev, E, E[..., 0] * E[..., 0] + E[..., 1] * E[..., 1]
+
+
+def _ring_distances(points, rings, faces, edges=None):
     """Distances from points (b, 2) to convex rings (m, 2) or (b, m, 2).
 
     The edge from ring vertex k - 1 to vertex k lies on the face line with
     outward normal faces[k]. A point inside within FEAS_TOL scores exactly 0.
+    `edges` is `_ring_edges(rings)` when the caller keeps it.
     """
-    prev = np.concatenate((rings[..., -1:, :], rings[..., :-1, :]), axis=-2)
-    E = rings - prev
+    prev, E, L2 = _ring_edges(rings) if edges is None else edges
     W = points[:, None, :] - prev
     inside = (W[..., 0] * faces[:, 0] + W[..., 1] * faces[:, 1]).max(axis=1) <= FEAS_TOL
-    L2 = E[..., 0] * E[..., 0] + E[..., 1] * E[..., 1]
     t = W[..., 0] * E[..., 0] + W[..., 1] * E[..., 1]
     with np.errstate(invalid="ignore", divide="ignore"):
         t = np.clip(np.where(L2 > 0, t / L2, 0.0), 0.0, 1.0)
@@ -319,14 +345,12 @@ def shifted_distances(P: AgentPolygon, Q: AgentPolygon, shifts):
 def pair_indices(n):
     """Read-only index arrays (ii, jj) of every pair i < j of n items, in
     lexicographic order."""
-    pairs = np.triu_indices(n, k=1)
-    for v in pairs:
-        v.flags.writeable = False
-    return pairs
+    return _frozen(*np.triu_indices(n, k=1))
 
 
 def pair_distances(polygons):
-    """dist(polygons[i], polygons[j]) for every pair i < j, in lexicographic order."""
+    """dist(polygons[i], polygons[j]) for every pair i < j, in lexicographic
+    order; an `agent_polygon` batch gives its stored extremes, not a new pass."""
     faces, arcs = _direction_fan(polygons)
     hi, lo = _extreme_vertices(polygons, arcs)
     ii, jj = pair_indices(len(polygons))
@@ -341,8 +365,8 @@ def input_image_distances(omega: InputPolytope, Bpos, n_directions, shifts):
     its ring is built once per (omega, Bpos, n_directions) and cached.
     """
     keys = (np.ascontiguousarray(a, float).tobytes() for a in (omega.vertices, Bpos))
-    ring, faces = _input_difference(*keys, n_directions)
-    return _ring_distances(np.asarray(shifts, float).reshape(-1, 2), ring, faces)
+    ring, faces, edges = _input_ring(*keys, n_directions)
+    return _ring_distances(np.asarray(shifts, float).reshape(-1, 2), ring, faces, edges)
 
 
 @functools.lru_cache(maxsize=16)
@@ -352,13 +376,18 @@ def _input_difference(vkey, bkey, m):
     D = planar_directions(m)
     V = np.frombuffer(vkey).reshape(-1, 2)
     S = agent_polygon(D, -1, (D @ np.frombuffer(bkey).reshape(2, 2) @ V.T).max(axis=1))
-    faces, arcs = _direction_fan((S,))
-    hi, lo = _extreme_vertices((S,), arcs)
-    ring = hi[0] - lo[0]
-    ring.flags.writeable = False
-    return ring, faces
+    _, hi, lo = S.extremes
+    return _frozen(hi - lo, _direction_fan((S,))[0])
+
+
+@functools.lru_cache(maxsize=16)
+def _input_ring(vkey, bkey, m):
+    """`_input_difference` with the ring's read-only `_ring_edges`."""
+    ring, faces = _input_difference(vkey, bkey, m)
+    return ring, faces, _frozen(*_ring_edges(ring))
 
 
 def polygon_distance(P: AgentPolygon, Q: AgentPolygon) -> float:
-    """Euclidean distance between two convex polygons (0 when they intersect)."""
+    """Euclidean distance between two convex polygons (0 when they intersect);
+    polygons from `agent_polygon` give their stored extremes, not a new pass."""
     return float(shifted_distances(P, Q, np.zeros(2))[0])

@@ -285,6 +285,10 @@ class TestStackedPlant:
         for g in (None, graph):
             assert np.array_equal(ncs.feedback_inputs(s, state, g),
                                   plant_oracle.feedback_inputs(s, state, g))
+        # the index a run builds once per graph stands in for the graph
+        assert np.array_equal(
+            ncs.control_inputs(s, state, index=ncs.neighbor_index(graph)),
+            plant_oracle.feedback_inputs(s, state, graph) + s.track.acc[state.k])
         fdi = rng.normal(size=2 * n) if with_fdi else None
         u = rng.normal(size=(n, 2)) if pass_u else None
         got = ncs.step(s, state, fdi=fdi, graph=graph, u=u)
