@@ -17,7 +17,7 @@ from .harness import MetricsSummary, RunRecord, emit, metrics, run
 from .laprec import (KroneckerModel, RecoveryResult, project_laplacian_cone,
                      recover)
 from .ncs import (AgentModel, Scenario, StackedState, control_inputs,
-                  double_integrator, reference, stacked_closed_loop, step)
+                  reference, stacked_closed_loop, step)
 from .reachset import (AgentPolygon, InputPolytope, agent_polygon,
                        circumscribe_ball, polygon_distance, reach_support)
 from .scenario_io import build_scenario, load_scenario

@@ -7,10 +7,11 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .dmd import DEFAULT_SVD_TOL
 from .errors import InvalidInputError
 from .graph import Graph, algebraic_connectivity, is_connected, remove_edge
-from .reachset import (AgentPolygon, InputPolytope, _frozen, agent_polygon,
-                       batch_reach_supports, embed_input_map,
+from .reachset import (DEFAULT_JITTER, AgentPolygon, InputPolytope, _frozen,
+                       agent_polygon, batch_reach_supports, embed_input_map,
                        input_image_distances, pair_distances, pair_indices,
                        planar_directions, polygon_distance)
 
@@ -28,24 +29,26 @@ class AttackConfig:
     dos_step: int = 100
     dos_edge: Optional[Tuple[int, int]] = None
     snapshot_width: int = 50
-    svd_tol: float = 1e-10
+    svd_tol: float = DEFAULT_SVD_TOL
     recovery_svd_tol: float = 1e-2
     refit_every: int = 1
     horizon: int = 1
     n_directions: int = 16
-    vertex_jitter: float = 0.05
+    vertex_jitter: float = DEFAULT_JITTER
 
     def __post_init__(self):
-        if self.rho < 0:
+        if not self.rho >= 0:
             raise InvalidInputError(f"rho must be >= 0, got {self.rho}")
         if self.s < 3:
             raise InvalidInputError(f"face count must be >= 3, got {self.s}")
         if self.start_step < 1:
             raise InvalidInputError("start_step must be >= 1")
+        if self.dos_step < 0:
+            raise InvalidInputError(f"dos_step must be >= 0, got {self.dos_step}")
         if self.snapshot_width < 1:
             raise InvalidInputError("snapshot_width must be >= 1")
         if self.horizon < 1:
-            raise InvalidInputError("horizon must be >= 1")
+            raise InvalidInputError(f"reach horizon must be >= 1, got {self.horizon}")
         if self.refit_every < 1:
             raise InvalidInputError("refit_every must be >= 1")
         if self.n_directions < 3:
@@ -75,8 +78,9 @@ def select_targets(polygons):
     return int(ii[best]), int(jj[best])
 
 
-def agent_reach_polygon(model_K, B, agents, x0, omega, n_directions=16,
-                        horizon=1) -> list[AgentPolygon]:
+def agent_reach_polygon(model_K, B, agents, x0, omega,
+                        n_directions=AttackConfig.n_directions,
+                        horizon=AttackConfig.horizon) -> list[AgentPolygon]:
     """Position polygons of the agents' h-step reach sets from the current state.
 
     Returns one AgentPolygon per entry of `agents`, in order. Each agent's
@@ -87,8 +91,6 @@ def agent_reach_polygon(model_K, B, agents, x0, omega, n_directions=16,
     agents = np.asarray(agents, dtype=int)
     if agents.ndim != 1 or not agents.size:
         raise InvalidInputError("agents must be a non-empty sequence of agent indices")
-    if horizon < 1:
-        raise InvalidInputError(f"reach horizon must be >= 1, got {horizon}")
     n_agents = model_K.shape[0] // 4
     bad = agents[(agents < 0) | (agents >= n_agents)]
     if bad.size:
@@ -117,7 +119,7 @@ def _reach_operands(bkey, bshape, akey, n_agents, n_directions):
 
 
 def synthesize_fdi(k, targets, model, omega: InputPolytope, state, B, polygons,
-                   n_directions=16) -> AttackDecision:
+                   n_directions=AttackConfig.n_directions) -> AttackDecision:
     """Choose the vertex-pair injection that drives the targets' next-step
     reach polygons farthest apart.
 

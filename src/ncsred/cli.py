@@ -89,7 +89,7 @@ def cmd_reachset_dump(args):
                               jitter=cfg.vertex_jitter)
     polygons = agent_reach_polygon(model.K, scenario.agent_model.B,
                                    range(scenario.n_agents), x, omega,
-                                   cfg.n_directions, args.horizon)
+                                   cfg.n_directions, cfg.horizon)
     os.makedirs(args.out, exist_ok=True)
     lines = ["step,agent,vertex,x,y"]
     series = []
@@ -147,8 +147,8 @@ def build_parser():
 
     p = sub.add_parser("reachset-dump", help="dump per-agent reach polygons")
     _add_scenario_args(p)
-    p.add_argument("--at", type=int, required=True)
-    p.add_argument("--horizon", type=int, default=1)
+    p.add_argument("--at", type=int, required=True,
+                   help="fit after this nominal step; reach_horizon is the scenario's")
     p.set_defaults(fn=cmd_reachset_dump)
 
     p = sub.add_parser("recover-laplacian", help="recover structure from a K csv")

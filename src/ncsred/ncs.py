@@ -41,36 +41,25 @@ DEFAULT_EDGES = frozenset({(0, 1), (0, 2), (1, 3), (2, 4)})
 
 @dataclass(frozen=True)
 class AgentModel:
-    """Discrete-time double integrator in the plane with sampling period dt."""
+    """Discrete-time double integrator in the plane with sampling period dt;
+    A and B follow from dt."""
 
-    A: np.ndarray
-    B: np.ndarray
     dt: float
+    A: np.ndarray = field(init=False)
+    B: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        A, B = expected_matrices(self.dt)
-        if not (np.array_equal(self.A, A) and np.array_equal(self.B, B)):
-            raise InvalidInputError("A/B do not match the double-integrator template for dt")
-
-
-def expected_matrices(dt):
-    if dt <= 0:
-        raise InvalidInputError(f"dt must be positive, got {dt}")
-    A = np.array([[1.0, dt, 0.0, 0.0],
-                  [0.0, 1.0, 0.0, 0.0],
-                  [0.0, 0.0, 1.0, dt],
-                  [0.0, 0.0, 0.0, 1.0]])
-    B = np.array([[dt * dt / 2.0, 0.0],
-                  [dt, 0.0],
-                  [0.0, dt * dt / 2.0],
-                  [0.0, dt]])
-    return A, B
-
-
-def double_integrator(dt) -> AgentModel:
-    """Planar double-integrator model for sampling period dt."""
-    A, B = expected_matrices(dt)
-    return AgentModel(A=A, B=B, dt=float(dt))
+        dt = self.dt
+        if not dt > 0:
+            raise InvalidInputError(f"dt must be positive, got {dt}")
+        object.__setattr__(self, "A", np.array([[1.0, dt, 0.0, 0.0],
+                                                [0.0, 1.0, 0.0, 0.0],
+                                                [0.0, 0.0, 1.0, dt],
+                                                [0.0, 0.0, 0.0, 1.0]]))
+        object.__setattr__(self, "B", np.array([[dt * dt / 2.0, 0.0],
+                                                [dt, 0.0],
+                                                [0.0, dt * dt / 2.0],
+                                                [0.0, dt]]))
 
 
 def reference(k) -> np.ndarray:

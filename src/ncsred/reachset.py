@@ -17,6 +17,7 @@ from .errors import DegenerateGeometryError, InvalidInputError
 FEAS_TOL = 1e-9
 #: face normals closer than this angle (radians) count as one direction
 ANGLE_TOL = 1e-12
+DEFAULT_JITTER = 0.05
 
 
 def _frozen(*arrays):
@@ -43,7 +44,7 @@ class InputPolytope:
         return bool(np.all(self.normals @ u <= self.offsets + tol))
 
 
-def circumscribe_ball(rho, s, seed=None, jitter=0.05) -> InputPolytope:
+def circumscribe_ball(rho, s, seed=None, jitter=DEFAULT_JITTER) -> InputPolytope:
     """s-faced polygon circumscribing the disc of radius rho.
 
     Faces are tangent to the disc at angles that are uniformly spaced when
@@ -365,26 +366,20 @@ def input_image_distances(omega: InputPolytope, Bpos, n_directions, shifts):
     its ring is built once per (omega, Bpos, n_directions) and cached.
     """
     keys = (np.ascontiguousarray(a, float).tobytes() for a in (omega.vertices, Bpos))
-    ring, faces, edges = _input_ring(*keys, n_directions)
+    ring, faces, edges = _input_difference(*keys, n_directions)
     return _ring_distances(np.asarray(shifts, float).reshape(-1, 2), ring, faces, edges)
 
 
 @functools.lru_cache(maxsize=16)
 def _input_difference(vkey, bkey, m):
-    """Read-only ring and face normals of S - S for `input_image_distances`,
-    as `shifted_distances(S, S, .)` builds them."""
+    """Read-only ring, face normals and `_ring_edges` of S - S for
+    `input_image_distances`, as `shifted_distances(S, S, .)` builds them."""
     D = planar_directions(m)
     V = np.frombuffer(vkey).reshape(-1, 2)
     S = agent_polygon(D, -1, (D @ np.frombuffer(bkey).reshape(2, 2) @ V.T).max(axis=1))
     _, hi, lo = S.extremes
-    return _frozen(hi - lo, _direction_fan((S,))[0])
-
-
-@functools.lru_cache(maxsize=16)
-def _input_ring(vkey, bkey, m):
-    """`_input_difference` with the ring's read-only `_ring_edges`."""
-    ring, faces = _input_difference(vkey, bkey, m)
-    return ring, faces, _frozen(*_ring_edges(ring))
+    ring = hi - lo
+    return _frozen(ring, _direction_fan((S,))[0]) + (_frozen(*_ring_edges(ring)),)
 
 
 def polygon_distance(P: AgentPolygon, Q: AgentPolygon) -> float:

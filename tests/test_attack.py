@@ -8,7 +8,7 @@ from ncsred.errors import InvalidInputError
 from ncsred.graph import Graph, laplacian
 from ncsred.harness import OMEGA_SEED_OFFSET
 from ncsred.laprec import KroneckerModel, RecoveryResult
-from ncsred.ncs import double_integrator
+from ncsred.ncs import AgentModel
 from ncsred.reachset import (AgentPolygon, agent_polygon, circumscribe_ball,
                              embed_input_map, polygon_distance)
 from segment_oracle import segment_distance
@@ -98,7 +98,7 @@ class TestSynthesizeFdi:
         K = np.eye(8)
         model = DmdModel(K=K, residual=0.0, rank_used=8)
         omega = circumscribe_ball(0.1, 4, seed=None)  # axis-aligned square
-        B = double_integrator(0.2).B
+        B = AgentModel(0.2).B
         x = np.zeros(8)
         x[0], x[4] = -1.0, 1.0  # agent 0 left, agent 1 right
         d = synthesize_fdi(0, (0, 1), model, omega, x, B,
@@ -115,7 +115,7 @@ class TestSynthesizeFdi:
         K = 0.95 * np.linalg.qr(rng.normal(size=(20, 20)))[0]
         model = DmdModel(K=K, residual=0.0, rank_used=20)
         omega = circumscribe_ball(0.05, 8, seed=9)
-        B = double_integrator(0.2).B
+        B = AgentModel(0.2).B
         x = rng.normal(scale=3, size=20)
         d = synthesize_fdi(10, (1, 4), model, omega, x, B,
                            current_polygons(K, B, x, omega))
@@ -134,7 +134,7 @@ class TestSynthesizeFdi:
             K *= 0.9 / np.abs(np.linalg.eigvals(K)).max()
             model = DmdModel(K=K, residual=0.0, rank_used=8)
             omega = circumscribe_ball(0.2, 6, seed=trial)
-            B = double_integrator(0.2).B
+            B = AgentModel(0.2).B
             x = rng.normal(size=8)
             d = synthesize_fdi(0, (0, 1), model, omega, x, B,
                                current_polygons(K, B, x, omega, 8), n_directions=8)
@@ -147,7 +147,7 @@ class TestSynthesizeFdi:
         K = 0.9 * np.linalg.qr(rng.normal(size=(8, 8)))[0]
         model = DmdModel(K=K, residual=0.0, rank_used=8)
         omega = circumscribe_ball(0.05, 8, seed=2)
-        B = double_integrator(0.2).B
+        B = AgentModel(0.2).B
         x = rng.normal(size=8)
         polys = current_polygons(K, B, x, omega)
         a = synthesize_fdi(1, (0, 1), model, omega, x, B, polys)
@@ -160,7 +160,7 @@ class TestSynthesizeFdi:
         # polygons hold c + B(ui + uj), so every candidate scores 0
         model = DmdModel(K=np.eye(8), residual=0.0, rank_used=8)
         omega = circumscribe_ball(0.1, 8, seed=3)
-        B = double_integrator(0.2).B
+        B = AgentModel(0.2).B
         x = np.array([1.0, 0.5, -2.0, 0.3, 1.0, -0.4, -2.0, 0.1])
         d = synthesize_fdi(0, (0, 1), model, omega, x, B,
                            current_polygons(model.K, B, x, omega, 8), n_directions=8)
@@ -171,7 +171,7 @@ class TestSynthesizeFdi:
 
     def test_matches_brute_force_over_translated_polygons(self):
         rng = np.random.default_rng(29)
-        B = double_integrator(0.2).B
+        B = AgentModel(0.2).B
         for trial in range(25):
             n_agents = int(rng.integers(2, 6))
             n = 4 * n_agents
@@ -208,7 +208,7 @@ class TestSynthesizeFdi:
         omega = circumscribe_ball(0.05, 4)
         with pytest.raises(InvalidInputError):
             synthesize_fdi(0, (1, 1), model, omega, np.zeros(8),
-                           double_integrator(0.2).B, [])
+                           AgentModel(0.2).B, [])
 
 
 def translated(P, d):

@@ -158,7 +158,7 @@ class TestRunConstantTables:
         assert Uj.tobytes() == np.vstack([np.tile(V, (s, 1)), np.zeros(2)]).tobytes()
 
         Bpos = np.ascontiguousarray(B[[0, 2]])
-        ring, faces, edges = reachset._input_ring(V.tobytes(), Bpos.tobytes(), m)
+        ring, faces, edges = reachset._input_difference(V.tobytes(), Bpos.tobytes(), m)
         assert all(a.tobytes() == b.tobytes()
                    for a, b in zip(edges, reachset._ring_edges(ring)))
 

@@ -1,4 +1,6 @@
+import dataclasses
 import os
+import re
 
 import numpy as np
 import pytest
@@ -9,8 +11,22 @@ from ncsred.dmd import SnapshotBuffer, fit
 from ncsred.errors import InvalidInputError
 from ncsred.harness import OMEGA_SEED_OFFSET, emit, metrics, run
 from ncsred.reachset import circumscribe_ball
-from ncsred.scenario_io import build_scenario, load_scenario, parse_scenario_text
+from ncsred.scenario_io import (PARSERS, build_scenario, load_scenario,
+                                parse_scenario_text)
 from scenario_helpers import read_trajectories_csv
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+#: the documented scenario-file key of each AttackConfig field named otherwise
+FILE_KEY = {"s": "faces", "horizon": "reach_horizon"}
+
+
+def readme_keys():
+    """Keys in the first column of the README's scenario-file table."""
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+    cells = re.findall(r"^\| (`.*?) \|", section, re.M)
+    return {key for cell in cells for key in re.findall(r"`([a-z0-9_]+)`", cell)}
 
 
 def short_scenario(seed=0, horizon=80, **attack_overrides):
@@ -183,6 +199,26 @@ class TestScenarioIO:
         with pytest.raises(InvalidInputError):
             parse_scenario_text("just words\n")
 
+    @pytest.mark.parametrize("field", dataclasses.fields(AttackConfig),
+                             ids=lambda f: f.name)
+    def test_attack_field_round_trips(self, tmp_path, field):
+        key = FILE_KEY.get(field.name, field.name)
+        assert key in readme_keys()
+        if field.name == "dos_edge":
+            value, text = (1, 2), "2-3"
+        else:
+            value = (field.default * 2 if isinstance(field.default, float)
+                     else field.default + 1)
+            text = repr(value)
+        assert value != field.default
+        path = tmp_path / "scn.txt"
+        path.write_text(f"{key} = {text}\n")
+        assert load_scenario(path).attack == dataclasses.replace(
+            AttackConfig(), **{field.name: value})
+
+    def test_readme_lists_the_parsed_keys(self):
+        assert readme_keys() == set(PARSERS)
+
     def test_zero_based_edge_token_rejected(self, tmp_path):
         path = tmp_path / "scn.txt"
         path.write_text("edges = 0-1\n")
@@ -191,9 +227,9 @@ class TestScenarioIO:
 
 
 class TestCli:
-    def scenario_file(self, tmp_path):
+    def scenario_file(self, tmp_path, extra=""):
         path = tmp_path / "scn.txt"
-        path.write_text("horizon_steps = 70\ndos_step = 60\n")
+        path.write_text("horizon_steps = 70\ndos_step = 60\n" + extra)
         return str(path)
 
     def test_simulate_nominal(self, tmp_path, capsys):
@@ -229,9 +265,9 @@ class TestCli:
 
     def test_reachset_dump(self, tmp_path):
         out = tmp_path / "reach"
-        path = self.scenario_file(tmp_path)
+        path = self.scenario_file(tmp_path, "reach_horizon = 2\n")
         rc = main(["reachset-dump", "--scenario", path,
-                   "--at", "60", "--horizon", "2", "--out", str(out)])
+                   "--at", "60", "--out", str(out)])
         assert rc == 0
         assert (out / "polygons.csv").read_text().startswith("step,agent,vertex,x,y\n")
         table = np.loadtxt(out / "polygons.csv", delimiter=",", skiprows=1)
@@ -239,6 +275,7 @@ class TestCli:
 
         s = load_scenario(path)
         cfg = s.attack
+        assert cfg.horizon == 2
         buf = SnapshotBuffer(cfg.snapshot_width, s.dim)
         states = run(s, "nominal").states
         for x in states[:61]:
@@ -259,10 +296,42 @@ class TestCli:
     @pytest.mark.parametrize("horizon", ["0", "-2"])
     def test_reachset_dump_rejects_horizon_below_one(self, tmp_path, capsys, horizon):
         out = tmp_path / "reach"
-        rc = main(["reachset-dump", "--scenario", self.scenario_file(tmp_path),
-                   "--at", "60", "--horizon", horizon, "--out", str(out)])
+        path = self.scenario_file(tmp_path, f"reach_horizon = {horizon}\n")
+        rc = main(["reachset-dump", "--scenario", path,
+                   "--at", "60", "--out", str(out)])
         assert rc == 2
         assert "InvalidInputError: reach horizon must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_reachset_dump_has_no_horizon_flag(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["reachset-dump", "--at", "60", "--horizon", "2",
+                  "--out", str(tmp_path / "reach")])
+
+    @pytest.mark.parametrize("text, message", [
+        ("rho = abc\n", "line 1: bad rho value 'abc'"),
+        ("dt = 0.1\nfaces = 8.5\n", "line 2: bad faces value '8.5'"),
+        ("edges = 1-x\n", "line 1: bad edges value '1-x'"),
+        ("dos_edge = 1-\n", "line 1: bad dos_edge value '1-'"),
+        ("gain_row1 = 1 2 3\ngain_row2 = 0 0 0 0\n",
+         "line 1: bad gain_row1 value '1 2 3': gain row '1 2 3' must have 4 numbers"),
+        ("rho = 0.1\n# again\nrho = 0.2\n", "line 3: rho is already set on line 1"),
+        ("n_agents = 3\n", "n_agents = 3 needs edges and formation_offsets"),
+        ("n_agents = 3\nedges = 1-2, 2-3\n", "n_agents = 3 needs formation_offsets"),
+        ("n_agents = 3\nedges = 1-2, 2-3\nformation_offsets = 0,0; 1,0\n",
+         "formation_offsets: expected 3 entries, got shape (2, 2)"),
+        ("dos_step = -5\n", "dos_step must be >= 0, got -5"),
+        ("dt = nan\n", "dt must be positive, got nan"),
+        ("rho = nan\n", "rho must be >= 0, got nan"),
+    ])
+    def test_simulate_names_bad_scenario(self, tmp_path, capsys, text, message):
+        path = tmp_path / "scn.txt"
+        path.write_text(text)
+        out = tmp_path / "out"
+        rc = main(["simulate", "--scenario", str(path), "--mode", "fdi_dos",
+                   "--out", str(out)])
+        assert rc == 2
+        assert f"InvalidInputError: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command, at", [("reachset-dump", "-5"),

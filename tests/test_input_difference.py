@@ -19,7 +19,7 @@ from segment_oracle import segment_distance
 from ncsred import attack, reachset
 from ncsred.attack import agent_reach_polygon, synthesize_fdi
 from ncsred.dmd import DmdModel
-from ncsred.ncs import double_integrator
+from ncsred.ncs import AgentModel
 from ncsred.reachset import (_input_difference, agent_polygon,
                              circumscribe_ball, embed_input_map,
                              input_image_distances, planar_directions)
@@ -75,13 +75,14 @@ class TestInputImageDistances:
 
     def test_cached_difference_is_read_only(self):
         omega = circumscribe_ball(0.05, 8, seed=1)
-        B = np.ascontiguousarray(double_integrator(0.2).B[[0, 2]])
+        B = np.ascontiguousarray(AgentModel(0.2).B[[0, 2]])
         key = (omega.vertices.tobytes(), B.tobytes(), 16)
-        ring, faces = _input_difference(*key)
+        ring, faces, edges = _input_difference(*key)
         assert _input_difference(*key)[0] is ring
-        for v in (ring, faces):
+        for v in (ring, faces, *edges):
+            assert not v.flags.writeable
             with pytest.raises(ValueError):
-                v[0, 0] = 1.0
+                v[(0,) * v.ndim] = 1.0
 
 
 class TestAgainstOracle:
@@ -91,7 +92,7 @@ class TestAgainstOracle:
         rng = np.random.default_rng(seed)
         n_agents, K, B, omega = _random_problem(rng)
         if rng.random() < 0.5:
-            B = double_integrator(0.2).B
+            B = AgentModel(0.2).B
         x = rng.normal(size=4 * n_agents)
         x *= rng.uniform(0.0, 10.0) / np.linalg.norm(x)
         model = DmdModel(K=K, residual=0.0, rank_used=len(K))
@@ -114,7 +115,7 @@ class TestLargeCoordinates:
         K = np.eye(8)
         model = DmdModel(K=K, residual=0.0, rank_used=8)
         omega = circumscribe_ball(0.05, 8, seed=7)
-        B = double_integrator(0.2).B
+        B = AgentModel(0.2).B
         x = np.zeros(8)
         x[0], x[2] = 1.1e7, 2.0
         x[4], x[6] = 1.1e7 + 0.003, 2.0
@@ -149,7 +150,7 @@ class TestNoPerStepReachPass:
     def test_synthesis_builds_no_polygon_after_warm_up(self):
         rng = np.random.default_rng(11)
         n_agents, K, _, omega = _random_problem(rng, max_agents=5)
-        B = double_integrator(0.2).B
+        B = AgentModel(0.2).B
         model = DmdModel(K=K, residual=0.0, rank_used=len(K))
         x = rng.normal(size=len(K))
         polys = agent_reach_polygon(K, B, range(n_agents), x, omega)

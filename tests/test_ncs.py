@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ncsred.errors import InvalidInputError
-from ncsred.ncs import (StackedState, control_inputs, double_integrator,
+from ncsred.ncs import (AgentModel, StackedState, control_inputs,
                         feedback_inputs, reference, stacked_closed_loop, step)
 from ncsred.scenario_io import build_scenario
 from scenario_helpers import offset_difference, stacked_slots
@@ -24,24 +24,24 @@ def small_scenario(n_agents, edges, leader_gain=None, gain=None, ref_fn=None,
 
 class TestDoubleIntegrator:
     def test_experiment_sampling_period(self):
-        m = double_integrator(0.2)
+        m = AgentModel(0.2)
         assert np.allclose(m.A[0], [1.0, 0.2, 0.0, 0.0])
         assert np.allclose(m.B[0], [0.02, 0.0])
 
     def test_unit_period(self):
-        m = double_integrator(1.0)
+        m = AgentModel(1.0)
         assert np.array_equal(m.B, np.array([[0.5, 0], [1, 0], [0, 0.5], [0, 1]], float))
 
     def test_half_period(self):
-        m = double_integrator(0.5)
+        m = AgentModel(0.5)
         assert m.A[0, 1] == 0.5
         assert m.B[0, 0] == 0.125
 
     def test_rejects_nonpositive(self):
         with pytest.raises(InvalidInputError):
-            double_integrator(0.0)
+            AgentModel(0.0)
         with pytest.raises(InvalidInputError):
-            double_integrator(-0.1)
+            AgentModel(-0.1)
 
 
 class TestReference:
