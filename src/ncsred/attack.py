@@ -53,6 +53,9 @@ class AttackConfig:
             raise InvalidInputError("refit_every must be >= 1")
         if self.n_directions < 3:
             raise InvalidInputError("n_directions must be >= 3")
+        for name in ("svd_tol", "recovery_svd_tol"):
+            if not getattr(self, name) >= 0:
+                raise InvalidInputError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0 <= self.vertex_jitter < 0.5:
             raise InvalidInputError(
                 f"vertex_jitter must be in [0, 0.5), got {self.vertex_jitter}")

@@ -112,8 +112,8 @@ def cmd_reachset_dump(args):
 
 def cmd_recover_laplacian(args):
     K = _read_matrix_csv(args.input)
-    result = laprec.recover(K, threshold=args.threshold,
-                            max_iters=args.max_iters, seed=args.seed or 0)
+    result = laprec.recover(K, **{name: getattr(args, name) for name in
+                                  ("threshold", "max_iters", "seed") if name in args})
     os.makedirs(args.out, exist_ok=True)
     _write_matrix_csv(os.path.join(args.out, "L_hat.csv"), result.model.L)
     _write_matrix_csv(os.path.join(args.out, "S.csv"), result.model.S)
@@ -154,9 +154,9 @@ def build_parser():
     p = sub.add_parser("recover-laplacian", help="recover structure from a K csv")
     p.add_argument("--input", required=True, help="K matrix as CSV")
     p.add_argument("--out", required=True)
-    p.add_argument("--threshold", type=float, default=1e-6)
-    p.add_argument("--max-iters", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    for flag, cast in (("--threshold", float), ("--max-iters", int), ("--seed", int)):
+        p.add_argument(flag, type=cast, default=argparse.SUPPRESS,
+                       help="default: laprec.recover's")
     p.set_defaults(fn=cmd_recover_laplacian)
     return parser
 

@@ -100,6 +100,9 @@ def run(scenario: Scenario, mode: str) -> RunRecord:
     dim = scenario.dim
     B = scenario.agent_model.B
 
+    if mode == "fdi_dos" and cfg.dos_step >= H:
+        raise InvalidInputError(f"fdi_dos needs dos_step ({cfg.dos_step}) below "
+                                f"horizon_steps ({H})")
     attacking = mode in ("fdi", "fdi_dos") and cfg.rho > 0
     omega = None
     if attacking:
@@ -294,27 +297,29 @@ def emit(record: RunRecord, out_dir):
     written = []
 
     lines = ["k,t,agent,x,vx,y,vy"]
-    for k in range(record.horizon + 1):
-        t = k * record.dt
-        for a in range(N):
-            s = record.states[k, 4 * a:4 * a + 4]
-            lines.append(f"{k},{_r(t)},{a},{_r(s[0])},{_r(s[1])},{_r(s[2])},{_r(s[3])}")
+    steps = [f"{k},{float(k * record.dt)!r}" for k in range(record.horizon + 1)]
+    for kt, row in zip(steps, record.states):
+        # tolist per row, not per array, keeps peak RSS flat; same floats, same repr
+        cells = iter(row.tolist())
+        for a, (x, vx, y, vy) in enumerate(zip(cells, cells, cells, cells)):
+            lines.append(f"{kt},{a},{x!r},{vx!r},{y!r},{vy!r}")
     path = os.path.join(out_dir, "trajectories.csv")
     _write(path, "\n".join(lines) + "\n")
     written.append(path)
 
+    labels = [f"{i}-{j}" for i, j in record.pairs]
     lines = ["k,pair,e"]
     for k in range(record.horizon + 1):
-        for idx, (i, j) in enumerate(record.pairs):
-            lines.append(f"{k},{i}-{j},{_r(record.pair_errors[k, idx])}")
+        for label, e in zip(labels, record.pair_errors[k].tolist()):
+            lines.append(f"{k},{label},{e!r}")
     path = os.path.join(out_dir, "errors.csv")
     _write(path, "\n".join(lines) + "\n")
     written.append(path)
 
     lines = ["k,agent,e"]
     for k in range(record.horizon + 1):
-        for a in range(N):
-            lines.append(f"{k},{a},{_r(record.tracking[k, a])}")
+        for a, e in enumerate(record.tracking[k].tolist()):
+            lines.append(f"{k},{a},{e!r}")
     path = os.path.join(out_dir, "tracking.csv")
     _write(path, "\n".join(lines) + "\n")
     written.append(path)

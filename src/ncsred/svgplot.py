@@ -5,6 +5,8 @@ byte-stable across runs and environments.
 """
 from __future__ import annotations
 
+import numpy as np
+
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
            "#393b79", "#637939", "#8c6d31", "#843c39", "#7b4173"]
@@ -80,8 +82,13 @@ def line_plot(series, title="", xlabel="", ylabel="", dashed=()):
                f'font-family="sans-serif" font-size="12" '
                f'transform="rotate(-90 16 {MARGIN_T + ih / 2:.1f})">{ylabel}</text>')
 
-    for idx, (xs, ys, color, label) in enumerate(series):
-        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
+    for xs, ys, color, label in series:
+        n = min(len(xs), len(ys))
+        with np.errstate(all="ignore"):  # floats give inf - inf and 0 * inf silently
+            # sx and sy elementwise, in their order of operations: the same IEEE results
+            xy = np.stack([MARGIN_L + (np.array(xs[:n], float) - x0) / (x1 - x0) * iw,
+                           MARGIN_T + ih - (np.array(ys[:n], float) - y0) / (y1 - y0) * ih], 1)
+        pts = " ".join(["%.2f,%.2f"] * n) % tuple(xy.ravel().tolist())
         dash = ' stroke-dasharray="6 4"' if label in dashed else ""
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    f'stroke-width="1.5"{dash}/>')

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from ncsred import laprec
 from ncsred.attack import AttackConfig, agent_reach_polygon
 from ncsred.cli import main
 from ncsred.dmd import SnapshotBuffer, fit
@@ -323,6 +324,10 @@ class TestCli:
         ("dos_step = -5\n", "dos_step must be >= 0, got -5"),
         ("dt = nan\n", "dt must be positive, got nan"),
         ("rho = nan\n", "rho must be >= 0, got nan"),
+        ("svd_tol = nan\n", "svd_tol must be >= 0, got nan"),
+        ("svd_tol = -1e-3\n", "svd_tol must be >= 0, got -0.001"),
+        ("recovery_svd_tol = nan\n", "recovery_svd_tol must be >= 0, got nan"),
+        ("recovery_svd_tol = -1\n", "recovery_svd_tol must be >= 0, got -1.0"),
     ])
     def test_simulate_names_bad_scenario(self, tmp_path, capsys, text, message):
         path = tmp_path / "scn.txt"
@@ -333,6 +338,20 @@ class TestCli:
         assert rc == 2
         assert f"InvalidInputError: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("mode, dos_step, rc", [
+        ("nominal", 90, 0), ("fdi", 90, 0), ("fdi_dos", 90, 2), ("fdi_dos", 70, 2)])
+    def test_fdi_dos_needs_dos_step_below_horizon(self, tmp_path, capsys, mode,
+                                                  dos_step, rc):
+        path = tmp_path / "scn.txt"
+        path.write_text(f"horizon_steps = 70\ndos_step = {dos_step}\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", str(path), "--mode", mode,
+                     "--out", str(out)]) == rc
+        if rc:
+            assert (f"InvalidInputError: fdi_dos needs dos_step ({dos_step}) below "
+                    "horizon_steps (70)") in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("command, at", [("reachset-dump", "-5"),
                                              ("dmd-export", "-450")])
@@ -364,3 +383,27 @@ class TestCli:
         trace = (out / "trace.csv").read_text().strip().splitlines()
         assert trace[0] == "iteration,frobenius_residual,gamma"
         assert len(trace) >= 2
+
+    @pytest.mark.parametrize("flags, knobs", [
+        ([], {}),
+        (["--threshold", "1e-3", "--max-iters", "7", "--seed", "3"],
+         {"threshold": 1e-3, "max_iters": 7, "seed": 3}),
+        (["--seed", "0"], {"seed": 0}),
+    ])
+    def test_recover_laplacian_passes_only_given_flags(self, tmp_path, monkeypatch,
+                                                       flags, knobs):
+        # laprec.recover owns the defaults: an absent flag passes no keyword
+        calls = []
+        real = laprec.recover
+
+        def spy(K, **kwargs):
+            calls.append(kwargs)
+            return real(K, **kwargs)
+
+        monkeypatch.setattr(laprec, "recover", spy)
+        kpath = tmp_path / "K.csv"
+        np.savetxt(kpath, np.kron(np.array([[1.0, -1.0], [-1.0, 1.0]]), np.eye(4)),
+                   delimiter=",")
+        assert main(["recover-laplacian", "--input", str(kpath),
+                     "--out", str(tmp_path / "rec"), *flags]) == 0
+        assert calls == [knobs]
