@@ -10,7 +10,6 @@ import numpy as np
 from . import dmd, harness, laprec
 from .attack import agent_reach_polygon
 from .errors import InvalidInputError, WorkbenchError
-from .reachset import circumscribe_ball
 from .scenario_io import load_scenario
 from . import svgplot
 
@@ -37,18 +36,23 @@ def _nominal_fit(scenario, upto):
 
 
 def _write_matrix_csv(path, M):
-    lines = [",".join(repr(float(v)) for v in row) for row in np.atleast_2d(M)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    harness._write(path, "\n".join(",".join(repr(float(v)) for v in row)
+                                   for row in np.atleast_2d(M)) + "\n")
 
 
 def _read_matrix_csv(path):
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
-                rows.append([float(v) for v in line.split(",")])
+            try:
+                if line:
+                    rows.append([float(v) for v in line.split(",")])
+            except ValueError as exc:
+                raise InvalidInputError(f"{path} line {lineno}: {exc}") from None
+            if rows and len(rows[-1]) != len(rows[0]):
+                raise InvalidInputError(f"{path} line {lineno}: {len(rows[-1])} "
+                                        f"cells, the first row has {len(rows[0])}")
     return np.array(rows)
 
 
@@ -84,11 +88,9 @@ def cmd_reachset_dump(args):
     scenario = load_scenario(args.scenario, seed=args.seed)
     cfg = scenario.attack
     _, model, x = _nominal_fit(scenario, args.at)
-    omega = circumscribe_ball(cfg.rho, cfg.s,
-                              seed=scenario.rng_seed + harness.OMEGA_SEED_OFFSET,
-                              jitter=cfg.vertex_jitter)
     polygons = agent_reach_polygon(model.K, scenario.agent_model.B,
-                                   range(scenario.n_agents), x, omega,
+                                   range(scenario.n_agents), x,
+                                   harness.input_polytope(scenario),
                                    cfg.n_directions, cfg.horizon)
     os.makedirs(args.out, exist_ok=True)
     lines = ["step,agent,vertex,x,y"]
@@ -99,14 +101,10 @@ def cmd_reachset_dump(args):
         ring = np.vstack([poly.vertices, poly.vertices[:1]])
         series.append((ring[:, 0].tolist(), ring[:, 1].tolist(),
                        svgplot.PALETTE[a % len(svgplot.PALETTE)], f"agent {a}"))
-    with open(os.path.join(args.out, "polygons.csv"), "w", encoding="utf-8",
-              newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-    with open(os.path.join(args.out, "polygons.svg"), "w", encoding="utf-8",
-              newline="") as fh:
-        fh.write(svgplot.line_plot(series,
-                                   title=f"reach polygons at step {args.at}",
-                                   xlabel="x [m]", ylabel="y [m]"))
+    harness._write(os.path.join(args.out, "polygons.csv"), "\n".join(lines) + "\n")
+    harness._write(os.path.join(args.out, "polygons.svg"),
+                   svgplot.line_plot(series, title=f"reach polygons at step {args.at}",
+                                     xlabel="x [m]", ylabel="y [m]"))
     return 0
 
 
@@ -121,9 +119,7 @@ def cmd_recover_laplacian(args):
     lines = ["iteration,frobenius_residual,gamma"]
     for it, (fr, g) in enumerate(zip(result.frobenius_trace, result.trace), 1):
         lines.append(f"{it},{fr!r},{g!r}")
-    with open(os.path.join(args.out, "trace.csv"), "w", encoding="utf-8",
-              newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    harness._write(os.path.join(args.out, "trace.csv"), "\n".join(lines) + "\n")
     print(f"gamma,{result.gamma!r}")
     print(f"iterations,{result.iterations}")
     print(f"converged,{result.converged}")

@@ -13,7 +13,7 @@ from .attack import (agent_reach_polygon, plan_dos, select_targets,
 from .errors import InvalidInputError
 from .graph import Graph, remove_edge
 from .ncs import Scenario, control_inputs, neighbor_index, step
-from .reachset import circumscribe_ball
+from .reachset import InputPolytope, circumscribe_ball, pair_indices
 
 MODES = ("nominal", "fdi", "fdi_dos")
 
@@ -62,12 +62,13 @@ class RunRecord:
 
 
 def _pair_list(n):
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+    ii, jj = pair_indices(n)
+    return list(zip(ii.tolist(), jj.tolist()))
 
 
 def _positional_errors(s: Scenario, states, out):
     """Formation error of every pair i < j (columns) at every row of states."""
-    ii, jj = np.triu_indices(s.n_agents, k=1)
+    ii, jj = pair_indices(s.n_agents)
     pos = states.reshape(len(states), s.n_agents, 4)[..., ::2]
     d = pos.take(ii, axis=1)
     d -= pos.take(jj, axis=1)
@@ -82,6 +83,13 @@ def _slot_tracking(s: Scenario, states, out):
     X = states.reshape(len(states), s.n_agents, 4)
     slots = s.formation_offsets[None, :, ::2] + s.track.states[:len(states), None, ::2]
     return np.hypot(X[..., 0] - slots[..., 0], X[..., 2] - slots[..., 1], out=out)
+
+
+def input_polytope(scenario: Scenario) -> InputPolytope:
+    """The attacker's injection polytope Omega, drawn from the scenario's seed."""
+    cfg = scenario.attack
+    return circumscribe_ball(cfg.rho, cfg.s, seed=scenario.rng_seed + OMEGA_SEED_OFFSET,
+                             jitter=cfg.vertex_jitter)
 
 
 def run(scenario: Scenario, mode: str) -> RunRecord:
@@ -104,11 +112,7 @@ def run(scenario: Scenario, mode: str) -> RunRecord:
         raise InvalidInputError(f"fdi_dos needs dos_step ({cfg.dos_step}) below "
                                 f"horizon_steps ({H})")
     attacking = mode in ("fdi", "fdi_dos") and cfg.rho > 0
-    omega = None
-    if attacking:
-        omega = circumscribe_ball(cfg.rho, cfg.s,
-                                  seed=scenario.rng_seed + OMEGA_SEED_OFFSET,
-                                  jitter=cfg.vertex_jitter)
+    omega = input_polytope(scenario) if attacking else None
 
     buffer = dmd.SnapshotBuffer(cfg.snapshot_width, dim)
     model = None
@@ -157,7 +161,7 @@ def run(scenario: Scenario, mode: str) -> RunRecord:
             injections[k] = u_a
 
         inputs[k] = control_inputs(scenario, state, index=index)
-        state = step(scenario, state, fdi=u_a, graph=active_graph, u=inputs[k])
+        state = step(scenario, state, fdi=u_a, u=inputs[k])
         states[k + 1] = state.x
         graph_history[k + 1] = len(graphs) - 1
 
@@ -210,15 +214,9 @@ class MetricsSummary:
     pairs: list
     pair_max: np.ndarray
     pair_final: np.ndarray
-    tracking_max: np.ndarray       # per agent, full run
-    tracking_final: np.ndarray
     leader_tracking_final: float
-    steady_start: int
     steady_tracking_max: float     # max over agents and steady steps
-    steady_pair_max: float
     attacked_steps: int
-    max_injection_norm: float
-    target_counts: dict
     dos_events: list
 
     def rows(self):
@@ -236,39 +234,14 @@ def steady_window_start(horizon):
 
 def metrics(record: RunRecord) -> MetricsSummary:
     """Summary table of a completed run."""
-    H = record.horizon
-    k0 = steady_window_start(H)
-    target_counts = {}
-    max_inj = 0.0
-    attacked = 0
-    for d in record.decisions:
-        if d is None:
-            continue
-        attacked += 1
-        target_counts[d.targets] = target_counts.get(d.targets, 0) + 1
-        for a in d.targets:
-            max_inj = max(max_inj, float(np.linalg.norm(d.u_a[2 * a:2 * a + 2])))
-    if record.pair_errors.shape[1]:
-        pair_max = record.pair_errors.max(axis=0)
-        pair_final = record.pair_errors[-1]
-        steady_pair_max = float(record.pair_errors[k0:].max())
-    else:
-        pair_max = np.zeros(0)
-        pair_final = np.zeros(0)
-        steady_pair_max = 0.0
     return MetricsSummary(
         pairs=record.pairs,
-        pair_max=pair_max,
-        pair_final=pair_final,
-        tracking_max=record.tracking.max(axis=0),
-        tracking_final=record.tracking[-1],
+        pair_max=record.pair_errors.max(axis=0),
+        pair_final=record.pair_errors[-1],
         leader_tracking_final=float(record.tracking[-1, 0]),
-        steady_start=k0,
-        steady_tracking_max=float(record.tracking[k0:].max()),
-        steady_pair_max=steady_pair_max,
-        attacked_steps=attacked,
-        max_injection_norm=max_inj,
-        target_counts=target_counts,
+        steady_tracking_max=float(
+            record.tracking[steady_window_start(record.horizon):].max()),
+        attacked_steps=sum(d is not None for d in record.decisions),
         dos_events=record.dos_events,
     )
 
@@ -278,6 +251,7 @@ def _r(v):
 
 
 def _write(path, text):
+    """Every artifact write: an OSError becomes InvalidInputError naming path."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -296,6 +270,11 @@ def emit(record: RunRecord, out_dir):
     N = record.n_agents
     written = []
 
+    def put(name, text):
+        path = os.path.join(out_dir, name)
+        _write(path, text)
+        written.append(path)
+
     lines = ["k,t,agent,x,vx,y,vy"]
     steps = [f"{k},{float(k * record.dt)!r}" for k in range(record.horizon + 1)]
     for kt, row in zip(steps, record.states):
@@ -303,26 +282,20 @@ def emit(record: RunRecord, out_dir):
         cells = iter(row.tolist())
         for a, (x, vx, y, vy) in enumerate(zip(cells, cells, cells, cells)):
             lines.append(f"{kt},{a},{x!r},{vx!r},{y!r},{vy!r}")
-    path = os.path.join(out_dir, "trajectories.csv")
-    _write(path, "\n".join(lines) + "\n")
-    written.append(path)
+    put("trajectories.csv", "\n".join(lines) + "\n")
 
     labels = [f"{i}-{j}" for i, j in record.pairs]
     lines = ["k,pair,e"]
     for k in range(record.horizon + 1):
         for label, e in zip(labels, record.pair_errors[k].tolist()):
             lines.append(f"{k},{label},{e!r}")
-    path = os.path.join(out_dir, "errors.csv")
-    _write(path, "\n".join(lines) + "\n")
-    written.append(path)
+    put("errors.csv", "\n".join(lines) + "\n")
 
     lines = ["k,agent,e"]
     for k in range(record.horizon + 1):
         for a, e in enumerate(record.tracking[k].tolist()):
             lines.append(f"{k},{a},{e!r}")
-    path = os.path.join(out_dir, "tracking.csv")
-    _write(path, "\n".join(lines) + "\n")
-    written.append(path)
+    put("tracking.csv", "\n".join(lines) + "\n")
 
     dos_steps = {e.k: e for e in record.dos_events}
     lines = ["step,i,j,ui_x,ui_y,uj_x,uj_y,separation_before,separation_after,dos_event"]
@@ -339,9 +312,7 @@ def emit(record: RunRecord, out_dir):
         uj = d.u_a[2 * j:2 * j + 2]
         lines.append(f"{k},{i},{j},{_r(ui[0])},{_r(ui[1])},{_r(uj[0])},{_r(uj[1])},"
                      f"{_r(d.separation_before)},{_r(d.separation_after)},{flag}")
-    path = os.path.join(out_dir, "attack.csv")
-    _write(path, "\n".join(lines) + "\n")
-    written.append(path)
+    put("attack.csv", "\n".join(lines) + "\n")
 
     ks = list(range(record.horizon + 1))
     series = []
@@ -350,20 +321,16 @@ def emit(record: RunRecord, out_dir):
         ys = record.states[:, 4 * a + 2].tolist()
         series.append((xs, ys, svgplot.PALETTE[a % len(svgplot.PALETTE)],
                        f"agent {a}"))
-    path = os.path.join(out_dir, "trajectories.svg")
-    _write(path, svgplot.line_plot(series, title=f"{record.mode} trajectories",
-                                   xlabel="x [m]", ylabel="y [m]"))
-    written.append(path)
+    put("trajectories.svg", svgplot.line_plot(series, title=f"{record.mode} trajectories",
+                                              xlabel="x [m]", ylabel="y [m]"))
 
     series = []
     for idx, (i, j) in enumerate(record.pairs):
         series.append((ks, record.pair_errors[:, idx].tolist(),
                        svgplot.PALETTE[idx % len(svgplot.PALETTE)], f"e {i}-{j}"))
     series.append((ks, record.system_tracking.tolist(), "#000000", "tracking"))
-    path = os.path.join(out_dir, "errors.svg")
-    _write(path, svgplot.line_plot(series, title=f"{record.mode} errors",
-                                   xlabel="step", ylabel="error [m]",
-                                   dashed=("tracking",)))
-    written.append(path)
+    put("errors.svg", svgplot.line_plot(series, title=f"{record.mode} errors",
+                                        xlabel="step", ylabel="error [m]",
+                                        dashed=("tracking",)))
     return written
 

@@ -160,7 +160,7 @@ class AgentPolygon:
 
 @functools.lru_cache(maxsize=16)
 def _face_pairs(key, shape):
-    """Direction-only part of `halfspace_polygon` for the directions whose
+    """Direction-only part of `_ccw_batch` for the directions whose
     float64 bytes are `key`.
 
     For every non-parallel face pair (i, j), i < j, with normals a and b, the
@@ -193,27 +193,18 @@ def _compact(mask):
     return np.argsort(~mask, axis=1, kind="stable")[:, :counts.max()], counts
 
 
-def halfspace_polygon(directions, supports):
-    """CCW vertices of the bounded intersection of planar half-planes.
+def _ccw_batch(directions, G):
+    """CCW vertices of the bounded intersection of the planar half-planes
+    <directions[k], p> <= G[a, k], for every row a of G (A, m), as one padded
+    (A, w, 2) array: row a holds its counts[a] vertices, then -0.0 padding,
+    and the bytes a pass over row a alone gives.
 
     Intersects all non-parallel face-line pairs and keeps points feasible for
     every half-plane (FEAS_TOL slack), dedupes them within 1e-9 * scale and
     orders them about their centroid. Raises when the directions fail to
-    positively span the plane (unbounded set) or when the intersection is
+    positively span the plane (unbounded set) or when an intersection is
     empty. The direction-only work is cached per direction set.
-
-    `supports` (m,) gives one vertex array; (A, m) gives a list of A, each
-    the bytes its row alone gives, from one padded pass over all rows.
     """
-    g = np.asarray(supports, float)
-    P, counts = _ccw_batch(directions, np.atleast_2d(g))
-    polys = [row[:n] for row, n in zip(P, counts.tolist())]
-    return polys if g.ndim == 2 else polys[0]
-
-
-def _ccw_batch(directions, G):
-    """`halfspace_polygon` of every row of G (A, m) as one padded (A, w, 2)
-    array: row a holds its counts[a] CCW vertices, then -0.0 padding."""
     D = np.ascontiguousarray(directions, float)
     I, J, C, E, det = _face_pairs(D.tobytes(), D.shape)
     with np.errstate(invalid="ignore"):

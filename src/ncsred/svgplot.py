@@ -16,17 +16,18 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 16, 36, 48
 
 
 def _bounds(series):
-    xs_min = min(min(xs) for xs, _, _, _ in series if len(xs))
-    xs_max = max(max(xs) for xs, _, _, _ in series if len(xs))
-    ys_min = min(min(ys) for _, ys, _, _ in series if len(ys))
-    ys_max = max(max(ys) for _, ys, _, _ in series if len(ys))
-    if xs_max == xs_min:
-        xs_max = xs_min + 1.0
-    if ys_max == ys_min:
-        ys_max = ys_min + 1.0
-    pad_x = 0.04 * (xs_max - xs_min)
-    pad_y = 0.06 * (ys_max - ys_min)
-    return xs_min - pad_x, xs_max + pad_x, ys_min - pad_y, ys_max + pad_y
+    """(x0, x1, y0, y1): each axis's range, padded by 4% (x) and 6% (y). A flat
+    axis at v spans 1.0, or |v| / 2**20 where v + 1.0 == v (|v| >= 2**53)."""
+    out = []
+    for axis, pad in ((0, 0.04), (1, 0.06)):
+        lo = min(min(s[axis]) for s in series if len(s[axis]))
+        hi = max(max(s[axis]) for s in series if len(s[axis]))
+        if hi == lo:
+            hi = lo + 1.0
+            if hi == lo:
+                hi = lo + abs(lo) / 2**20
+        out += [lo - pad * (hi - lo), hi + pad * (hi - lo)]
+    return tuple(out)
 
 
 def _fmt(v):

@@ -6,15 +6,33 @@ writes the three CSV tables and the two SVG plots with one numpy scalar index
 and one `repr(float(...))` per cell, and `line_plot` maps each polyline point
 through the scalar `sx`/`sy` closures and formats it with two f-strings.
 `attack.csv` is not here: its code did not change.
+
+`_bounds` is the one from before a flat axis at |v| >= 2**53 got a span, so
+the oracle pins the bytes of every plot that was drawn then, and raises
+`ZeroDivisionError` on such an axis.
 """
 import os
 
 from ncsred.svgplot import (HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T,
-                            PALETTE, WIDTH, _bounds, _fmt)
+                            PALETTE, WIDTH, _fmt)
 
 #: the files `emit` writes, in the order it writes them
 FILES = ("trajectories.csv", "errors.csv", "tracking.csv", "trajectories.svg",
          "errors.svg")
+
+
+def _bounds(series):
+    xs_min = min(min(xs) for xs, _, _, _ in series if len(xs))
+    xs_max = max(max(xs) for xs, _, _, _ in series if len(xs))
+    ys_min = min(min(ys) for _, ys, _, _ in series if len(ys))
+    ys_max = max(max(ys) for _, ys, _, _ in series if len(ys))
+    if xs_max == xs_min:
+        xs_max = xs_min + 1.0
+    if ys_max == ys_min:
+        ys_max = ys_min + 1.0
+    pad_x = 0.04 * (xs_max - xs_min)
+    pad_y = 0.06 * (ys_max - ys_min)
+    return xs_min - pad_x, xs_max + pad_x, ys_min - pad_y, ys_max + pad_y
 
 
 def _r(v):

@@ -1,6 +1,6 @@
-"""All-pairs half-plane intersection, kept as an oracle for `halfspace_polygon`.
+"""All-pairs half-plane intersection, kept as an oracle for `reachset._ccw_batch`.
 
-This is `reachset.halfspace_polygon` as it was before its direction-only work
+This is the half-plane intersection as it was before its direction-only work
 (spanning check, face pairs, determinants, parallel mask) moved into a cache:
 every call intersects all face-line pairs, keeps the points feasible within
 the absolute FEAS_TOL, dedupes them within 1e-9 * scale and orders them about

@@ -26,8 +26,7 @@ from ncsred.graph import Graph
 from ncsred.harness import run
 from ncsred.reachset import (ANGLE_TOL, _direction_fan, _ring_distances,
                              agent_polygon, batch_reach_supports,
-                             circumscribe_ball, embed_input_map,
-                             halfspace_polygon, pair_distances,
+                             circumscribe_ball, embed_input_map, pair_distances,
                              planar_directions, shifted_distances)
 from ncsred.scenario_io import build_scenario
 
@@ -35,6 +34,15 @@ PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def halfspace_polygon(D, g):
+    """`agent_polygon`'s vertices, the `_ccw_batch` rows for supports g: one
+    array for g (m,), a list of one per row for g (A, m)."""
+    g = np.asarray(g, float)
+    if g.ndim == 1:
+        return agent_polygon(D, 0, g).vertices
+    return [p.vertices for p in agent_polygon(D, range(len(g)), g)]
 
 
 def _outcome(fn, *args):

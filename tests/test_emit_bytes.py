@@ -1,5 +1,7 @@
 """`harness.emit` and `svgplot.line_plot` write the bytes of the cell-by-cell
-formatting in `emit_oracle`, raise what it raised and warn where it warned.
+formatting in `emit_oracle`, raise what it raised and warn where it warned,
+except where the oracle divides by a zero axis span: there they draw a finite
+plot.
 
 Records are built by hand, so the values include what no run produces:
 signed zeros, subnormals, values near overflow, infinities and NaN. Every
@@ -7,6 +9,7 @@ comparison runs under `warnings.simplefilter("error")`, so a numpy warning
 that the float code did not give fails as a changed exception type.
 """
 import os
+import re
 import warnings
 
 import numpy as np
@@ -62,13 +65,31 @@ def outcome(fn, *args, **kwargs):
             return None, type(exc)
 
 
+def assert_finite_plot(text, exc):
+    """A plot drawn without an exception or warning, every number finite and
+    every polyline point inside the axes box."""
+    assert exc is None
+    assert "nan" not in text and "inf" not in text
+    for points in re.findall(r'<polyline points="([^"]*)"', text):
+        xy = np.array([p.split(",") for p in points.split()], float)
+        assert (svgplot.MARGIN_L <= xy[:, 0]).all()
+        assert (xy[:, 0] <= svgplot.WIDTH - svgplot.MARGIN_R).all()
+        assert (svgplot.MARGIN_T <= xy[:, 1]).all()
+        assert (xy[:, 1] <= svgplot.HEIGHT - svgplot.MARGIN_B).all()
+
+
 def assert_same_files(record, tmp_path):
+    """The oracle's files and exception; where the oracle divided by a zero
+    span, every file, and the oracle's files written before that match."""
     want_dir, got_dir = tmp_path / "oracle", tmp_path / "emit"
     _, want_exc = outcome(emit_oracle.emit, record, want_dir)
     _, got_exc = outcome(harness.emit, record, got_dir)
-    assert got_exc is want_exc
+    got = [f for f in emit_oracle.FILES if (got_dir / f).exists()]
     want = [f for f in emit_oracle.FILES if (want_dir / f).exists()]
-    assert [f for f in emit_oracle.FILES if (got_dir / f).exists()] == want
+    if want_exc is ZeroDivisionError:
+        assert got_exc is None and got == list(emit_oracle.FILES)
+    else:
+        assert got_exc is want_exc and got == want
     for name in want:
         assert (got_dir / name).read_bytes() == (want_dir / name).read_bytes(), name
     return want_exc
@@ -96,12 +117,13 @@ class TestEmitBytes:
         assert assert_same_files(record, tmp_path) is None
         assert (tmp_path / "emit" / "errors.csv").read_text() == "k,pair,e\n"
 
-    def test_zero_span_plot_raises_after_the_tables(self, tmp_path):
+    def test_zero_span_plot_writes_every_file(self, tmp_path):
         record = record_of(1, 2, 0.1, 0, 0.0)
         record.states[:, 0] = 1e300     # 1e300 + 1.0 == 1e300: a zero x span
         assert assert_same_files(record, tmp_path) is ZeroDivisionError
-        assert (tmp_path / "emit" / "tracking.csv").exists()
-        assert not (tmp_path / "emit" / "trajectories.svg").exists()
+        assert sorted(os.listdir(tmp_path / "emit")) == sorted(
+            emit_oracle.FILES + ("attack.csv",))
+        assert_finite_plot((tmp_path / "emit" / "trajectories.svg").read_text(), None)
 
     def test_nominal_run(self, tmp_path):
         scenario = build_scenario(horizon_steps=60)
@@ -142,6 +164,7 @@ SERIES = {
                        "tracking"), (list(range(30)), [0.1] * 30, "#111111", "e")],
     "zero x span": [([1e300] * 3, [0.0, 1.0, 2.0], "#000000", "a")],
     "zero y span": [([0.0, 1.0], [1e17, 1e17], "#000000", "a")],
+    "negative zero spans": [([-1e300] * 2, [-2.0**53] * 2, "#000000", "a")],
 }
 
 
@@ -150,9 +173,17 @@ class TestLinePlot:
     def test_same_text_or_exception(self, name):
         kwargs = dict(title="t", xlabel="x", ylabel="y", dashed=("tracking",))
         want = outcome(emit_oracle.line_plot, SERIES[name], **kwargs)
-        assert outcome(svgplot.line_plot, SERIES[name], **kwargs) == want
+        got = outcome(svgplot.line_plot, SERIES[name], **kwargs)
+        if want[1] is ZeroDivisionError:
+            assert_finite_plot(*got)
+            x0, x1, y0, y1 = svgplot._bounds(SERIES[name])
+            assert x0 < x1 and y0 < y1
+        else:
+            assert got == want
 
     @pytest.mark.parametrize("name", ["zero x span", "zero y span"])
     def test_zero_span_raises_zero_division(self, name):
+        # the oracle divides by the flat axis' zero span; line_plot does not
         with pytest.raises(ZeroDivisionError):
-            svgplot.line_plot(SERIES[name])
+            emit_oracle.line_plot(SERIES[name])
+        assert_finite_plot(*outcome(svgplot.line_plot, SERIES[name]))

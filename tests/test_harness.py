@@ -63,6 +63,7 @@ class TestRun:
         assert all(d is None for d in r.decisions[:51])
         attacked = [d for d in r.decisions[51:] if d is not None]
         assert len(attacked) == r.horizon - 51
+        assert metrics(r).attacked_steps == r.horizon - 51
         assert not r.injections[:51].any()
 
     def test_fdi_dos_executes_at_configured_step(self):
@@ -102,13 +103,18 @@ class TestMetrics:
     def test_pair_count(self):
         m = metrics(run(short_scenario(), "nominal"))
         assert len(m.pairs) == 10
+        assert m.pairs == [(i, j) for i in range(5) for j in range(i + 1, 5)]
+        assert m.rows()[1][0] == "0-1"
 
 
 class TestEmit:
     def test_files_and_row_counts(self, tmp_path):
         s = short_scenario(seed=1, horizon=70)
         r = run(s, "fdi")
-        emit(r, tmp_path)
+        written = emit(r, tmp_path)
+        assert written == [os.path.join(tmp_path, name) for name in (
+            "trajectories.csv", "errors.csv", "tracking.csv", "attack.csv",
+            "trajectories.svg", "errors.svg")]
         names = sorted(os.listdir(tmp_path))
         assert names == ["attack.csv", "errors.csv", "tracking.csv",
                          "trajectories.csv", "trajectories.svg", "errors.svg"] or \
@@ -383,6 +389,39 @@ class TestCli:
         trace = (out / "trace.csv").read_text().strip().splitlines()
         assert trace[0] == "iteration,frobenius_residual,gamma"
         assert len(trace) >= 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("1,2\n3,x\n", "line 2: could not convert string to float: 'x'"),
+        ("1,2,3,4\n\n1,2\n", "line 3: 2 cells, the first row has 4"),
+    ], ids=["non-numeric cell", "ragged row"])
+    def test_recover_laplacian_names_malformed_input(self, tmp_path, capsys, text,
+                                                     message):
+        kpath = tmp_path / "K.csv"
+        kpath.write_text(text)
+        out = tmp_path / "rec"
+        assert main(["recover-laplacian", "--input", str(kpath), "--out", str(out)]) == 2
+        assert f"InvalidInputError: {kpath} {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, args, artifact", [
+        ("simulate", ["--mode", "nominal"], "errors.svg"),
+        ("dmd-export", ["--at", "60"], "K.csv"),
+        ("reachset-dump", ["--at", "60"], "polygons.svg"),
+        ("recover-laplacian", [], "trace.csv"),
+    ], ids=["simulate", "dmd-export", "reachset-dump", "recover-laplacian"])
+    def test_write_failure_is_named(self, tmp_path, capsys, command, args, artifact):
+        out = tmp_path / "out"
+        (out / artifact).mkdir(parents=True)
+        if command == "recover-laplacian":
+            kpath = tmp_path / "K.csv"
+            np.savetxt(kpath, np.kron(np.array([[1.0, -1.0], [-1.0, 1.0]]), np.eye(4)),
+                       delimiter=",")
+            args = ["--input", str(kpath)]
+        else:
+            args = ["--scenario", self.scenario_file(tmp_path), *args]
+        assert main([command, *args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"InvalidInputError: cannot write {out / artifact}: ")
 
     @pytest.mark.parametrize("flags, knobs", [
         ([], {}),

@@ -157,10 +157,10 @@ class TestNoPerStepReachPass:
         synthesize_fdi(0, (0, 1), model, omega, x, B, polys)
         with mock.patch.object(attack, "agent_reach_polygon",
                                wraps=attack.agent_reach_polygon) as reach, \
-                mock.patch.object(reachset, "halfspace_polygon",
-                                  wraps=reachset.halfspace_polygon) as half:
+                mock.patch.object(reachset, "_ccw_batch",
+                                  wraps=reachset._ccw_batch) as ccw:
             for k in range(3):
                 x = K @ x
                 synthesize_fdi(k, (0, 1), model, omega, x, B, polys)
         assert reach.call_count == 0
-        assert half.call_count == 0
+        assert ccw.call_count == 0

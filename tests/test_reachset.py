@@ -4,8 +4,7 @@ import pytest
 from ncsred.errors import DegenerateGeometryError, InvalidInputError
 from ncsred.reachset import (agent_polygon, batch_reach_supports,
                              circumscribe_ball, embed_input_map,
-                             halfspace_polygon, planar_directions,
-                             polygon_distance, reach_support)
+                             planar_directions, polygon_distance, reach_support)
 
 
 def square_polygon(center, half):
@@ -218,7 +217,7 @@ class TestAgentPolygon:
         dirs = np.array([[1.0, 0], [0.9, 0.1], [0.9, -0.1]])
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         with pytest.raises(DegenerateGeometryError):
-            halfspace_polygon(dirs, np.ones(3))
+            agent_polygon(dirs, 0, np.ones(3))
 
     def test_monte_carlo_endpoints_inside(self):
         rng = np.random.default_rng(13)
