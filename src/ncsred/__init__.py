@@ -16,8 +16,8 @@ from .graph import (Graph, algebraic_connectivity, is_connected, laplacian,
 from .harness import MetricsSummary, RunRecord, emit, metrics, run
 from .laprec import (KroneckerModel, RecoveryResult, project_laplacian_cone,
                      recover)
-from .ncs import (AgentModel, Scenario, StackedState, control_inputs,
-                  reference, stacked_closed_loop, step)
+from .ncs import (AgentModel, Scenario, control_inputs, reference,
+                  stacked_closed_loop, step)
 from .reachset import (AgentPolygon, InputPolytope, agent_polygon,
                        circumscribe_ball, polygon_distance, reach_support)
 from .scenario_io import build_scenario, load_scenario

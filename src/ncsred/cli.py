@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -35,8 +34,8 @@ def _nominal_fit(scenario, upto):
     return buf, dmd.fit(buf, svd_tol=scenario.attack.svd_tol), states[-1]
 
 
-def _write_matrix_csv(path, M):
-    harness._write(path, "\n".join(",".join(repr(float(v)) for v in row)
+def _write_matrix_csv(out_dir, name, M):
+    harness._write(out_dir, name, "\n".join(",".join(repr(float(v)) for v in row)
                                    for row in np.atleast_2d(M)) + "\n")
 
 
@@ -75,10 +74,9 @@ def cmd_simulate(args):
 def cmd_dmd_export(args):
     scenario = load_scenario(args.scenario, seed=args.seed)
     buf, model, _ = _nominal_fit(scenario, args.at)
-    os.makedirs(args.out, exist_ok=True)
-    _write_matrix_csv(os.path.join(args.out, "X.csv"), buf.X)
-    _write_matrix_csv(os.path.join(args.out, "X_plus.csv"), buf.X_plus)
-    _write_matrix_csv(os.path.join(args.out, "K.csv"), model.K)
+    _write_matrix_csv(args.out, "X.csv", buf.X)
+    _write_matrix_csv(args.out, "X_plus.csv", buf.X_plus)
+    _write_matrix_csv(args.out, "K.csv", model.K)
     print(f"residual,{model.residual!r}")
     print(f"rank_used,{model.rank_used}")
     return 0
@@ -92,7 +90,6 @@ def cmd_reachset_dump(args):
                                    range(scenario.n_agents), x,
                                    harness.input_polytope(scenario),
                                    cfg.n_directions, cfg.horizon)
-    os.makedirs(args.out, exist_ok=True)
     lines = ["step,agent,vertex,x,y"]
     series = []
     for a, poly in enumerate(polygons):
@@ -101,8 +98,8 @@ def cmd_reachset_dump(args):
         ring = np.vstack([poly.vertices, poly.vertices[:1]])
         series.append((ring[:, 0].tolist(), ring[:, 1].tolist(),
                        svgplot.PALETTE[a % len(svgplot.PALETTE)], f"agent {a}"))
-    harness._write(os.path.join(args.out, "polygons.csv"), "\n".join(lines) + "\n")
-    harness._write(os.path.join(args.out, "polygons.svg"),
+    harness._write(args.out, "polygons.csv", "\n".join(lines) + "\n")
+    harness._write(args.out, "polygons.svg",
                    svgplot.line_plot(series, title=f"reach polygons at step {args.at}",
                                      xlabel="x [m]", ylabel="y [m]"))
     return 0
@@ -112,14 +109,13 @@ def cmd_recover_laplacian(args):
     K = _read_matrix_csv(args.input)
     result = laprec.recover(K, **{name: getattr(args, name) for name in
                                   ("threshold", "max_iters", "seed") if name in args})
-    os.makedirs(args.out, exist_ok=True)
-    _write_matrix_csv(os.path.join(args.out, "L_hat.csv"), result.model.L)
-    _write_matrix_csv(os.path.join(args.out, "S.csv"), result.model.S)
-    _write_matrix_csv(os.path.join(args.out, "T.csv"), result.model.T)
+    _write_matrix_csv(args.out, "L_hat.csv", result.model.L)
+    _write_matrix_csv(args.out, "S.csv", result.model.S)
+    _write_matrix_csv(args.out, "T.csv", result.model.T)
     lines = ["iteration,frobenius_residual,gamma"]
     for it, (fr, g) in enumerate(zip(result.frobenius_trace, result.trace), 1):
         lines.append(f"{it},{fr!r},{g!r}")
-    harness._write(os.path.join(args.out, "trace.csv"), "\n".join(lines) + "\n")
+    harness._write(args.out, "trace.csv", "\n".join(lines) + "\n")
     print(f"gamma,{result.gamma!r}")
     print(f"iterations,{result.iterations}")
     print(f"converged,{result.converged}")

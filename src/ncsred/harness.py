@@ -41,13 +41,10 @@ class RunRecord:
     dt: float
     n_agents: int
     states: np.ndarray            # (H+1, 4N)
-    inputs: np.ndarray            # (H, N, 2) applied control inputs
-    injections: np.ndarray        # (H, 2N) applied FDI injections
     decisions: list               # per step: AttackDecision or None
     pair_errors: np.ndarray       # (H+1, n_pairs) positional formation errors
     pairs: list                   # [(i, j), ...] matching pair_errors columns
     tracking: np.ndarray          # (H+1, N) per-agent slot deviation (positions)
-    graph_history: np.ndarray     # (H+1,) index into graphs
     graphs: list                  # Graph instances in activation order
     dos_events: list              # DosEvent entries
 
@@ -119,11 +116,8 @@ def run(scenario: Scenario, mode: str) -> RunRecord:
     active_graph = scenario.graph
     graphs = [active_graph]
     index = neighbor_index(active_graph)
-    graph_history = np.zeros(H + 1, dtype=int)
 
     states = np.zeros((H + 1, dim))
-    inputs = np.zeros((H, N, 2))
-    injections = np.zeros((H, 2 * N))
     decisions = [None] * H
     # filled after the loop, but allocated before it: allocating them at the
     # end raised the process's peak RSS
@@ -131,12 +125,12 @@ def run(scenario: Scenario, mode: str) -> RunRecord:
     tracking = np.zeros((H + 1, N))
     dos_events = []
 
-    state = scenario.initial_stacked()
-    states[0] = state.x
+    states[0] = scenario.initial_states.reshape(-1)
 
     for k in range(H):
+        x = states[k]
         if mode != "nominal":
-            buffer.push(state.x)
+            buffer.push(x)
             refit_due = (k >= cfg.start_step
                          and (k - cfg.start_step) % cfg.refit_every == 0)
             if refit_due and buffer.is_full:
@@ -151,27 +145,22 @@ def run(scenario: Scenario, mode: str) -> RunRecord:
 
         u_a = None
         if attacking and k >= cfg.start_step and model is not None:
-            polygons = agent_reach_polygon(model.K, B, range(N), state.x, omega,
+            polygons = agent_reach_polygon(model.K, B, range(N), x, omega,
                                            cfg.n_directions, cfg.horizon)
             targets = select_targets(polygons)
-            decision = synthesize_fdi(k, targets, model, omega, state.x, B,
+            decision = synthesize_fdi(k, targets, model, omega, x, B,
                                       polygons, cfg.n_directions)
             decisions[k] = decision
             u_a = decision.u_a
-            injections[k] = u_a
 
-        inputs[k] = control_inputs(scenario, state, index=index)
-        state = step(scenario, state, fdi=u_a, u=inputs[k])
-        states[k + 1] = state.x
-        graph_history[k + 1] = len(graphs) - 1
+        states[k + 1] = step(scenario, x, control_inputs(scenario, k, x, index=index),
+                             fdi=u_a)
 
     _positional_errors(scenario, states, out=pair_errors)
     _slot_tracking(scenario, states, out=tracking)
     return RunRecord(mode=mode, dt=scenario.agent_model.dt, n_agents=N,
-                     states=states, inputs=inputs, injections=injections,
-                     decisions=decisions, pair_errors=pair_errors,
-                     pairs=_pair_list(N), tracking=tracking,
-                     graph_history=graph_history, graphs=graphs,
+                     states=states, decisions=decisions, pair_errors=pair_errors,
+                     pairs=_pair_list(N), tracking=tracking, graphs=graphs,
                      dos_events=dos_events)
 
 
@@ -250,13 +239,17 @@ def _r(v):
     return repr(float(v))
 
 
-def _write(path, text):
-    """Every artifact write: an OSError becomes InvalidInputError naming path."""
+def _write(out_dir, name, text):
+    """Every artifact write: creates out_dir, writes text to out_dir/name and
+    returns that path; an OSError becomes InvalidInputError naming the path."""
+    path = os.path.join(out_dir, name)
     try:
+        os.makedirs(out_dir, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
         raise InvalidInputError(f"cannot write {path}: {exc}") from exc
+    return path
 
 
 def emit(record: RunRecord, out_dir):
@@ -266,15 +259,8 @@ def emit(record: RunRecord, out_dir):
     reproduces the run to full precision and identical runs emit identical
     bytes.
     """
-    os.makedirs(out_dir, exist_ok=True)
     N = record.n_agents
     written = []
-
-    def put(name, text):
-        path = os.path.join(out_dir, name)
-        _write(path, text)
-        written.append(path)
-
     lines = ["k,t,agent,x,vx,y,vy"]
     steps = [f"{k},{float(k * record.dt)!r}" for k in range(record.horizon + 1)]
     for kt, row in zip(steps, record.states):
@@ -282,20 +268,20 @@ def emit(record: RunRecord, out_dir):
         cells = iter(row.tolist())
         for a, (x, vx, y, vy) in enumerate(zip(cells, cells, cells, cells)):
             lines.append(f"{kt},{a},{x!r},{vx!r},{y!r},{vy!r}")
-    put("trajectories.csv", "\n".join(lines) + "\n")
+    written.append(_write(out_dir, "trajectories.csv", "\n".join(lines) + "\n"))
 
     labels = [f"{i}-{j}" for i, j in record.pairs]
     lines = ["k,pair,e"]
     for k in range(record.horizon + 1):
         for label, e in zip(labels, record.pair_errors[k].tolist()):
             lines.append(f"{k},{label},{e!r}")
-    put("errors.csv", "\n".join(lines) + "\n")
+    written.append(_write(out_dir, "errors.csv", "\n".join(lines) + "\n"))
 
     lines = ["k,agent,e"]
     for k in range(record.horizon + 1):
         for a, e in enumerate(record.tracking[k].tolist()):
             lines.append(f"{k},{a},{e!r}")
-    put("tracking.csv", "\n".join(lines) + "\n")
+    written.append(_write(out_dir, "tracking.csv", "\n".join(lines) + "\n"))
 
     dos_steps = {e.k: e for e in record.dos_events}
     lines = ["step,i,j,ui_x,ui_y,uj_x,uj_y,separation_before,separation_after,dos_event"]
@@ -312,7 +298,7 @@ def emit(record: RunRecord, out_dir):
         uj = d.u_a[2 * j:2 * j + 2]
         lines.append(f"{k},{i},{j},{_r(ui[0])},{_r(ui[1])},{_r(uj[0])},{_r(uj[1])},"
                      f"{_r(d.separation_before)},{_r(d.separation_after)},{flag}")
-    put("attack.csv", "\n".join(lines) + "\n")
+    written.append(_write(out_dir, "attack.csv", "\n".join(lines) + "\n"))
 
     ks = list(range(record.horizon + 1))
     series = []
@@ -321,16 +307,17 @@ def emit(record: RunRecord, out_dir):
         ys = record.states[:, 4 * a + 2].tolist()
         series.append((xs, ys, svgplot.PALETTE[a % len(svgplot.PALETTE)],
                        f"agent {a}"))
-    put("trajectories.svg", svgplot.line_plot(series, title=f"{record.mode} trajectories",
-                                              xlabel="x [m]", ylabel="y [m]"))
+    plot = svgplot.line_plot(series, title=f"{record.mode} trajectories",
+                             xlabel="x [m]", ylabel="y [m]")
+    written.append(_write(out_dir, "trajectories.svg", plot))
 
     series = []
     for idx, (i, j) in enumerate(record.pairs):
         series.append((ks, record.pair_errors[:, idx].tolist(),
                        svgplot.PALETTE[idx % len(svgplot.PALETTE)], f"e {i}-{j}"))
     series.append((ks, record.system_tracking.tolist(), "#000000", "tracking"))
-    put("errors.svg", svgplot.line_plot(series, title=f"{record.mode} errors",
-                                        xlabel="step", ylabel="error [m]",
-                                        dashed=("tracking",)))
+    plot = svgplot.line_plot(series, title=f"{record.mode} errors", xlabel="step",
+                             ylabel="error [m]", dashed=("tracking",))
+    written.append(_write(out_dir, "errors.svg", plot))
     return written
 

@@ -178,6 +178,9 @@ def recover(K, threshold=1e-6, max_iters=100, seed=0) -> RecoveryResult:
     K = np.asarray(K, float)
     if K.ndim != 2 or K.shape[0] != K.shape[1] or K.shape[0] % BLOCK:
         raise InvalidInputError("K must be square with side divisible by 4")
+    if not np.isfinite(K).all():
+        i, j = np.argwhere(~np.isfinite(K))[0]
+        raise InvalidInputError(f"K[{i}, {j}] is {K[i, j]}, not finite")
     n_agents = K.shape[0] // BLOCK
     rng = np.random.default_rng(seed)
 
@@ -203,12 +206,11 @@ def recover(K, threshold=1e-6, max_iters=100, seed=0) -> RecoveryResult:
             L, T = L_neg, -T
         else:
             L = L_pos
-        S = s_step(K, T, L)
         T, reg_t = t_step(K, L)
         regularized |= reg_t
         S = s_step(K, T, L)
 
-        model = KroneckerModel(S=S.copy(), T=T.copy(), L=L.copy())
+        model = KroneckerModel(S=S, T=T, L=L)
         gamma, frob = residual_gamma(K, model)
         improvement = best_gamma - gamma
         if gamma < best_gamma:

@@ -116,14 +116,6 @@ class ReferenceTrack:
 
 
 @dataclass
-class StackedState:
-    """Stacked state of all agents at step k (length 4N, agent-major)."""
-
-    k: int
-    x: np.ndarray
-
-
-@dataclass
 class Scenario:
     """Full experiment description: plant, gains, formation, and attack knobs.
 
@@ -170,9 +162,6 @@ class Scenario:
     def dim(self):
         return STATE_DIM * self.n_agents
 
-    def initial_stacked(self):
-        return StackedState(k=0, x=self.initial_states.reshape(-1).copy())
-
 
 def neighbor_index(g: Graph):
     """Index arrays (ii, jj) of g's neighbour terms, in (i, ascending j) order;
@@ -182,30 +171,19 @@ def neighbor_index(g: Graph):
     return ii, np.array([j for js in nbrs for j in js], dtype=int)
 
 
-def control_inputs(s: Scenario, state: StackedState, graph: Optional[Graph] = None,
+def control_inputs(s: Scenario, k: int, x: np.ndarray, graph: Optional[Graph] = None,
                    index=None):
-    """Per-agent control inputs (N x 2) at the state's step.
+    """Per-agent control inputs (N x 2) at step k and stacked state x.
 
     Followers sum coupling terms over their neighborhoods; the leader adds its
     tracking term against the moving target. All agents share the track's
-    feedforward acceleration, which keeps the closed loop on the reference
-    (`feedback_inputs` exposes the pure feedback part).
-    """
-    u = feedback_inputs(s, state, graph, index)
-    u += s.track.acc[state.k][None, :]
-    return u
-
-
-def feedback_inputs(s: Scenario, state: StackedState, graph: Optional[Graph] = None,
-                    index=None):
-    """Coupling and leader-tracking feedback terms only (N x 2).
-
+    feedforward acceleration, which keeps the closed loop on the reference.
     Every neighbour term K (x_i - x_j - (o_i - o_j)) is one stacked 2x4 @ 4x1
     product; each agent sums its terms in ascending neighbour order. A
     caller's `index`, the graph's `neighbor_index`, stands in for `graph`.
     """
     N = s.n_agents
-    x = np.asarray(state.x, float)
+    x = np.asarray(x, float)
     if x.shape != (s.dim,):
         raise InvalidInputError(f"state length {x.shape} != {s.dim}")
     X = x.reshape(N, STATE_DIM)
@@ -217,17 +195,17 @@ def feedback_inputs(s: Scenario, state: StackedState, graph: Optional[Graph] = N
     dev = X[ii] - X[jj] - (off[ii] - off[jj])
     u = np.zeros((N, INPUT_DIM))
     np.add.at(u, ii, (s.gain @ dev[..., None])[..., 0])
-    u[0] += s.leader_gain @ (X[0] - s.track.states[state.k])
+    u[0] += s.leader_gain @ (X[0] - s.track.states[k])
+    u += s.track.acc[k][None, :]
     return u
 
 
-def step(s: Scenario, state: StackedState, fdi: Optional[np.ndarray] = None,
-         graph: Optional[Graph] = None, u: Optional[np.ndarray] = None) -> StackedState:
-    """One plant step: x_i <- A x_i + B (u_i + u^a_i).
+def step(s: Scenario, x: np.ndarray, u: np.ndarray,
+         fdi: Optional[np.ndarray] = None) -> np.ndarray:
+    """Next stacked state: x_i <- A x_i + B (u_i + u^a_i).
 
-    `fdi` is an optional stacked injection of length 2N entering through the
-    same actuator matrix B. `u` optionally supplies this state's
-    `control_inputs` (N x 2) when the caller has already computed them. All
+    `u` is this state's `control_inputs` (N x 2); `fdi` is an optional stacked
+    injection of length 2N entering through the same actuator matrix B. All
     agents update in stacked 4x4 @ 4x1 and 4x2 @ 2x1 products.
     """
     N = s.n_agents
@@ -235,13 +213,10 @@ def step(s: Scenario, state: StackedState, fdi: Optional[np.ndarray] = None,
         fdi = np.asarray(fdi, float)
         if fdi.shape != (INPUT_DIM * N,):
             raise InvalidInputError(f"fdi length {fdi.shape} != {INPUT_DIM * N}")
-    if u is None:
-        u = control_inputs(s, state, graph)
-    if fdi is not None:
         u = u + fdi.reshape(N, INPUT_DIM)
-    out = (s.agent_model.A @ state.x.reshape(N, STATE_DIM, 1)
+    out = (s.agent_model.A @ np.asarray(x, float).reshape(N, STATE_DIM, 1)
            + s.agent_model.B @ np.asarray(u, float)[..., None])
-    return StackedState(k=state.k + 1, x=out.reshape(-1))
+    return out.reshape(-1)
 
 
 def stacked_closed_loop(s: Scenario, graph: Optional[Graph] = None) -> np.ndarray:

@@ -320,19 +320,6 @@ def _ring_distances(points, rings, faces, edges=None):
     return np.where(inside, 0.0, d)
 
 
-def shifted_distances(P: AgentPolygon, Q: AgentPolygon, shifts):
-    """Distances between P + s and Q for every row s of `shifts` (k, 2).
-
-    dist(P + s, Q) is the distance from the point s to the Minkowski
-    difference Q - P, whose vertices are the differences of the two polygons'
-    support points on a shared direction fan (support functions add under
-    Minkowski sums), so all shifts cost one vectorised point query.
-    """
-    faces, arcs = _direction_fan((P, Q))
-    hi, lo = _extreme_vertices((P, Q), arcs)
-    return _ring_distances(np.asarray(shifts, float).reshape(-1, 2), hi[1] - lo[0], faces)
-
-
 @functools.lru_cache(maxsize=16)
 def pair_indices(n):
     """Read-only index arrays (ii, jj) of every pair i < j of n items, in
@@ -364,7 +351,7 @@ def input_image_distances(omega: InputPolytope, Bpos, n_directions, shifts):
 @functools.lru_cache(maxsize=16)
 def _input_difference(vkey, bkey, m):
     """Read-only ring, face normals and `_ring_edges` of S - S for
-    `input_image_distances`, as `shifted_distances(S, S, .)` builds them."""
+    `input_image_distances`: S's max minus min vertices on its own fan."""
     D = planar_directions(m)
     V = np.frombuffer(vkey).reshape(-1, 2)
     S = agent_polygon(D, -1, (D @ np.frombuffer(bkey).reshape(2, 2) @ V.T).max(axis=1))
@@ -376,4 +363,4 @@ def _input_difference(vkey, bkey, m):
 def polygon_distance(P: AgentPolygon, Q: AgentPolygon) -> float:
     """Euclidean distance between two convex polygons (0 when they intersect);
     polygons from `agent_polygon` give their stored extremes, not a new pass."""
-    return float(shifted_distances(P, Q, np.zeros(2))[0])
+    return float(pair_distances((P, Q))[0])

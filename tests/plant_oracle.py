@@ -1,37 +1,34 @@
 """Per-agent loop versions of the plant's feedback and step, kept as oracles.
 
-These are `ncs.feedback_inputs` and `ncs.step` as they were before the
-neighbour terms and agent updates became stacked products: each neighbour
-term is its own 2x4 @ 4 product added to u[i] in ascending neighbour order,
-and each agent updates with its own 4x4 @ 4 and 4x2 @ 2 products. The
-stacked versions must return the same bytes.
+These are the feedback part of `ncs.control_inputs` and `ncs.step` as they
+were before the neighbour terms and agent updates became stacked products:
+each neighbour term is its own 2x4 @ 4 product added to u[i] in ascending
+neighbour order, and each agent updates with its own 4x4 @ 4 and 4x2 @ 2
+products. The stacked versions must return the same bytes.
 """
 import numpy as np
 
-from ncsred.ncs import StackedState
 from scenario_helpers import offset_difference
 
 
-def feedback_inputs(s, state, graph=None):
+def feedback_inputs(s, k, x, graph=None):
     g = s.graph if graph is None else graph
     N = s.n_agents
-    X = np.asarray(state.x, float).reshape(N, 4)
+    X = np.asarray(x, float).reshape(N, 4)
     u = np.zeros((N, 2))
     for i in range(N):
         for j in g.neighbors(i):
             u[i] += s.gain @ (X[i] - X[j] - offset_difference(s, i, j))
-    u[0] += s.leader_gain @ (X[0] - s.track.states[state.k])
+    u[0] += s.leader_gain @ (X[0] - s.track.states[k])
     return u
 
 
-def step(s, state, fdi=None, graph=None, u=None):
+def step(s, x, u, fdi=None):
     N = s.n_agents
-    if u is None:
-        u = feedback_inputs(s, state, graph) + s.track.acc[state.k][None, :]
     A, B = s.agent_model.A, s.agent_model.B
-    X = state.x.reshape(N, 4)
+    X = x.reshape(N, 4)
     out = np.empty_like(X)
     for i in range(N):
         ui = u[i] if fdi is None else u[i] + fdi[2 * i:2 * i + 2]
         out[i] = A @ X[i] + B @ ui
-    return StackedState(k=state.k + 1, x=out.reshape(-1))
+    return out.reshape(-1)

@@ -9,7 +9,8 @@ bytes and give the same separations to within 1e-9.
 import numpy as np
 
 from ncsred.attack import AttackDecision, agent_reach_polygon
-from ncsred.reachset import embed_input_map, polygon_distance, shifted_distances
+from ncsred.reachset import (_direction_fan, _extreme_vertices, _ring_distances,
+                             embed_input_map, polygon_distance)
 
 
 def synthesize_fdi(k, targets, model, omega, state, B, polygons, n_directions=16):
@@ -26,7 +27,11 @@ def synthesize_fdi(k, targets, model, omega, state, B, polygons, n_directions=16
     delta = (Ui @ (K @ embed_input_map(B, i, n_agents)).T
              + Uj @ (K @ embed_input_map(B, j, n_agents)).T)
     shifts = delta[:, [4 * i, 4 * i + 2]] - delta[:, [4 * j, 4 * j + 2]]
-    scores = shifted_distances(Pi0, Pj0, shifts)
+    # dist(Pi0 + s, Pj0) is the distance from s to the Minkowski difference
+    # Pj0 - Pi0: Pj0's max vertices minus Pi0's min vertices on the shared fan
+    faces, arcs = _direction_fan((Pi0, Pj0))
+    hi, lo = _extreme_vertices((Pi0, Pj0), arcs)
+    scores = _ring_distances(shifts, hi[1] - lo[0], faces)
     best = int(np.argmax(scores))
     u_a = np.zeros(2 * n_agents)
     u_a[2 * i:2 * i + 2] = Ui[best]

@@ -27,7 +27,7 @@ from ncsred.harness import run
 from ncsred.reachset import (ANGLE_TOL, _direction_fan, _ring_distances,
                              agent_polygon, batch_reach_supports,
                              circumscribe_ball, embed_input_map, pair_distances,
-                             planar_directions, shifted_distances)
+                             planar_directions, polygon_distance)
 from ncsred.scenario_io import build_scenario
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
@@ -234,7 +234,7 @@ def _extreme(P, arcs):
 
 
 class TestPaddedExtremeVertices:
-    """`pair_distances` and `shifted_distances` take every polygon's extreme
+    """`pair_distances` and `polygon_distance` take every polygon's extreme
     vertices in one padded pass; the scores equal those from one polygon at a
     time, on polygons with differing vertex counts and direction sets."""
 
@@ -256,11 +256,10 @@ class TestPaddedExtremeVertices:
         assert np.array_equal(pair_distances(polys), want)
 
         P, Q = polys[:2]
-        shifts = rng.normal(scale=5.0, size=(7, 2))
         faces, arcs = _uncached_fan((P, Q))
-        want = _ring_distances(shifts, _extreme(Q, arcs)[0] - _extreme(P, arcs)[1],
-                               faces)
-        assert np.array_equal(shifted_distances(P, Q, shifts), want)
+        want = _ring_distances(np.zeros((1, 2)),
+                               _extreme(Q, arcs)[0] - _extreme(P, arcs)[1], faces)
+        assert polygon_distance(P, Q) == want[0]
 
 
 def _plant_scenario(rng, n):
@@ -283,26 +282,23 @@ class TestStackedPlant:
 
     @PROPERTY
     @given(seed=seeds, n=st.integers(min_value=1, max_value=12),
-           with_fdi=st.booleans(), pass_u=st.booleans())
-    def test_matches_loops(self, seed, n, with_fdi, pass_u):
+           with_fdi=st.booleans(), random_u=st.booleans())
+    def test_matches_loops(self, seed, n, with_fdi, random_u):
         rng = np.random.default_rng(seed)
         s = _plant_scenario(rng, n)
-        state = ncs.StackedState(k=int(rng.integers(0, 40)),
-                                 x=rng.normal(scale=20.0, size=4 * n))
+        k = int(rng.integers(0, 40))
+        x = rng.normal(scale=20.0, size=4 * n)
         graph = Graph(n, {e for e in s.graph.edges if rng.random() < 0.5})
-        for g in (None, graph):
-            assert np.array_equal(ncs.feedback_inputs(s, state, g),
-                                  plant_oracle.feedback_inputs(s, state, g))
+        want_u = plant_oracle.feedback_inputs(s, k, x, graph) + s.track.acc[k]
+        assert np.array_equal(ncs.control_inputs(s, k, x, graph), want_u)
+        assert np.array_equal(ncs.control_inputs(s, k, x),
+                              plant_oracle.feedback_inputs(s, k, x) + s.track.acc[k])
         # the index a run builds once per graph stands in for the graph
         assert np.array_equal(
-            ncs.control_inputs(s, state, index=ncs.neighbor_index(graph)),
-            plant_oracle.feedback_inputs(s, state, graph) + s.track.acc[state.k])
+            ncs.control_inputs(s, k, x, index=ncs.neighbor_index(graph)), want_u)
         fdi = rng.normal(size=2 * n) if with_fdi else None
-        u = rng.normal(size=(n, 2)) if pass_u else None
-        got = ncs.step(s, state, fdi=fdi, graph=graph, u=u)
-        want = plant_oracle.step(s, state, fdi=fdi, graph=graph, u=u)
-        assert got.k == want.k
-        assert np.array_equal(got.x, want.x)
+        u = rng.normal(size=(n, 2)) if random_u else want_u
+        assert np.array_equal(ncs.step(s, x, u, fdi), plant_oracle.step(s, x, u, fdi))
 
 
 class _DequeBuffer:

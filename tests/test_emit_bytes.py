@@ -45,13 +45,10 @@ def record_of(n, horizon, dt, seed, special_frac):
     pairs = _pair_list(n)
     return RunRecord(mode="fdi", dt=dt, n_agents=n,
                      states=table(rng, (horizon + 1, 4 * n), special_frac),
-                     inputs=np.zeros((horizon, n, 2)),
-                     injections=np.zeros((horizon, 2 * n)),
                      decisions=[None] * horizon,
                      pair_errors=table(rng, (horizon + 1, len(pairs)), special_frac),
                      pairs=pairs,
                      tracking=table(rng, (horizon + 1, n), special_frac),
-                     graph_history=np.zeros(horizon + 1, dtype=int),
                      graphs=[], dos_events=[])
 
 

@@ -23,8 +23,7 @@ from ncsred.harness import run
 from ncsred.ncs import control_inputs
 from ncsred.reachset import (AgentPolygon, _direction_fan, _extreme_vertices,
                              agent_polygon, circumscribe_ball, pair_distances,
-                             planar_directions,
-                             polygon_distance, shifted_distances)
+                             planar_directions, polygon_distance)
 from ncsred.scenario_io import build_scenario
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
@@ -74,13 +73,10 @@ class TestStoredExtremes:
         hand = [_by_hand(p) for p in polys]
         assert pair_distances(polys).tobytes() == pair_distances(hand).tobytes()
         i, j = map(int, rng.choice(n, size=2, replace=False))
-        shifts = rng.normal(scale=5.0, size=(7, 2))
-        want = shifted_distances(hand[i], hand[j], shifts).tobytes()
-        assert shifted_distances(polys[i], polys[j], shifts).tobytes() == want
+        want = polygon_distance(hand[i], hand[j])
+        assert polygon_distance(polys[i], polys[j]) == want
         # one stored and one hand-built polygon take the recompute path
-        assert shifted_distances(polys[i], hand[j], shifts).tobytes() == want
-        assert polygon_distance(polys[i], polys[j]) \
-            == polygon_distance(hand[i], hand[j])
+        assert polygon_distance(polys[i], hand[j]) == want
 
     def test_scalar_agent_keeps_extremes(self):
         D = planar_directions(8)
@@ -200,7 +196,7 @@ class TestNeighborIndex:
     def test_graph_of_another_size_is_named(self, n_nodes):
         s = build_scenario(seed=2, horizon_steps=10)
         with pytest.raises(InvalidInputError, match=f"graph has {n_nodes} nodes"):
-            control_inputs(s, s.initial_stacked(), Graph(n_nodes, {(0, 1)}))
+            control_inputs(s, 0, s.initial_states.reshape(-1), Graph(n_nodes, {(0, 1)}))
 
 
 def _diag_fit(buf, svd_tol):

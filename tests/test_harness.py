@@ -64,7 +64,8 @@ class TestRun:
         attacked = [d for d in r.decisions[51:] if d is not None]
         assert len(attacked) == r.horizon - 51
         assert metrics(r).attacked_steps == r.horizon - 51
-        assert not r.injections[:51].any()
+        # no injection enters the plant before step 51
+        assert np.array_equal(r.states[:52], run(s, "nominal").states[:52])
 
     def test_fdi_dos_executes_at_configured_step(self):
         s = short_scenario()
@@ -403,15 +404,26 @@ class TestCli:
         assert f"InvalidInputError: {kpath} {message}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, args, artifact", [
-        ("simulate", ["--mode", "nominal"], "errors.svg"),
-        ("dmd-export", ["--at", "60"], "K.csv"),
-        ("reachset-dump", ["--at", "60"], "polygons.svg"),
-        ("recover-laplacian", [], "trace.csv"),
-    ], ids=["simulate", "dmd-export", "reachset-dump", "recover-laplacian"])
-    def test_write_failure_is_named(self, tmp_path, capsys, command, args, artifact):
+    @pytest.mark.parametrize("command, args, artifact, out_is_file", [
+        ("simulate", ["--mode", "nominal"], "errors.svg", False),
+        ("dmd-export", ["--at", "60"], "K.csv", False),
+        ("reachset-dump", ["--at", "60"], "polygons.svg", False),
+        ("recover-laplacian", [], "trace.csv", False),
+        # an --out that names a file fails at each command's first artifact
+        ("simulate", ["--mode", "nominal"], "trajectories.csv", True),
+        ("dmd-export", ["--at", "60"], "X.csv", True),
+        ("reachset-dump", ["--at", "60"], "polygons.csv", True),
+        ("recover-laplacian", [], "L_hat.csv", True),
+    ], ids=["simulate", "dmd-export", "reachset-dump", "recover-laplacian",
+            "simulate, out is a file", "dmd-export, out is a file",
+            "reachset-dump, out is a file", "recover-laplacian, out is a file"])
+    def test_write_failure_is_named(self, tmp_path, capsys, command, args, artifact,
+                                    out_is_file):
         out = tmp_path / "out"
-        (out / artifact).mkdir(parents=True)
+        if out_is_file:
+            out.write_text("")
+        else:
+            (out / artifact).mkdir(parents=True)
         if command == "recover-laplacian":
             kpath = tmp_path / "K.csv"
             np.savetxt(kpath, np.kron(np.array([[1.0, -1.0], [-1.0, 1.0]]), np.eye(4)),
@@ -422,6 +434,18 @@ class TestCli:
         assert main([command, *args, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"InvalidInputError: cannot write {out / artifact}: ")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_recover_laplacian_rejects_non_finite(self, tmp_path, capsys, cell):
+        K = np.kron(np.array([[1.0, -1.0], [-1.0, 1.0]]), np.eye(4))
+        K[0, 1] = float(cell)
+        kpath = tmp_path / "K.csv"
+        np.savetxt(kpath, K, delimiter=",")
+        out = tmp_path / "rec"
+        assert main(["recover-laplacian", "--input", str(kpath), "--out", str(out)]) == 2
+        assert (capsys.readouterr().err
+                == f"InvalidInputError: K[0, 1] is {cell}, not finite\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags, knobs", [
         ([], {}),

@@ -2,14 +2,19 @@ import numpy as np
 import pytest
 
 from ncsred.errors import InvalidInputError
-from ncsred.ncs import (AgentModel, StackedState, control_inputs,
-                        feedback_inputs, reference, stacked_closed_loop, step)
+from ncsred.ncs import (AgentModel, control_inputs, reference,
+                        stacked_closed_loop, step)
 from ncsred.scenario_io import build_scenario
 from scenario_helpers import offset_difference, stacked_slots
 
 
 def zero_reference(k):
     return np.zeros(np.shape(k) + (4,))
+
+
+def advance(s, k, x, fdi=None):
+    """The plant's next state from x at step k under its own control law."""
+    return step(s, x, control_inputs(s, k, x), fdi)
 
 
 def small_scenario(n_agents, edges, leader_gain=None, gain=None, ref_fn=None,
@@ -62,21 +67,21 @@ class TestControlInputs:
         s = build_scenario(seed=0, n_agents=5, horizon_steps=10,
                            ref_fn=zero_reference)
         x = stacked_slots(s, 0)
-        u = control_inputs(s, StackedState(k=0, x=x))
+        u = control_inputs(s, 0, x)
         assert np.abs(u).max() < 1e-12
 
     def test_feedback_vanishes_on_track(self):
         s = build_scenario(seed=0, horizon_steps=10)
         x = stacked_slots(s, 3)
-        u = feedback_inputs(s, StackedState(k=3, x=x))
-        assert np.abs(u).max() < 1e-9
+        u = control_inputs(s, 3, x)
+        assert np.abs(u - s.track.acc[3]).max() < 1e-9
 
     def test_two_agent_displacement(self):
         s = small_scenario(2, {(0, 1)})
         delta = 2.5
         x = np.zeros(8)
         x[4] = delta  # agent 1 displaced along x only
-        u = control_inputs(s, StackedState(k=0, x=x))
+        u = control_inputs(s, 0, x)
         assert u[1] == pytest.approx([-0.2263 * delta, 0.0], abs=1e-12)
 
     def test_matches_hand_assembled_sum(self):
@@ -84,7 +89,7 @@ class TestControlInputs:
         rng = np.random.default_rng(42)
         x = rng.normal(scale=5.0, size=s.dim)
         k = 4
-        u = control_inputs(s, StackedState(k=k, x=x))
+        u = control_inputs(s, k, x)
         # independent re-evaluation of the control law, written long-hand
         X = x.reshape(5, 4)
         nbrs = {0: [1, 2], 1: [0, 3], 2: [0, 4], 3: [1], 4: [2]}
@@ -102,26 +107,24 @@ class TestControlInputs:
 class TestStep:
     def test_zero_fixed_point(self):
         s = small_scenario(2, {(0, 1)})
-        nxt = step(s, StackedState(k=0, x=np.zeros(8)))
-        assert np.array_equal(nxt.x, np.zeros(8))
-        assert nxt.k == 1
+        assert np.array_equal(advance(s, 0, np.zeros(8)), np.zeros(8))
 
     def test_zero_fdi_matches_nominal(self):
         s = build_scenario(seed=1, horizon_steps=10)
         x = np.random.default_rng(0).normal(size=s.dim)
-        a = step(s, StackedState(k=2, x=x))
-        b = step(s, StackedState(k=2, x=x), fdi=np.zeros(2 * s.n_agents))
-        assert np.array_equal(a.x, b.x)
+        a = advance(s, 2, x)
+        b = advance(s, 2, x, fdi=np.zeros(2 * s.n_agents))
+        assert np.array_equal(a, b)
 
     def test_injection_through_actuator(self):
         s = small_scenario(1, set())
-        nxt = step(s, StackedState(k=0, x=np.zeros(4)), fdi=np.array([1.0, 0.0]))
-        assert np.allclose(nxt.x, [0.02, 0.2, 0.0, 0.0], atol=1e-15)
+        nxt = advance(s, 0, np.zeros(4), fdi=np.array([1.0, 0.0]))
+        assert np.allclose(nxt, [0.02, 0.2, 0.0, 0.0], atol=1e-15)
 
     def test_dimension_mismatch(self):
         s = small_scenario(2, {(0, 1)})
         with pytest.raises(InvalidInputError):
-            step(s, StackedState(k=0, x=np.zeros(8)), fdi=np.zeros(3))
+            advance(s, 0, np.zeros(8), fdi=np.zeros(3))
 
 
 class TestStackedClosedLoop:
@@ -161,8 +164,8 @@ class TestErrorDynamicsConsistency:
         for k in [0, 3, 7]:
             x1 = rng.normal(scale=10.0, size=s.dim)
             x2 = rng.normal(scale=10.0, size=s.dim)
-            d1 = step(s, StackedState(k=k, x=x1)).x
-            d2 = step(s, StackedState(k=k, x=x2)).x
+            d1 = advance(s, k, x1)
+            d2 = advance(s, k, x2)
             assert np.allclose(d1 - d2, M @ (x1 - x2), atol=1e-10)
 
     def test_step_equals_matrix_on_deviations(self):
@@ -173,21 +176,21 @@ class TestErrorDynamicsConsistency:
             x = rng.normal(scale=10.0, size=s.dim)
             slots_k = stacked_slots(s, k)
             slots_k1 = stacked_slots(s, k + 1)
-            got = step(s, StackedState(k=k, x=x)).x
+            got = advance(s, k, x)
             assert np.allclose(got, M @ (x - slots_k) + slots_k1, atol=1e-10)
 
     def test_slot_trajectory_invariant(self):
         s = build_scenario(seed=2, horizon_steps=20)
         for k in [0, 10]:
-            got = step(s, StackedState(k=k, x=stacked_slots(s, k))).x
+            got = advance(s, k, stacked_slots(s, k))
             assert np.allclose(got, stacked_slots(s, k + 1), atol=1e-9)
 
     def test_nominal_formation_converges(self):
         s = build_scenario(seed=0)
-        state = s.initial_stacked()
-        for _ in range(s.horizon_steps):
-            state = step(s, state)
-        X = state.x.reshape(5, 4)
+        x = s.initial_states.reshape(-1)
+        for k in range(s.horizon_steps):
+            x = advance(s, k, x)
+        X = x.reshape(5, 4)
         for i in range(5):
             for j in range(i + 1, 5):
                 want = (s.formation_offsets[i] - s.formation_offsets[j])[[0, 2]]
