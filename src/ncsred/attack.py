@@ -65,7 +65,6 @@ class AttackConfig:
 class AttackDecision:
     """One step's injection choice and the separations it was scored on."""
 
-    k: int
     targets: Tuple[int, int]
     u_a: np.ndarray          # stacked injection, length 2N, zero off-target
     separation_before: float
@@ -121,7 +120,7 @@ def _reach_operands(bkey, bshape, akey, n_agents, n_directions):
     return _frozen(dirs, Bsel, lifts)
 
 
-def synthesize_fdi(k, targets, model, omega: InputPolytope, state, B, polygons,
+def synthesize_fdi(targets, model, omega: InputPolytope, state, B, polygons,
                    n_directions=AttackConfig.n_directions) -> AttackDecision:
     """Choose the vertex-pair injection that drives the targets' next-step
     reach polygons farthest apart.
@@ -162,7 +161,7 @@ def synthesize_fdi(k, targets, model, omega: InputPolytope, state, B, polygons,
     u_a = np.zeros(2 * n_agents)
     u_a[2 * i:2 * i + 2] = Ui[best]
     u_a[2 * j:2 * j + 2] = Uj[best]
-    return AttackDecision(k=int(k), targets=(i, j), u_a=u_a,
+    return AttackDecision(targets=(i, j), u_a=u_a,
                           separation_before=float(sep_before),
                           separation_after=float(scores[best]))
 
@@ -176,17 +175,17 @@ def _candidates(vkey):
                    np.vstack([np.tile(V, (len(V), 1)), np.zeros(2)]))
 
 
-def recovered_graph(L_hat, threshold_factor=EDGE_THRESHOLD_FACTOR) -> Graph:
+def recovered_graph(L_hat) -> Graph:
     """Thresholded adjacency of a recovered Laplacian.
 
-    Off-diagonal entries below -threshold_factor * (max off-diagonal
+    Off-diagonal entries below -EDGE_THRESHOLD_FACTOR * (max off-diagonal
     magnitude) count as edges; the relative rule absorbs the scale ambiguity
     of the Kronecker factorization.
     """
     L_hat = np.asarray(L_hat, float)
     off = L_hat - np.diag(np.diag(L_hat))
     mx = np.abs(off).max()
-    edges = np.argwhere(np.triu(np.minimum(off, off.T) < -threshold_factor * mx, k=1))
+    edges = np.argwhere(np.triu(np.minimum(off, off.T) < -EDGE_THRESHOLD_FACTOR * mx, k=1))
     return Graph(len(L_hat), frozenset(map(tuple, edges.tolist())))
 
 
@@ -198,13 +197,13 @@ class DosPlan:
     edge: Tuple[int, int]
 
 
-def plan_dos(model, recovery, leader=0) -> Optional[DosPlan]:
+def plan_dos(model, recovery) -> Optional[DosPlan]:
     """Pick the DoS victim from the recovered Laplacian's Fiedler vector.
 
-    The node is the non-leader agent with the largest-magnitude Fiedler
-    component (ties go to the largest index); the edge is the node's incident
-    recovered link whose removal minimizes the recovered graph's algebraic
-    connectivity. Returns None when the recovered graph is already
+    The node is the non-leader agent (agent 0 leads, as in `ncs`) with the
+    largest-magnitude Fiedler component (ties go to the largest index); the
+    edge is the node's incident recovered link whose removal minimizes the
+    recovered graph's algebraic connectivity. Returns None when the recovered graph is already
     disconnected. `model` is accepted for interface symmetry with the rest of
     the attack pipeline; the plan depends only on the recovery.
     """
@@ -214,9 +213,7 @@ def plan_dos(model, recovery, leader=0) -> Optional[DosPlan]:
     _, v = algebraic_connectivity(g)
     best_node = None
     best_mag = -1.0
-    for node in range(g.n_nodes):
-        if node == leader:
-            continue
+    for node in range(1, g.n_nodes):
         mag = abs(v[node])
         # ascending scan, so taking ties hands them to the largest index
         if best_node is None or mag >= best_mag - FIEDLER_TIE_TOL:

@@ -148,8 +148,8 @@ def run(scenario: Scenario, mode: str) -> RunRecord:
             polygons = agent_reach_polygon(model.K, B, range(N), x, omega,
                                            cfg.n_directions, cfg.horizon)
             targets = select_targets(polygons)
-            decision = synthesize_fdi(k, targets, model, omega, x, B,
-                                      polygons, cfg.n_directions)
+            decision = synthesize_fdi(targets, model, omega, x, B, polygons,
+                                      cfg.n_directions)
             decisions[k] = decision
             u_a = decision.u_a
 
@@ -271,17 +271,14 @@ def emit(record: RunRecord, out_dir):
     written.append(_write(out_dir, "trajectories.csv", "\n".join(lines) + "\n"))
 
     labels = [f"{i}-{j}" for i, j in record.pairs]
-    lines = ["k,pair,e"]
-    for k in range(record.horizon + 1):
-        for label, e in zip(labels, record.pair_errors[k].tolist()):
-            lines.append(f"{k},{label},{e!r}")
-    written.append(_write(out_dir, "errors.csv", "\n".join(lines) + "\n"))
-
-    lines = ["k,agent,e"]
-    for k in range(record.horizon + 1):
-        for a, e in enumerate(record.tracking[k].tolist()):
-            lines.append(f"{k},{a},{e!r}")
-    written.append(_write(out_dir, "tracking.csv", "\n".join(lines) + "\n"))
+    for name, header, cols, table in (
+            ("errors.csv", "k,pair,e", labels, record.pair_errors),
+            ("tracking.csv", "k,agent,e", range(N), record.tracking)):
+        lines = [header]
+        for k, row in enumerate(table):
+            for col, e in zip(cols, row.tolist()):
+                lines.append(f"{k},{col},{e!r}")
+        written.append(_write(out_dir, name, "\n".join(lines) + "\n"))
 
     dos_steps = {e.k: e for e in record.dos_events}
     lines = ["step,i,j,ui_x,ui_y,uj_x,uj_y,separation_before,separation_after,dos_event"]

@@ -28,6 +28,7 @@ from .errors import InvalidInputError
 BLOCK = 4
 RIDGE = 1e-12
 PROJECTION_TOL = 1e-10
+PROJECTION_MAX_ITERS = 5000  # Dykstra sweeps in `project_laplacian_cone`
 
 
 @dataclass
@@ -64,7 +65,7 @@ def _sym_zerosum_project(M):
     return Y - np.outer(a, np.ones(n)) - np.outer(np.ones(n), a)
 
 
-def project_laplacian_cone(M, tol=PROJECTION_TOL, max_iters=5000):
+def project_laplacian_cone(M):
     """Nearest (Frobenius) candidate Laplacian to M.
 
     Dykstra's scheme between the subspace {symmetric, zero row sums} and the
@@ -77,12 +78,12 @@ def project_laplacian_cone(M, tol=PROJECTION_TOL, max_iters=5000):
     x = M.copy()
     p = np.zeros_like(x)
     prev = None
-    for _ in range(max_iters):
+    for _ in range(PROJECTION_MAX_ITERS):
         y = _sym_zerosum_project(x)
         w, V = np.linalg.eigh(y + p)
         x_new = (V * np.maximum(w, 0.0)) @ V.T
         p = (y + p) - x_new
-        if prev is not None and np.linalg.norm(x_new - prev) <= tol:
+        if prev is not None and np.linalg.norm(x_new - prev) <= PROJECTION_TOL:
             x = x_new
             break
         prev = x_new
@@ -161,9 +162,7 @@ def schur_block(R, gamma):
     """Feasibility block [[gamma I, R], [R^T, gamma I]]; PSD iff ||R||_2 <= gamma."""
     R = np.asarray(R, float)
     m, n = R.shape
-    top = np.hstack([gamma * np.eye(m), R])
-    bot = np.hstack([R.T, gamma * np.eye(n)])
-    return np.vstack([top, bot])
+    return np.block([[gamma * np.eye(m), R], [R.T, gamma * np.eye(n)]])
 
 
 def recover(K, threshold=1e-6, max_iters=100, seed=0) -> RecoveryResult:
@@ -181,6 +180,8 @@ def recover(K, threshold=1e-6, max_iters=100, seed=0) -> RecoveryResult:
     if not np.isfinite(K).all():
         i, j = np.argwhere(~np.isfinite(K))[0]
         raise InvalidInputError(f"K[{i}, {j}] is {K[i, j]}, not finite")
+    if max_iters < 1:
+        raise InvalidInputError(f"max_iters must be >= 1, got {max_iters}")
     n_agents = K.shape[0] // BLOCK
     rng = np.random.default_rng(seed)
 
@@ -196,7 +197,6 @@ def recover(K, threshold=1e-6, max_iters=100, seed=0) -> RecoveryResult:
     trace = []
     frob_trace = []
     converged = False
-    sweeps = 0
     for sweeps in range(1, max_iters + 1):
         L_raw, reg_l = l_step(K, T)
         regularized |= reg_l

@@ -12,7 +12,7 @@ import numpy as np
 
 from .attack import AttackConfig
 from .errors import InvalidInputError
-from .graph import Graph
+from .graph import Graph, laplacian
 
 STATE_DIM = 4
 INPUT_DIM = 2
@@ -171,26 +171,22 @@ def neighbor_index(g: Graph):
     return ii, np.array([j for js in nbrs for j in js], dtype=int)
 
 
-def control_inputs(s: Scenario, k: int, x: np.ndarray, graph: Optional[Graph] = None,
-                   index=None):
+def control_inputs(s: Scenario, k: int, x: np.ndarray, index=None):
     """Per-agent control inputs (N x 2) at step k and stacked state x.
 
     Followers sum coupling terms over their neighborhoods; the leader adds its
     tracking term against the moving target. All agents share the track's
     feedforward acceleration, which keeps the closed loop on the reference.
     Every neighbour term K (x_i - x_j - (o_i - o_j)) is one stacked 2x4 @ 4x1
-    product; each agent sums its terms in ascending neighbour order. A
-    caller's `index`, the graph's `neighbor_index`, stands in for `graph`.
+    product; each agent sums its terms in ascending neighbour order. `index`
+    is a graph's `neighbor_index`; it defaults to the scenario graph's.
     """
     N = s.n_agents
     x = np.asarray(x, float)
     if x.shape != (s.dim,):
         raise InvalidInputError(f"state length {x.shape} != {s.dim}")
     X = x.reshape(N, STATE_DIM)
-    g = s.graph if graph is None else graph
-    if index is None and g.n_nodes != N:
-        raise InvalidInputError(f"graph has {g.n_nodes} nodes, expected {N}")
-    ii, jj = neighbor_index(g) if index is None else index
+    ii, jj = neighbor_index(s.graph) if index is None else index
     off = s.formation_offsets
     dev = X[ii] - X[jj] - (off[ii] - off[jj])
     u = np.zeros((N, INPUT_DIM))
@@ -219,21 +215,11 @@ def step(s: Scenario, x: np.ndarray, u: np.ndarray,
     return out.reshape(-1)
 
 
-def stacked_closed_loop(s: Scenario, graph: Optional[Graph] = None) -> np.ndarray:
-    """One-step matrix of the stacked slot-deviation dynamics (4N x 4N).
-
-    Assembled block-wise: block (i,i) = A + |N_i| B K (+ B K1 for the leader),
-    block (i,j) = -B K for each neighbor j.
-    """
-    g = s.graph if graph is None else graph
-    N = s.n_agents
+def stacked_closed_loop(s: Scenario) -> np.ndarray:
+    """One-step matrix (4N x 4N) of the stacked slot-deviation dynamics:
+    kron(I, A) + kron(L, B K) for the graph's Laplacian L, the S + kron(L, T)
+    shape that `laprec` recovers, plus B K1 on the leader's diagonal block."""
     A, B = s.agent_model.A, s.agent_model.B
-    BK = B @ s.gain
-    M = np.zeros((s.dim, s.dim))
-    for i in range(N):
-        nbrs = g.neighbors(i)
-        M[4 * i:4 * i + 4, 4 * i:4 * i + 4] = A + len(nbrs) * BK
-        for j in nbrs:
-            M[4 * i:4 * i + 4, 4 * j:4 * j + 4] = -BK
+    M = np.kron(np.eye(s.n_agents), A) + np.kron(laplacian(s.graph), B @ s.gain)
     M[0:4, 0:4] += B @ s.leader_gain
     return M

@@ -5,6 +5,8 @@ byte-stable across runs and environments.
 """
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
@@ -16,12 +18,15 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 16, 36, 48
 
 
 def _bounds(series):
-    """(x0, x1, y0, y1): each axis's range, padded by 4% (x) and 6% (y). A flat
-    axis at v spans 1.0, or |v| / 2**20 where v + 1.0 == v (|v| >= 2**53)."""
+    """(x0, x1, y0, y1): each axis's range over its non-NaN values (NaN where
+    it has none), padded by 4% (x) and 6% (y). A flat axis at v spans 1.0, or
+    |v| / 2**20 where v + 1.0 == v (|v| >= 2**53)."""
     out = []
     for axis, pad in ((0, 0.04), (1, 0.06)):
-        lo = min(min(s[axis]) for s in series if len(s[axis]))
-        hi = max(max(s[axis]) for s in series if len(s[axis]))
+        values = list(chain.from_iterable(s[axis] for s in series))
+        if values and values[0] != values[0]:  # min and max skip every NaN but a first
+            values = [v for v in values if v == v] or values
+        lo, hi = min(values), max(values)
         if hi == lo:
             hi = lo + 1.0
             if hi == lo:
@@ -49,11 +54,12 @@ def line_plot(series, title="", xlabel="", ylabel="", dashed=()):
     iw = WIDTH - MARGIN_L - MARGIN_R
     ih = HEIGHT - MARGIN_T - MARGIN_B
 
-    def sx(x):
-        return MARGIN_L + (x - x0) / (x1 - x0) * iw
-
-    def sy(y):
-        return MARGIN_T + ih - (y - y0) / (y1 - y0) * ih
+    def pixels(xs, ys):
+        """(n, 2) pixel coordinates of the points (xs, ys): ticks and polylines."""
+        with np.errstate(all="ignore"):  # floats give inf - inf and 0 * inf silently
+            col = MARGIN_L + (np.array(xs, float) - x0) / (x1 - x0) * iw
+            row = MARGIN_T + ih - (np.array(ys, float) - y0) / (y1 - y0) * ih
+        return np.stack([col, row], 1)
 
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
            f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
@@ -63,17 +69,16 @@ def line_plot(series, title="", xlabel="", ylabel="", dashed=()):
     # axes box and ticks
     out.append(f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{iw}" height="{ih}" '
                'fill="none" stroke="#333" stroke-width="1"/>')
-    for t in range(6):
-        xv = x0 + t * (x1 - x0) / 5
-        yv = y0 + t * (y1 - y0) / 5
-        out.append(f'<line x1="{sx(xv):.1f}" y1="{MARGIN_T + ih}" '
-                   f'x2="{sx(xv):.1f}" y2="{MARGIN_T + ih + 5}" stroke="#333"/>')
-        out.append(f'<text x="{sx(xv):.1f}" y="{MARGIN_T + ih + 18}" '
+    ticks = [(x0 + t * (x1 - x0) / 5, y0 + t * (y1 - y0) / 5) for t in range(6)]
+    for (xv, yv), (px, py) in zip(ticks, pixels(*zip(*ticks)).tolist()):
+        out.append(f'<line x1="{px:.1f}" y1="{MARGIN_T + ih}" '
+                   f'x2="{px:.1f}" y2="{MARGIN_T + ih + 5}" stroke="#333"/>')
+        out.append(f'<text x="{px:.1f}" y="{MARGIN_T + ih + 18}" '
                    'text-anchor="middle" font-family="sans-serif" '
                    f'font-size="10">{_fmt(xv)}</text>')
-        out.append(f'<line x1="{MARGIN_L - 5}" y1="{sy(yv):.1f}" '
-                   f'x2="{MARGIN_L}" y2="{sy(yv):.1f}" stroke="#333"/>')
-        out.append(f'<text x="{MARGIN_L - 8}" y="{sy(yv) + 3:.1f}" '
+        out.append(f'<line x1="{MARGIN_L - 5}" y1="{py:.1f}" '
+                   f'x2="{MARGIN_L}" y2="{py:.1f}" stroke="#333"/>')
+        out.append(f'<text x="{MARGIN_L - 8}" y="{py + 3:.1f}" '
                    'text-anchor="end" font-family="sans-serif" '
                    f'font-size="10">{_fmt(yv)}</text>')
     out.append(f'<text x="{MARGIN_L + iw / 2:.1f}" y="{HEIGHT - 10}" '
@@ -85,11 +90,7 @@ def line_plot(series, title="", xlabel="", ylabel="", dashed=()):
 
     for xs, ys, color, label in series:
         n = min(len(xs), len(ys))
-        with np.errstate(all="ignore"):  # floats give inf - inf and 0 * inf silently
-            # sx and sy elementwise, in their order of operations: the same IEEE results
-            xy = np.stack([MARGIN_L + (np.array(xs[:n], float) - x0) / (x1 - x0) * iw,
-                           MARGIN_T + ih - (np.array(ys[:n], float) - y0) / (y1 - y0) * ih], 1)
-        pts = " ".join(["%.2f,%.2f"] * n) % tuple(xy.ravel().tolist())
+        pts = " ".join(["%.2f,%.2f"] * n) % tuple(pixels(xs[:n], ys[:n]).ravel().tolist())
         dash = ' stroke-dasharray="6 4"' if label in dashed else ""
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    f'stroke-width="1.5"{dash}/>')

@@ -9,7 +9,8 @@ through the scalar `sx`/`sy` closures and formats it with two f-strings.
 
 `_bounds` is the one from before a flat axis at |v| >= 2**53 got a span, so
 the oracle pins the bytes of every plot that was drawn then, and raises
-`ZeroDivisionError` on such an axis.
+`ZeroDivisionError` on such an axis. It takes each axis's range over its
+non-NaN values, as `svgplot._bounds` does, wherever a NaN sits.
 """
 import os
 
@@ -21,11 +22,16 @@ FILES = ("trajectories.csv", "errors.csv", "tracking.csv", "trajectories.svg",
          "errors.svg")
 
 
+def _range(series, axis):
+    """Smallest and largest non-NaN value on one axis; NaN if it has none."""
+    values = [v for s in series for v in s[axis]]
+    values = [v for v in values if v == v] or values
+    return min(values), max(values)
+
+
 def _bounds(series):
-    xs_min = min(min(xs) for xs, _, _, _ in series if len(xs))
-    xs_max = max(max(xs) for xs, _, _, _ in series if len(xs))
-    ys_min = min(min(ys) for _, ys, _, _ in series if len(ys))
-    ys_max = max(max(ys) for _, ys, _, _ in series if len(ys))
+    xs_min, xs_max = _range(series, 0)
+    ys_min, ys_max = _range(series, 1)
     if xs_max == xs_min:
         xs_max = xs_min + 1.0
     if ys_max == ys_min:

@@ -13,7 +13,7 @@ from ncsred.reachset import (_direction_fan, _extreme_vertices, _ring_distances,
                              embed_input_map, polygon_distance)
 
 
-def synthesize_fdi(k, targets, model, omega, state, B, polygons, n_directions=16):
+def synthesize_fdi(targets, model, omega, state, B, polygons, n_directions=16):
     i, j = targets
     K = model.K
     n_agents = K.shape[0] // 4
@@ -36,6 +36,6 @@ def synthesize_fdi(k, targets, model, omega, state, B, polygons, n_directions=16
     u_a = np.zeros(2 * n_agents)
     u_a[2 * i:2 * i + 2] = Ui[best]
     u_a[2 * j:2 * j + 2] = Uj[best]
-    return AttackDecision(k=int(k), targets=(i, j), u_a=u_a,
+    return AttackDecision(targets=(i, j), u_a=u_a,
                           separation_before=float(sep_before),
                           separation_after=float(scores[best]))

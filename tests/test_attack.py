@@ -85,7 +85,7 @@ class TestSynthesizeFdi:
         omega = circumscribe_ball(0.05, 8, seed=4)
         x = rng.normal(size=8)
         B0 = np.zeros((4, 2))
-        d = synthesize_fdi(3, (0, 1), model, omega, x, B0,
+        d = synthesize_fdi((0, 1), model, omega, x, B0,
                            current_polygons(K, B0, x, omega, 8), n_directions=8)
         assert np.allclose(d.u_a[0:2], omega.vertices[0], atol=0)
         assert np.allclose(d.u_a[2:4], omega.vertices[0], atol=0)
@@ -101,7 +101,7 @@ class TestSynthesizeFdi:
         B = AgentModel(0.2).B
         x = np.zeros(8)
         x[0], x[4] = -1.0, 1.0  # agent 0 left, agent 1 right
-        d = synthesize_fdi(0, (0, 1), model, omega, x, B,
+        d = synthesize_fdi((0, 1), model, omega, x, B,
                            current_polygons(K, B, x, omega, 8), n_directions=8)
         u0, u1 = d.u_a[0:2], d.u_a[2:4]
         # hand enumeration: maximal separation pushes agent 0 further left,
@@ -117,7 +117,7 @@ class TestSynthesizeFdi:
         omega = circumscribe_ball(0.05, 8, seed=9)
         B = AgentModel(0.2).B
         x = rng.normal(scale=3, size=20)
-        d = synthesize_fdi(10, (1, 4), model, omega, x, B,
+        d = synthesize_fdi((1, 4), model, omega, x, B,
                            current_polygons(K, B, x, omega))
         for a in range(5):
             ua = d.u_a[2 * a:2 * a + 2]
@@ -136,7 +136,7 @@ class TestSynthesizeFdi:
             omega = circumscribe_ball(0.2, 6, seed=trial)
             B = AgentModel(0.2).B
             x = rng.normal(size=8)
-            d = synthesize_fdi(0, (0, 1), model, omega, x, B,
+            d = synthesize_fdi((0, 1), model, omega, x, B,
                                current_polygons(K, B, x, omega, 8), n_directions=8)
             p0, p1 = agent_reach_polygon(K, B, [0, 1], K @ x, omega, 8)
             zero_score = polygon_distance(p0, p1)
@@ -150,8 +150,8 @@ class TestSynthesizeFdi:
         B = AgentModel(0.2).B
         x = rng.normal(size=8)
         polys = current_polygons(K, B, x, omega)
-        a = synthesize_fdi(1, (0, 1), model, omega, x, B, polys)
-        b = synthesize_fdi(1, (0, 1), model, omega, x, B, polys)
+        a = synthesize_fdi((0, 1), model, omega, x, B, polys)
+        b = synthesize_fdi((0, 1), model, omega, x, B, polys)
         assert np.array_equal(a.u_a, b.u_a)
         assert a.separation_after == b.separation_after
 
@@ -162,7 +162,7 @@ class TestSynthesizeFdi:
         omega = circumscribe_ball(0.1, 8, seed=3)
         B = AgentModel(0.2).B
         x = np.array([1.0, 0.5, -2.0, 0.3, 1.0, -0.4, -2.0, 0.1])
-        d = synthesize_fdi(0, (0, 1), model, omega, x, B,
+        d = synthesize_fdi((0, 1), model, omega, x, B,
                            current_polygons(model.K, B, x, omega, 8), n_directions=8)
         assert d.separation_before == 0.0
         assert d.separation_after == 0.0
@@ -182,7 +182,7 @@ class TestSynthesizeFdi:
                                       seed=trial)
             x = rng.normal(scale=3.0, size=n)
             i, j = map(int, rng.choice(n_agents, size=2, replace=False))
-            got = synthesize_fdi(trial, (i, j), model, omega, x, B,
+            got = synthesize_fdi((i, j), model, omega, x, B,
                                  current_polygons(K, B, x, omega))
 
             Pi0, Pj0 = agent_reach_polygon(K, B, [i, j], K @ x, omega)
@@ -207,7 +207,7 @@ class TestSynthesizeFdi:
         model = DmdModel(K=np.eye(8), residual=0.0, rank_used=8)
         omega = circumscribe_ball(0.05, 4)
         with pytest.raises(InvalidInputError):
-            synthesize_fdi(0, (1, 1), model, omega, np.zeros(8),
+            synthesize_fdi((1, 1), model, omega, np.zeros(8),
                            AgentModel(0.2).B, [])
 
 

@@ -178,6 +178,22 @@ class TestLinePlot:
         else:
             assert got == want
 
+    def test_nan_is_skipped_wherever_it_sits(self):
+        # the same points with a NaN first, in the middle and last: the same
+        # bounds, so the same ticks; only the polyline's point order differs
+        def plot(xs, ys):
+            series = [(xs, ys, "#000000", "a")]
+            text = svgplot.line_plot(series)
+            return svgplot._bounds(series), [line for line in text.splitlines()
+                                             if not line.startswith("<polyline")]
+
+        nan = float("nan")
+        first = plot([nan, 1.0, 2.0], [nan, 3.0, 4.0])
+        assert first[0][:2] == pytest.approx((0.96, 2.04))
+        assert plot([1.0, nan, 2.0], [3.0, nan, 4.0]) == first
+        assert plot([1.0, 2.0, nan], [3.0, 4.0, nan]) == first
+        assert np.isnan(svgplot._bounds([([nan, nan], [1.0, 2.0], "", "")])[:2]).all()
+
     @pytest.mark.parametrize("name", ["zero x span", "zero y span"])
     def test_zero_span_raises_zero_division(self, name):
         # the oracle divides by the flat axis' zero span; line_plot does not

@@ -20,7 +20,6 @@ from ncsred.dmd import DEFAULT_SVD_TOL, SnapshotBuffer, fit
 from ncsred.errors import InvalidInputError
 from ncsred.graph import Graph
 from ncsred.harness import run
-from ncsred.ncs import control_inputs
 from ncsred.reachset import (AgentPolygon, _direction_fan, _extreme_vertices,
                              agent_polygon, circumscribe_ball, pair_distances,
                              planar_directions, polygon_distance)
@@ -190,13 +189,6 @@ class TestNeighborIndex:
             record = run(s, mode)
         assert len(record.graphs) == graphs
         assert nbrs.call_count == graphs * s.n_agents
-
-
-    @pytest.mark.parametrize("n_nodes", [4, 6])
-    def test_graph_of_another_size_is_named(self, n_nodes):
-        s = build_scenario(seed=2, horizon_steps=10)
-        with pytest.raises(InvalidInputError, match=f"graph has {n_nodes} nodes"):
-            control_inputs(s, 0, s.initial_states.reshape(-1), Graph(n_nodes, {(0, 1)}))
 
 
 def _diag_fit(buf, svd_tol):

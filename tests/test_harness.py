@@ -447,6 +447,19 @@ class TestCli:
                 == f"InvalidInputError: K[0, 1] is {cell}, not finite\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("iters", ["0", "-3"])
+    def test_recover_laplacian_rejects_max_iters_below_one(self, tmp_path, capsys,
+                                                           iters):
+        kpath = tmp_path / "K.csv"
+        np.savetxt(kpath, np.kron(np.array([[1.0, -1.0], [-1.0, 1.0]]), np.eye(4)),
+                   delimiter=",")
+        out = tmp_path / "rec"
+        assert main(["recover-laplacian", "--input", str(kpath), "--out", str(out),
+                     "--max-iters", iters]) == 2
+        assert (capsys.readouterr().err
+                == f"InvalidInputError: max_iters must be >= 1, got {iters}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags, knobs", [
         ([], {}),
         (["--threshold", "1e-3", "--max-iters", "7", "--seed", "3"],

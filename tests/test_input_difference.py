@@ -98,8 +98,8 @@ class TestAgainstOracle:
         model = DmdModel(K=K, residual=0.0, rank_used=len(K))
         targets = tuple(map(int, rng.choice(n_agents, size=2, replace=False)))
         polys = agent_reach_polygon(K, B, range(n_agents), x, omega, m)
-        got = synthesize_fdi(5, targets, model, omega, x, B, polys, m)
-        want = synth_oracle.synthesize_fdi(5, targets, model, omega, x, B, polys, m)
+        got = synthesize_fdi(targets, model, omega, x, B, polys, m)
+        want = synth_oracle.synthesize_fdi(targets, model, omega, x, B, polys, m)
         assert got.targets == want.targets
         assert got.u_a.tobytes() == want.u_a.tobytes()
         assert got.separation_before == want.separation_before
@@ -120,7 +120,7 @@ class TestLargeCoordinates:
         x[0], x[2] = 1.1e7, 2.0
         x[4], x[6] = 1.1e7 + 0.003, 2.0
         polys = agent_reach_polygon(K, B, [0, 1], x, omega)
-        got = synthesize_fdi(0, (0, 1), model, omega, x, B, polys)
+        got = synthesize_fdi((0, 1), model, omega, x, B, polys)
 
         Pi0, Pj0 = agent_reach_polygon(K, B, [0, 1], K @ x, omega)
         assert len(Pi0.vertices) == len(Pj0.vertices) == 1
@@ -142,7 +142,7 @@ class TestLargeCoordinates:
         assert np.array_equal(got.u_a[:2], cands[best][0])
         assert np.array_equal(got.u_a[2:], cands[best][1])
         # the collapsed polygons' score misses the shape by most of its size
-        old = synth_oracle.synthesize_fdi(0, (0, 1), model, omega, x, B, polys)
+        old = synth_oracle.synthesize_fdi((0, 1), model, omega, x, B, polys)
         assert abs(old.separation_after - exact[best]) > 1e-4
 
 
@@ -154,13 +154,13 @@ class TestNoPerStepReachPass:
         model = DmdModel(K=K, residual=0.0, rank_used=len(K))
         x = rng.normal(size=len(K))
         polys = agent_reach_polygon(K, B, range(n_agents), x, omega)
-        synthesize_fdi(0, (0, 1), model, omega, x, B, polys)
+        synthesize_fdi((0, 1), model, omega, x, B, polys)
         with mock.patch.object(attack, "agent_reach_polygon",
                                wraps=attack.agent_reach_polygon) as reach, \
                 mock.patch.object(reachset, "_ccw_batch",
                                   wraps=reachset._ccw_batch) as ccw:
-            for k in range(3):
+            for _ in range(3):
                 x = K @ x
-                synthesize_fdi(k, (0, 1), model, omega, x, B, polys)
+                synthesize_fdi((0, 1), model, omega, x, B, polys)
         assert reach.call_count == 0
         assert ccw.call_count == 0
