@@ -182,6 +182,8 @@ def recover(K, threshold=1e-6, max_iters=100, seed=0) -> RecoveryResult:
         raise InvalidInputError(f"K[{i}, {j}] is {K[i, j]}, not finite")
     if max_iters < 1:
         raise InvalidInputError(f"max_iters must be >= 1, got {max_iters}")
+    if seed is not None and seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     n_agents = K.shape[0] // BLOCK
     rng = np.random.default_rng(seed)
 

@@ -4,6 +4,12 @@ Reach sets are represented by support values along fixed planar query
 directions, lifted into the stacked state space per agent, then intersected
 back into per-agent position polygons. Distances between polygons are point
 queries against their Minkowski difference.
+
+A polygon's faces meet only their angular neighbours (`agent_polygon`): m
+points per polygon give its extreme vertices on the direction fan, and its
+vertex ring is built only when read. Rows where an adjacent point fails a
+half-plane, and direction sets with (nearly) parallel neighbours, take the
+all-pairs pass (`_ccw_batch`) instead, row by row.
 """
 from __future__ import annotations
 
@@ -18,6 +24,10 @@ FEAS_TOL = 1e-9
 #: face normals closer than this angle (radians) count as one direction
 ANGLE_TOL = 1e-12
 DEFAULT_JITTER = 0.05
+#: a fan arc at least this angle (radians) from each face normal leaves its
+#: gap's vertex ahead of every other vertex along the arc by far more than
+#: rounding, so gathering that vertex gives a projection pass's bytes
+ARC_MARGIN = 1e-4
 
 
 def _frozen(*arrays):
@@ -140,22 +150,32 @@ def batch_reach_supports(K_seq, Bsel, x0, omega: InputPolytope, final_dirs):
     return np.einsum("...ij,...ij->...i", F, X), X
 
 
-@dataclass
 class AgentPolygon:
     """Planar position polygon of one agent's reach set.
 
     Vertices are the counter-clockwise boundary of the intersection of the
     supporting half-planes <d_k, p> <= gamma_k. `agent_polygon` keeps the
-    vertices' extremes on the direction fan of `directions`, from the pass
-    that orders them, so distance queries on that fan need not project the
-    vertices again; a polygon built by hand leaves them None.
+    vertices' extremes on the direction fan of `directions`, so distance
+    queries on that fan need not project the vertices; a polygon built by
+    hand leaves them None. Vertices not given are built when first read:
+    from the points `agent_polygon` kept, else from the supports.
     """
 
-    agent: int
-    directions: np.ndarray  # (m, 2)
-    supports: np.ndarray    # (m,)
-    vertices: np.ndarray    # (v, 2) CCW
-    extremes: tuple | None = None  # (arcs, hi, lo), each hi / lo (arcs, 2)
+    def __init__(self, agent, directions, supports, vertices=None, extremes=None):
+        self.agent = agent
+        self.directions = directions  # (m, 2)
+        self.supports = supports      # (m,)
+        self.extremes = extremes      # (arcs, hi, lo), each hi / lo (arcs, 2)
+        self._vertices = vertices     # (v, 2) CCW
+        self._kept = None             # `_ring`'s arguments, set by agent_polygon
+
+    @property
+    def vertices(self):
+        if self._vertices is None:
+            self._vertices = (
+                _ring(*self._kept) if self._kept is not None else
+                agent_polygon(self.directions, self.agent, self.supports).vertices)
+        return self._vertices
 
 
 @functools.lru_cache(maxsize=16)
@@ -177,6 +197,12 @@ def _face_pairs(key, shape):
     if gaps.max() >= np.pi - 1e-12:
         raise DegenerateGeometryError("directions do not positively span the plane")
     ii, jj = np.triu_indices(shape[0], k=1)
+    return _pair_table(D, ii, jj)
+
+
+def _pair_table(D, ii, jj):
+    """`_face_pairs`'s read-only (I, J, C, E, det) for face pairs ii < jj,
+    without the (nearly) parallel ones."""
     a, b = D[ii], D[jj]
     det = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
     ok = np.abs(det) > 1e-12
@@ -184,6 +210,44 @@ def _face_pairs(key, shape):
     return _frozen(np.column_stack([ii, jj]), np.column_stack([jj, ii]),
                    np.column_stack([b[:, 1], a[:, 0]]),
                    np.column_stack([a[:, 1], b[:, 0]]), det[:, None])
+
+
+@functools.lru_cache(maxsize=16)
+def _adjacent_faces(key, shape):
+    """Direction-only part of the adjacent-face pass of `agent_polygon` for
+    the directions whose float64 bytes are `key`, or None where it does not
+    apply: when two adjacent faces are (nearly) parallel, or a fan arc lies
+    within ARC_MARGIN of a face normal.
+
+    With the faces sorted by angle, face k and face k + 1 (cyclically) meet
+    at point k, the polygon's vertex on gap k. Returns `_pair_table` for
+    those m pairs, each oriented i < j so that its point has the bytes of the
+    all-pairs pass; each point's predecessor; the gap of every arc of
+    `_fan((key,))` and of its negative; and the points in the all-pairs
+    pass's pair order. Raises where `_face_pairs` raises.
+    """
+    _face_pairs(key, shape)
+    D = np.frombuffer(key, dtype=float).reshape(shape)
+    ang = np.arctan2(D[:, 1], D[:, 0])
+    order = np.argsort(ang)
+    ii, jj = np.sort([order, np.roll(order, -1)], axis=0)
+    table = _pair_table(D, ii, jj)
+    m = shape[0]
+    if len(table[-1]) < m:
+        return None
+    face = ang[order]
+    arcs = _fan((key,))[1]
+    gaps, margins = [], []
+    for arc in (arcs, -arcs):
+        theta = np.arctan2(arc[:, 1], arc[:, 0])
+        # gap k spans (face[k], face[k + 1]); gap m - 1 wraps past +-pi
+        k = (np.searchsorted(face, theta) - 1) % m
+        margins.append((theta - face[k]) % (2 * np.pi))
+        margins.append((face[(k + 1) % m] - theta) % (2 * np.pi))
+        gaps.append(k)
+    if np.concatenate(margins).min() < ARC_MARGIN:
+        return None
+    return table + _frozen(np.roll(np.arange(m), 1), *gaps, np.lexsort((jj, ii)))
 
 
 def _compact(mask):
@@ -232,17 +296,64 @@ def _ccw_batch(directions, G):
     return P[rows, np.argsort(np.where(valid, ang, np.inf), axis=1)], counts
 
 
+def _ring(P, keep, r, pair_order):
+    """CCW vertices from the adjacent-face points P[r] that `agent_polygon`
+    kept: taken in pair order and ordered about their centroid, as the
+    all-pairs pass orders its points."""
+    pts = P[r, pair_order[keep[r, pair_order]]]
+    c = pts.mean(axis=0)
+    return pts[np.argsort(np.arctan2(pts[:, 1] - c[1], pts[:, 0] - c[0]))]
+
+
 def agent_polygon(directions, agent, supports):
     """Position polygon of an agent from its support values (m,); for a
     sequence of agents and supports (A, m), a list of their polygons, each
-    with its extremes (see AgentPolygon) from the same padded pass."""
+    with its extremes (see AgentPolygon).
+
+    Each face meets only its angular neighbour: m points per polygon. A row
+    whose points all pass every half-plane (FEAS_TOL slack) merges each
+    point lying within 1e-9 * scale of its predecessor into the run's first,
+    and takes its extremes on every fan arc from the kept point of the gap
+    that arc falls in; its vertices are built only when read. Any other row,
+    and every row on directions `_adjacent_faces` declines, takes the
+    all-pairs `_ccw_batch` pass. The path is chosen per row, so a batch row
+    is the polygon its supports give alone.
+    """
     directions = np.asarray(directions, float)
     G = np.atleast_2d(np.asarray(supports, float))
-    P, counts = _ccw_batch(directions, G)
-    arcs = _fan((directions.tobytes(),))[1]
-    hi, lo = _padded_extremes(P, counts, arcs)
-    polys = [AgentPolygon(int(a), directions, g, P[r, :n], (arcs, hi[r], lo[r]))
-             for r, (a, g, n) in enumerate(zip(np.atleast_1d(agent), G, counts.tolist()))]
+    D = np.ascontiguousarray(directions)
+    key = D.tobytes()
+    arcs = _fan((key,))[1]
+    adjacent = _adjacent_faces(key, D.shape)
+    if adjacent is None:
+        all_pairs = np.ones(len(G), dtype=bool)
+        hi, lo = np.empty((2, len(G), len(arcs), 2))
+    else:
+        I, J, C, E, det, prev, hi_gap, lo_gap, pair_order = adjacent
+        with np.errstate(invalid="ignore"):
+            P = (G[:, I] * C - G[:, J] * E) / det
+            all_pairs = ~(P @ D.T <= G[:, None] + FEAS_TOL).all(axis=(1, 2))
+            d = P - P[:, prev]
+        d *= d
+        scale = np.maximum(1.0, np.abs(P).max(axis=(1, 2)))
+        keep = np.sqrt(d[..., 0] + d[..., 1]) > 1e-9 * scale[:, None]
+        keep[:, 0] |= ~keep.any(axis=1)  # a row of one point keeps its first
+        # a gap's vertex is the last kept point at or before it, cyclically
+        run = np.maximum.accumulate(np.where(keep, np.arange(len(prev)), -1), axis=1)
+        run = np.where(run < 0, run[:, -1:], run)
+        rows = np.arange(len(G))[:, None]
+        hi, lo = P[rows, run[:, hi_gap]], P[rows, run[:, lo_gap]]
+    rings = [None] * len(G)
+    idx = np.flatnonzero(all_pairs)
+    if idx.size:
+        Q, counts = _ccw_batch(D, G[idx])
+        hi[idx], lo[idx] = _padded_extremes(Q, counts, arcs)
+        for r, q, n in zip(idx.tolist(), Q, counts.tolist()):
+            rings[r] = q[:n]
+    polys = [AgentPolygon(int(a), directions, g, v, (arcs, hi[r], lo[r]))
+             for r, (a, g, v) in enumerate(zip(np.atleast_1d(agent), G, rings))]
+    for r in np.flatnonzero(~all_pairs).tolist():
+        polys[r]._kept = (P, keep, r, pair_order)
     return polys if np.ndim(agent) else polys[0]
 
 

@@ -33,6 +33,8 @@ def build_scenario(seed=0, n_agents=5, dt=0.2, horizon_steps=500,
                    attack=None) -> Scenario:
     """Scenario with the experiment defaults; any piece can be overridden,
     and another `n_agents` needs its own edges and offsets."""
+    if seed is not None and seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     missing = [key for key, v in (("edges", edges), ("formation_offsets", offsets))
                if v is None]
     if n_agents != len(DEFAULT_OFFSETS) and missing:

@@ -2,7 +2,10 @@
 the per-agent, per-pair and per-step computations they replace.
 
 The benchmark's decision fingerprints allow separations to drift by 1e-9
-relative, so these compare with `np.array_equal`, not a tolerance.
+relative, so these compare with `np.array_equal`, not a tolerance. The one
+exception is a polygon vertex that the adjacent-face pass merged from
+several points: it may be another float of that run than the all-pairs
+oracle keeps, within the 1e-9 * scale that defines one vertex.
 """
 from collections import deque
 
@@ -18,13 +21,14 @@ import plant_oracle
 from halfspace_oracle import halfspace_polygon as oracle_polygon
 from scenario_helpers import offset_difference, slot
 
-from ncsred import laprec, ncs
+from ncsred import laprec, ncs, reachset
 from ncsred.attack import AttackConfig, agent_reach_polygon
 from ncsred.dmd import SnapshotBuffer
 from ncsred.errors import DegenerateGeometryError, InvalidInputError
 from ncsred.graph import Graph
 from ncsred.harness import run
-from ncsred.reachset import (ANGLE_TOL, _direction_fan, _ring_distances,
+from ncsred.reachset import (ANGLE_TOL, AgentPolygon, _direction_fan,
+                             _extreme_vertices, _ring_distances,
                              agent_polygon, batch_reach_supports,
                              circumscribe_ball, embed_input_map, pair_distances,
                              planar_directions, polygon_distance)
@@ -91,6 +95,38 @@ def _supports(kind, D, rng):
     return g
 
 
+def _adjacent_points_merge(D, g):
+    """Whether the adjacent-face pass may merge two points of this row: no
+    two adjacent faces are (nearly) parallel, every point where adjacent
+    faces meet is feasible, and two consecutive points lie within 1e-9 *
+    scale. Only there may a vertex be another float than the all-pairs
+    pass's, since each pass keeps a different member of the run."""
+    order = np.argsort(np.arctan2(D[:, 1], D[:, 0]))
+    ii, jj = np.sort([order, np.roll(order, -1)], axis=0)
+    a, b = D[ii], D[jj]
+    det = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    if np.abs(det).min() <= 1e-12:
+        return False
+    P = np.column_stack([g[ii] * b[:, 1] - g[jj] * a[:, 1],
+                         g[jj] * a[:, 0] - g[ii] * b[:, 0]]) / det[:, None]
+    if not (P @ D.T <= g + 1e-9).all():
+        return False
+    near = np.linalg.norm(P - np.roll(P, 1, axis=0), axis=1)
+    return bool((near <= 1e-9 * max(1.0, np.abs(P).max())).any())
+
+
+def _assert_matches_oracle(D, g, got, want):
+    """got is the oracle's polygon: its bytes, or, where adjacent-face points
+    merged, its vertex count with every vertex within the 1e-9 * scale that
+    the dedupe takes for one vertex."""
+    if not _adjacent_points_merge(D, g):
+        assert np.array_equal(got, want)
+        return
+    assert got.shape == want.shape
+    scale = max(1.0, np.abs(want).max())
+    assert np.hypot(*(got - want).T).max() <= 1e-9 * scale
+
+
 class TestHalfspacePolygon:
     @PROPERTY
     @given(seed=seeds, kind=st.sampled_from(["support", "redundant", "point",
@@ -102,7 +138,7 @@ class TestHalfspacePolygon:
         if isinstance(want, str):
             assert got == want
         else:
-            assert np.array_equal(got, want)
+            _assert_matches_oracle(D, g, got, want)
 
     @PROPERTY
     @given(seed=seeds, kinds=st.lists(st.sampled_from(["support", "redundant",
@@ -124,8 +160,20 @@ class TestHalfspacePolygon:
             assert got == errors[0]
         else:
             assert len(got) == len(want)
-            for a, b in zip(got, want):
-                assert np.array_equal(a, b)
+            for g, a, b in zip(G, got, want):
+                _assert_matches_oracle(D, g, a, b)
+
+    @pytest.mark.parametrize("m", [9, 15, 35])
+    @pytest.mark.parametrize("center, offset", [((0.0, 0.0), 1.0),
+                                                ((1.0, 0.0), 1.0),
+                                                ((0.0, -3.0), 2.5)])
+    def test_regular_polygons_match_oracle(self, m, center, offset):
+        """Regular polygons, some with a vertex level with the centroid,
+        where a centroid summed in another order sorts the ring otherwise."""
+        D = planar_directions(m)
+        g = D @ np.array(center) + offset
+        assert not _adjacent_points_merge(D, g)
+        assert np.array_equal(halfspace_polygon(D, g), oracle_polygon(D, g))
 
     def test_cached_directions_are_not_shared_state(self):
         D = planar_directions(8)
@@ -135,6 +183,112 @@ class TestHalfspacePolygon:
                               oracle_polygon(D, np.ones(8)))
         assert np.array_equal(halfspace_polygon(planar_directions(8), np.ones(8)),
                               first)
+
+
+def _stored_and_projected(p):
+    """p's stored extremes, and those a projection pass over its vertices
+    gives on the same arcs."""
+    _, arcs = _direction_fan([p])
+    assert p.extremes[0] is arcs
+    hand = AgentPolygon(p.agent, p.directions, p.supports, p.vertices)
+    return p.extremes[1:], [e[0] for e in _extreme_vertices([hand], arcs)]
+
+
+ADJACENT_KINDS = ["support", "point"]
+FALLBACK_KINDS = ["redundant", "empty", "large"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestAdjacentFacePass:
+    """`agent_polygon` intersects each face with its angular neighbour only
+    and falls back to the all-pairs pass per row; rows on direction sets with
+    (nearly) parallel neighbours all fall back."""
+
+    @PROPERTY
+    @given(seed=seeds,
+           kinds=st.lists(st.sampled_from(ADJACENT_KINDS + ["redundant", "large"]),
+                          min_size=2, max_size=10),
+           uniform=st.booleans())
+    def test_mixed_batch_rows_equal_single_row_calls(self, seed, kinds, uniform):
+        """Every row has the vertex and extreme bytes of its single-row
+        call, and its stored extremes are a projection pass over its vertices;
+        a batch with an empty row raises what that row raises."""
+        rng = np.random.default_rng(seed)
+        kinds[0] = ADJACENT_KINDS[int(rng.integers(2))]
+        kinds[1] = FALLBACK_KINDS[int(rng.integers(3))]
+        rng.shuffle(kinds)
+        D = (planar_directions(int(rng.integers(3, 25))) if uniform
+             else _random_directions(rng))
+        G = np.array([_supports(kind, D, rng) for kind in kinds])
+        want = [_outcome(agent_polygon, D, a, g) for a, g in enumerate(G)]
+        got = _outcome(agent_polygon, D, range(len(G)), G)
+        errors = [w for w in want if isinstance(w, str)]
+        if errors:
+            assert got == errors[0]
+            return
+        for p, q in zip(got, want):
+            assert p.vertices.tobytes() == q.vertices.tobytes()
+            for a, b in zip(p.extremes[1:], q.extremes[1:]):
+                assert a.tobytes() == b.tobytes()
+            for a, b in zip(*_stored_and_projected(p)):
+                assert a.tobytes() == b.tobytes()
+
+    def test_batch_splits_rows_between_passes(self):
+        D = planar_directions(16)
+        rng = np.random.default_rng(5)
+        G = np.array([_supports(kind, D, rng)
+                      for kind in ("support", "redundant", "point")])
+        with mock.patch.object(reachset, "_ccw_batch",
+                               wraps=reachset._ccw_batch) as batch:
+            polys = agent_polygon(D, range(3), G)
+        (_, rows), _ = batch.call_args
+        assert batch.call_count == 1 and np.array_equal(rows, G[1:2])
+        assert polys[1]._kept is None and polys[1]._vertices is not None
+        for p in (polys[0], polys[2]):
+            assert p._kept is not None and p._vertices is None
+
+    @PROPERTY
+    @given(seed=seeds, kind=st.sampled_from(ADJACENT_KINDS + ["redundant"]),
+           n=st.integers(min_value=1, max_value=8))
+    def test_read_vertices_equal_supports_built_alone(self, seed, kind, n):
+        """A ring built when read comes from the points the batch kept: a
+        caller's later edit to the supports does not reach it."""
+        rng = np.random.default_rng(seed)
+        D = planar_directions(int(rng.integers(3, 25)))
+        G = np.array([_supports(kind, D, rng) for _ in range(n)])
+        alone = [agent_polygon(D, a, g.copy()).vertices for a, g in enumerate(G)]
+        polys = agent_polygon(D, range(n), G)
+        G[:] = 0.0
+        for p, want in zip(polys, alone):
+            assert p.vertices.tobytes() == want.tobytes()
+            assert p.vertices is p.vertices  # built once
+
+    @PROPERTY
+    @given(seed=seeds, log_gap=st.floats(min_value=-11.0, max_value=-5.0))
+    def test_arc_next_to_a_face_keeps_projection_extremes(self, seed, log_gap):
+        """A face turned 1e-11 to 1e-5 rad from another's negative puts a
+        fan arc next to a face normal, where a gathered vertex may not be the
+        projection's: the stored extremes still are a projection pass's."""
+        rng = np.random.default_rng(seed)
+        ang = rng.uniform(-np.pi, np.pi, size=int(rng.integers(5, 12)))
+        ang[1] = ang[0] + np.pi + rng.choice([-1.0, 1.0]) * 10.0 ** log_gap
+        D = np.column_stack([np.cos(ang), np.sin(ang)])
+        pts = rng.normal(scale=5.0, size=2) + rng.normal(
+            scale=10.0 ** rng.uniform(-8, 0), size=(int(rng.integers(2, 6)), 2))
+        p = _outcome(agent_polygon, D, 0, (pts @ D.T).max(axis=0))
+        if not isinstance(p, str):
+            for a, b in zip(*_stored_and_projected(p)):
+                assert a.tobytes() == b.tobytes()
+
+    @PROPERTY
+    @given(seed=seeds, kind=st.sampled_from(ADJACENT_KINDS + FALLBACK_KINDS))
+    def test_random_directions_warn_nothing(self, seed, kind):
+        """Direction sets with repeated, negated and nearly parallel normals
+        divide by no vanishing determinant."""
+        D, g = _half_planes(kind, seed)
+        _outcome(agent_polygon, D, 0, g)
+        _outcome(agent_polygon, D, [0, 1], np.array([g, g + 1.0]))
+        _outcome(lambda: AgentPolygon(0, D, g).vertices)
 
 
 class TestBatchedReachPolygons:

@@ -1,8 +1,8 @@
 """One geometry pass per attacked step.
 
-`agent_polygon` keeps every polygon's extreme vertices from the padded batch
-that orders its vertices, and the distance queries read them instead of
-projecting the vertices again. The reach pass's directions, injection maps
+`agent_polygon` keeps every polygon's extreme vertices from the pass that
+finds its vertices, and the distance queries read them instead of projecting
+the vertices again; an attacked run builds no vertex ring. The reach pass's directions, injection maps
 and lifts, the injection candidates and the S - S ring's edges are built once
 per run and cached read-only, and a run builds each active graph's neighbour
 index once. Each must give the bytes of the per-call computation it replaces.
@@ -97,20 +97,35 @@ class TestStoredExtremes:
             assert g.tobytes() == w.tobytes()
 
 
-def test_attacked_run_never_recomputes_extremes():
-    """Every `_padded_extremes` pass of a run is the one that comes with an
-    `agent_polygon` batch; a recompute in `_extreme_vertices` would add one."""
+def test_attacked_run_builds_no_vertex_ring():
+    """An attacked h = 2 run takes every extreme from the adjacent-face pass:
+    it makes no all-pairs pass, builds no vertex ring and projects no
+    vertices. Its decisions are those of a run whose polygons all take the
+    all-pairs pass and project their rings, with the scores within the
+    benchmark's 1e-9 relative tolerance."""
     s = build_scenario(seed=4, horizon_steps=70,
                        attack=AttackConfig(start_step=51, dos_step=60, horizon=2))
-    with mock.patch.object(reachset, "_ccw_batch",
-                           wraps=reachset._ccw_batch) as batch, \
-            mock.patch.object(reachset, "_padded_extremes",
-                              wraps=reachset._padded_extremes) as pad:
+    spies = [mock.patch.object(reachset, name, wraps=getattr(reachset, name))
+             for name in ("_ccw_batch", "_ring", "_padded_extremes")]
+    with spies[0] as batch, spies[1] as ring, spies[2] as pad:
         record = run(s, "fdi_dos")
     assert sum(d is not None for d in record.decisions) > 0
     assert record.dos_events
-    assert batch.call_count > 0
-    assert pad.call_count == batch.call_count
+    assert batch.call_count == ring.call_count == pad.call_count == 0
+    with mock.patch.object(reachset, "_adjacent_faces", return_value=None):
+        want = run(s, "fdi_dos")
+    assert len(record.decisions) == len(want.decisions)
+    for got, ref in zip(record.decisions, want.decisions):
+        assert (got is None) == (ref is None)
+        if got is not None:
+            assert got.targets == ref.targets
+            assert got.u_a.tobytes() == ref.u_a.tobytes()
+            # a merged vertex may be another float of the same run (1e-9 *
+            # scale); the benchmark's fingerprints allow 1e-9 relative
+            for name in ("separation_before", "separation_after"):
+                assert getattr(got, name) == pytest.approx(getattr(ref, name),
+                                                           rel=1e-9, abs=0)
+    assert record.states.tobytes() == want.states.tobytes()
 
 
 def _random_problem(rng):

@@ -460,6 +460,30 @@ class TestCli:
                 == f"InvalidInputError: max_iters must be >= 1, got {iters}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, extra, seed", [
+        (["--seed", "-5"], "", "-5"),
+        ([], "rng_seed = -2\n", "-2"),
+    ], ids=["flag", "file"])
+    def test_simulate_rejects_negative_seed(self, tmp_path, capsys, args, extra,
+                                            seed):
+        out = tmp_path / "o"
+        assert main(["simulate", "--scenario", self.scenario_file(tmp_path, extra),
+                     "--mode", "nominal", "--out", str(out), *args]) == 2
+        assert (capsys.readouterr().err
+                == f"InvalidInputError: seed must be >= 0, got {seed}\n")
+        assert not out.exists()
+
+    def test_recover_laplacian_rejects_negative_seed(self, tmp_path, capsys):
+        kpath = tmp_path / "K.csv"
+        np.savetxt(kpath, np.kron(np.array([[1.0, -1.0], [-1.0, 1.0]]), np.eye(4)),
+                   delimiter=",")
+        out = tmp_path / "rec"
+        assert main(["recover-laplacian", "--input", str(kpath), "--out", str(out),
+                     "--seed", "-1"]) == 2
+        assert (capsys.readouterr().err
+                == "InvalidInputError: seed must be >= 0, got -1\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags, knobs", [
         ([], {}),
         (["--threshold", "1e-3", "--max-iters", "7", "--seed", "3"],
