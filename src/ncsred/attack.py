@@ -80,48 +80,40 @@ def select_targets(polygons):
     return int(ii[best]), int(jj[best])
 
 
-def agent_reach_polygon(model_K, B, agents, x0, omega,
+def agent_reach_polygon(model_K, B, x0, omega,
                         n_directions=AttackConfig.n_directions,
                         horizon=AttackConfig.horizon) -> list[AgentPolygon]:
-    """Position polygons of the agents' h-step reach sets from the current state.
+    """Position polygons of every agent's h-step reach set from the current
+    state, one AgentPolygon per agent in agent order.
 
-    Returns one AgentPolygon per entry of `agents`, in order. Each agent's
-    injection channel is its own actuator block; support queries use fixed
-    uniformly spaced planar directions, and all agents' queries run in one
-    batched `batch_reach_supports` call.
+    Each agent's injection channel is its own actuator block; support queries
+    use fixed uniformly spaced planar directions, and all agents' queries run
+    in one batched `batch_reach_supports` call, each agent's rows bit-identical
+    to its own call.
     """
-    agents = np.asarray(agents, dtype=int)
-    if agents.ndim != 1 or not agents.size:
-        raise InvalidInputError("agents must be a non-empty sequence of agent indices")
     n_agents = model_K.shape[0] // 4
-    bad = agents[(agents < 0) | (agents >= n_agents)]
-    if bad.size:
-        raise InvalidInputError(
-            f"agent {bad[0]} out of range for {n_agents} agents")
     B = np.asarray(B, float)
-    dirs, Bsel, lifts = _reach_operands(B.tobytes(), B.shape, agents.tobytes(),
-                                        n_agents, n_directions)
+    dirs, Bsel, lifts = _reach_operands(B.tobytes(), B.shape, n_agents, n_directions)
     sup, _ = batch_reach_supports([model_K] * horizon, Bsel, x0, omega, lifts)
-    return agent_polygon(dirs, agents, sup)
+    return agent_polygon(dirs, range(n_agents), sup)
 
 
 @functools.lru_cache(maxsize=16)
-def _reach_operands(bkey, bshape, akey, n_agents, n_directions):
+def _reach_operands(bkey, bshape, n_agents, n_directions):
     """Read-only directions, stacked injection maps Bsel and direction lifts
     of `agent_reach_polygon`, which depend only on the run."""
     B = np.frombuffer(bkey).reshape(bshape)
-    agents = np.frombuffer(akey, dtype=int)
     dirs = planar_directions(n_directions)
-    Bsel = np.array([embed_input_map(B, a, n_agents) for a in agents])
+    Bsel = np.array([embed_input_map(B, a, n_agents) for a in range(n_agents)])
     # a lift puts each direction on one agent's position coordinates
     lift = np.zeros((4, n_directions))
     lift[::2] = dirs.T
-    lifts = np.array([embed_input_map(lift, a, n_agents).T for a in agents])
+    lifts = np.array([embed_input_map(lift, a, n_agents).T for a in range(n_agents)])
     return _frozen(dirs, Bsel, lifts)
 
 
-def synthesize_fdi(targets, model, omega: InputPolytope, state, B, polygons,
-                   n_directions=AttackConfig.n_directions) -> AttackDecision:
+def synthesize_fdi(targets, model, omega: InputPolytope, state, B,
+                   polygons) -> AttackDecision:
     """Choose the vertex-pair injection that drives the targets' next-step
     reach polygons farthest apart.
 
@@ -129,9 +121,10 @@ def synthesize_fdi(targets, model, omega: InputPolytope, state, B, polygons,
     zero injection, so the chosen injection never scores below inaction under
     the identified model. Ties keep the earliest vertex-pair candidate.
     `polygons` are the selection stage's per-agent polygons, indexed by agent;
-    they give the before-separation. The candidates are scored on 1-step
-    polygons even when the selection used a longer reach horizon, so with
-    `horizon > 1` the two separations are on different horizons.
+    they give the before-separation and the direction count. The candidates
+    are scored on 1-step polygons even when the selection used a longer reach
+    horizon, so with `horizon > 1` the two separations are on different
+    horizons.
 
     A target's 1-step polygon from K x is its position in c = K K x plus the
     run-constant input image S = {B_pos u : u in omega}. So candidate (ui, uj),
@@ -155,7 +148,8 @@ def synthesize_fdi(targets, model, omega: InputPolytope, state, B, polygons,
              + Uj @ (K @ embed_input_map(B, j, n_agents)).T)
     pi, pj = [4 * i, 4 * i + 2], [4 * j, 4 * j + 2]
     shifts = delta[:, pi] - delta[:, pj] + (c[pi] - c[pj])
-    scores = input_image_distances(omega, B[[0, 2]], n_directions, shifts)
+    scores = input_image_distances(omega, B[[0, 2]], len(polygons[i].directions),
+                                   shifts)
     best = int(np.argmax(scores))
 
     u_a = np.zeros(2 * n_agents)

@@ -86,8 +86,7 @@ def cmd_reachset_dump(args):
     scenario = load_scenario(args.scenario, seed=args.seed)
     cfg = scenario.attack
     _, model, x = _nominal_fit(scenario, args.at)
-    polygons = agent_reach_polygon(model.K, scenario.agent_model.B,
-                                   range(scenario.n_agents), x,
+    polygons = agent_reach_polygon(model.K, scenario.agent_model.B, x,
                                    harness.input_polytope(scenario),
                                    cfg.n_directions, cfg.horizon)
     lines = ["step,agent,vertex,x,y"]

@@ -145,11 +145,10 @@ def run(scenario: Scenario, mode: str) -> RunRecord:
 
         u_a = None
         if attacking and k >= cfg.start_step and model is not None:
-            polygons = agent_reach_polygon(model.K, B, range(N), x, omega,
+            polygons = agent_reach_polygon(model.K, B, x, omega,
                                            cfg.n_directions, cfg.horizon)
             targets = select_targets(polygons)
-            decision = synthesize_fdi(targets, model, omega, x, B, polygons,
-                                      cfg.n_directions)
+            decision = synthesize_fdi(targets, model, omega, x, B, polygons)
             decisions[k] = decision
             u_a = decision.u_a
 

@@ -9,7 +9,9 @@ A polygon's faces meet only their angular neighbours (`agent_polygon`): m
 points per polygon give its extreme vertices on the direction fan, and its
 vertex ring is built only when read. Rows where an adjacent point fails a
 half-plane, and direction sets with (nearly) parallel neighbours, take the
-all-pairs pass (`_ccw_batch`) instead, row by row.
+all-pairs pass (`_all_pairs_ring`) instead, one row at a time. On the
+8-scenario benchmark pools it took 0 of 3,960 rows at horizon 1 and 26 of
+7,920 rows on the 10-agent horizon-3 tree, where supports reach 2.2e9.
 """
 from __future__ import annotations
 
@@ -100,10 +102,12 @@ def embed_input_map(B, agent, n_agents):
 
 
 def reach_support(K_seq, Bsel, x0, omega: InputPolytope, final_dir):
-    """Support value and support point of the h-step reach set along final_dir;
-    the one-row case of `batch_reach_supports`."""
-    gammas, points = batch_reach_supports(K_seq, Bsel, x0, omega,
-                                          np.asarray(final_dir, float)[None])
+    """Support value and support point of the h-step reach set along the unit
+    vector final_dir; the one-row case of `batch_reach_supports`."""
+    d = np.asarray(final_dir, float)
+    if abs(np.linalg.norm(d) - 1.0) > 1e-6:
+        raise InvalidInputError("final_dir must be a unit vector")
+    gammas, points = batch_reach_supports(K_seq, Bsel, x0, omega, d[None])
     return float(gammas[0]), points[0]
 
 
@@ -111,6 +115,7 @@ def batch_reach_supports(K_seq, Bsel, x0, omega: InputPolytope, final_dirs):
     """Exact support values and points (gammas, points) of the h-step reach
     set from {x0} along each unit row of final_dirs: costates run back from
     the rows, then the points roll forward on the costate-maximizing vertices.
+    The rows are not checked for unit norm (`reach_support` checks its one).
 
     `Bsel` (n, 2) and `final_dirs` (m, n) may carry a leading agent axis,
     (A, n, 2) and (A, m, n); gammas are then (A, m) and points (A, m, n).
@@ -128,8 +133,6 @@ def batch_reach_supports(K_seq, Bsel, x0, omega: InputPolytope, final_dirs):
     n = x0.shape[0]
     if F.shape[-1] != n:
         raise InvalidInputError("final_dir length does not match state")
-    if np.abs(np.sqrt(np.einsum("...i,...i", F, F)) - 1.0).max() > 1e-6:
-        raise InvalidInputError("final_dir must be a unit vector")
     if Bsel.shape[-2] != n:
         raise InvalidInputError("Bsel rows do not match state dimension")
     if any(K.shape != (n, n) for K in K_seq):
@@ -174,13 +177,13 @@ class AgentPolygon:
         if self._vertices is None:
             self._vertices = (
                 _ring(*self._kept) if self._kept is not None else
-                agent_polygon(self.directions, self.agent, self.supports).vertices)
+                _all_pairs_ring(self.directions, np.asarray(self.supports, float)))
         return self._vertices
 
 
 @functools.lru_cache(maxsize=16)
 def _face_pairs(key, shape):
-    """Direction-only part of `_ccw_batch` for the directions whose
+    """Direction-only part of `_all_pairs_ring` for the directions whose
     float64 bytes are `key`.
 
     For every non-parallel face pair (i, j), i < j, with normals a and b, the
@@ -250,50 +253,30 @@ def _adjacent_faces(key, shape):
     return table + _frozen(np.roll(np.arange(m), 1), *gaps, np.lexsort((jj, ii)))
 
 
-def _compact(mask):
-    """Per row, the indices of the True entries in order, then the others,
-    cut to the longest row's count; and the True counts."""
-    counts = mask.sum(axis=1)
-    return np.argsort(~mask, axis=1, kind="stable")[:, :counts.max()], counts
-
-
-def _ccw_batch(directions, G):
+def _all_pairs_ring(directions, g):
     """CCW vertices of the bounded intersection of the planar half-planes
-    <directions[k], p> <= G[a, k], for every row a of G (A, m), as one padded
-    (A, w, 2) array: row a holds its counts[a] vertices, then -0.0 padding,
-    and the bytes a pass over row a alone gives.
+    <directions[k], p> <= g[k].
 
-    Intersects all non-parallel face-line pairs and keeps points feasible for
-    every half-plane (FEAS_TOL slack), dedupes them within 1e-9 * scale and
-    orders them about their centroid. Raises when the directions fail to
-    positively span the plane (unbounded set) or when an intersection is
-    empty. The direction-only work is cached per direction set.
+    Intersects all non-parallel face-line pairs, keeps the points feasible for
+    every half-plane (FEAS_TOL slack), drops each point within 1e-9 * scale
+    of an earlier one and orders the rest about their centroid. Raises when
+    the directions fail to positively span the plane (unbounded set) or when
+    the intersection is empty. The direction-only work is cached per
+    direction set.
     """
     D = np.ascontiguousarray(directions, float)
     I, J, C, E, det = _face_pairs(D.tobytes(), D.shape)
     with np.errstate(invalid="ignore"):
-        P = (G[:, I] * C - G[:, J] * E) / det
-    idx, counts = _compact((P @ D.T <= G[:, None] + FEAS_TOL).all(axis=2))
-    if not counts.all():
+        P = (g[I] * C - g[J] * E) / det
+    P = P[(P @ D.T <= g + FEAS_TOL).all(axis=1)]
+    if not len(P):
         raise DegenerateGeometryError("empty half-plane intersection")
-    # feasible points first, padded with copies of each row's first one,
-    # which the dedupe then drops
-    rows = np.arange(len(G))[:, None]
-    P = P[rows, np.where(np.arange(idx.shape[1]) < counts[:, None], idx, idx[:, :1])]
-    # a point goes when an earlier one lies within 1e-9 * scale
-    scale = np.maximum(1.0, np.abs(P).max(axis=(1, 2)))
-    d = P[:, :, None] - P[:, None]
+    d = P[:, None] - P
     d *= d
-    near = np.sqrt(d[..., 0] + d[..., 1]) <= 1e-9 * scale[:, None, None]
-    idx, counts = _compact(near.argmax(axis=2) == np.arange(P.shape[1]))
-    # kept points padded with -0.0, which leaves the in-order sum exact
-    valid = np.arange(idx.shape[1]) < counts[:, None]
-    P = np.where(valid[..., None], P[rows, idx], -0.0)
-    c = P.sum(axis=1) / counts[:, None]
-    ang = np.arctan2(P[..., 1] - c[:, 1:], P[..., 0] - c[:, :1])
-    # padding sorts last, after the kept points in the order a sort of
-    # the row alone gives them
-    return P[rows, np.argsort(np.where(valid, ang, np.inf), axis=1)], counts
+    near = np.sqrt(d[..., 0] + d[..., 1]) <= 1e-9 * max(1.0, np.abs(P).max())
+    P = P[near.argmax(axis=1) == np.arange(len(P))]
+    c = P.mean(axis=0)
+    return P[np.argsort(np.arctan2(P[:, 1] - c[1], P[:, 0] - c[0]))]
 
 
 def _ring(P, keep, r, pair_order):
@@ -315,9 +298,10 @@ def agent_polygon(directions, agent, supports):
     point lying within 1e-9 * scale of its predecessor into the run's first,
     and takes its extremes on every fan arc from the kept point of the gap
     that arc falls in; its vertices are built only when read. Any other row,
-    and every row on directions `_adjacent_faces` declines, takes the
-    all-pairs `_ccw_batch` pass. The path is chosen per row, so a batch row
-    is the polygon its supports give alone.
+    and every row on directions `_adjacent_faces` declines, takes
+    `_all_pairs_ring` and projects it, one row at a time in row order. The
+    path is chosen per row, so a batch row is the polygon its supports give
+    alone, and a batch raises what its first failing row raises.
     """
     directions = np.asarray(directions, float)
     G = np.atleast_2d(np.asarray(supports, float))
@@ -344,12 +328,9 @@ def agent_polygon(directions, agent, supports):
         rows = np.arange(len(G))[:, None]
         hi, lo = P[rows, run[:, hi_gap]], P[rows, run[:, lo_gap]]
     rings = [None] * len(G)
-    idx = np.flatnonzero(all_pairs)
-    if idx.size:
-        Q, counts = _ccw_batch(D, G[idx])
-        hi[idx], lo[idx] = _padded_extremes(Q, counts, arcs)
-        for r, q, n in zip(idx.tolist(), Q, counts.tolist()):
-            rings[r] = q[:n]
+    for r in np.flatnonzero(all_pairs).tolist():
+        rings[r] = _all_pairs_ring(D, G[r])
+        hi[r], lo[r] = _extremes(rings[r], arcs)
     polys = [AgentPolygon(int(a), directions, g, v, (arcs, hi[r], lo[r]))
              for r, (a, g, v) in enumerate(zip(np.atleast_1d(agent), G, rings))]
     for r in np.flatnonzero(~all_pairs).tolist():
@@ -385,26 +366,23 @@ def _fan(keys):
 def _extreme_vertices(polygons, arcs):
     """Vertices of each polygon attaining max and min of <arc, v> for each
     arc direction, as (A, arcs, 2) arrays: the stored rows when every polygon
-    keeps extremes on these arcs, else one padded pass over all vertices."""
+    keeps extremes on these arcs, else a projection pass over each polygon's
+    vertices."""
     if all(p.extremes is not None and p.extremes[0] is arcs for p in polygons):
         return (np.array([p.extremes[1] for p in polygons]),
                 np.array([p.extremes[2] for p in polygons]))
-    lens = np.array([len(p.vertices) for p in polygons])
-    if not lens.all():
+    V = [np.asarray(p.vertices, float) for p in polygons]
+    if not all(map(len, V)):
         raise DegenerateGeometryError("empty polygon")
-    V = np.concatenate([p.vertices for p in polygons], dtype=float)
-    k = np.arange(lens.max())
-    idx = (np.cumsum(lens) - lens)[:, None] + np.where(k < lens[:, None], k, 0)
-    return _padded_extremes(V[idx], lens, arcs)
+    hi, lo = zip(*(_extremes(v, arcs) for v in V))
+    return np.array(hi), np.array(lo)
 
 
-def _padded_extremes(P, counts, arcs):
-    """`_extreme_vertices` of rows P (A, w, 2) of counts[a] vertices each, the
-    rest read as vertex 0, so argmax and argmin still take the first index."""
-    V = np.where((np.arange(P.shape[1]) < counts[:, None])[..., None], P, P[:, :1])
-    proj = V[..., :1] * arcs[:, 0] + V[..., 1:] * arcs[:, 1]
-    rows = np.arange(len(P))[:, None]
-    return V[rows, proj.argmax(axis=1)], V[rows, proj.argmin(axis=1)]
+def _extremes(V, arcs):
+    """Vertices of V (v, 2) attaining max and min of <arc, v> for each arc
+    direction, as (arcs, 2) arrays; ties go to the first vertex."""
+    proj = V[:, :1] * arcs[:, 0] + V[:, 1:] * arcs[:, 1]
+    return V[proj.argmax(axis=0)], V[proj.argmin(axis=0)]
 
 
 def _ring_edges(rings):

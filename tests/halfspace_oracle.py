@@ -1,4 +1,6 @@
-"""All-pairs half-plane intersection, kept as an oracle for `reachset._ccw_batch`.
+"""All-pairs half-plane intersection, kept as an oracle for
+`reachset._all_pairs_ring`, the one-row pass that `agent_polygon` takes for
+the rows its adjacent-face pass declines.
 
 This is the half-plane intersection as it was before its direction-only work
 (spanning check, face pairs, determinants, parallel mask) moved into a cache:

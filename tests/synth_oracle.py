@@ -13,12 +13,13 @@ from ncsred.reachset import (_direction_fan, _extreme_vertices, _ring_distances,
                              embed_input_map, polygon_distance)
 
 
-def synthesize_fdi(targets, model, omega, state, B, polygons, n_directions=16):
+def synthesize_fdi(targets, model, omega, state, B, polygons):
     i, j = targets
     K = model.K
     n_agents = K.shape[0] // 4
     x = np.asarray(state, float)
-    Pi0, Pj0 = agent_reach_polygon(K, B, targets, K @ x, omega, n_directions)
+    next_polys = agent_reach_polygon(K, B, K @ x, omega, len(polygons[i].directions))
+    Pi0, Pj0 = next_polys[i], next_polys[j]
     sep_before = polygon_distance(polygons[i], polygons[j])
     verts = omega.vertices
     s = len(verts)

@@ -25,7 +25,7 @@ def square_at(c, half=0.5):
 def current_polygons(K, B, x, omega, n_directions=16):
     """Every agent's 1-step reach polygon from x, as the selection stage
     hands them to `synthesize_fdi`."""
-    return agent_reach_polygon(K, B, range(len(K) // 4), x, omega, n_directions)
+    return agent_reach_polygon(K, B, x, omega, n_directions)
 
 
 def recovery_from_laplacian(L):
@@ -86,11 +86,11 @@ class TestSynthesizeFdi:
         x = rng.normal(size=8)
         B0 = np.zeros((4, 2))
         d = synthesize_fdi((0, 1), model, omega, x, B0,
-                           current_polygons(K, B0, x, omega, 8), n_directions=8)
+                           current_polygons(K, B0, x, omega, 8))
         assert np.allclose(d.u_a[0:2], omega.vertices[0], atol=0)
         assert np.allclose(d.u_a[2:4], omega.vertices[0], atol=0)
         # with no injection channel the polygons are propagated points
-        p0, p1 = agent_reach_polygon(K, B0, [0, 1], K @ x, omega, 8)
+        p0, p1 = agent_reach_polygon(K, B0, K @ x, omega, 8)
         assert d.separation_after == pytest.approx(polygon_distance(p0, p1), abs=1e-12)
 
     def test_decoupled_integrators_push_apart(self):
@@ -102,7 +102,7 @@ class TestSynthesizeFdi:
         x = np.zeros(8)
         x[0], x[4] = -1.0, 1.0  # agent 0 left, agent 1 right
         d = synthesize_fdi((0, 1), model, omega, x, B,
-                           current_polygons(K, B, x, omega, 8), n_directions=8)
+                           current_polygons(K, B, x, omega, 8))
         u0, u1 = d.u_a[0:2], d.u_a[2:4]
         # hand enumeration: maximal separation pushes agent 0 further left,
         # agent 1 further right, at the square's x-extremes
@@ -137,8 +137,8 @@ class TestSynthesizeFdi:
             B = AgentModel(0.2).B
             x = rng.normal(size=8)
             d = synthesize_fdi((0, 1), model, omega, x, B,
-                               current_polygons(K, B, x, omega, 8), n_directions=8)
-            p0, p1 = agent_reach_polygon(K, B, [0, 1], K @ x, omega, 8)
+                               current_polygons(K, B, x, omega, 8))
+            p0, p1 = agent_reach_polygon(K, B, K @ x, omega, 8)
             zero_score = polygon_distance(p0, p1)
             assert d.separation_after >= zero_score - 1e-12
 
@@ -163,7 +163,7 @@ class TestSynthesizeFdi:
         B = AgentModel(0.2).B
         x = np.array([1.0, 0.5, -2.0, 0.3, 1.0, -0.4, -2.0, 0.1])
         d = synthesize_fdi((0, 1), model, omega, x, B,
-                           current_polygons(model.K, B, x, omega, 8), n_directions=8)
+                           current_polygons(model.K, B, x, omega, 8))
         assert d.separation_before == 0.0
         assert d.separation_after == 0.0
         assert np.array_equal(d.u_a[0:2], omega.vertices[0])
@@ -185,7 +185,8 @@ class TestSynthesizeFdi:
             got = synthesize_fdi((i, j), model, omega, x, B,
                                  current_polygons(K, B, x, omega))
 
-            Pi0, Pj0 = agent_reach_polygon(K, B, [i, j], K @ x, omega)
+            next_polys = current_polygons(K, B, K @ x, omega)
+            Pi0, Pj0 = next_polys[i], next_polys[j]
             KBi = K @ embed_input_map(B, i, n_agents)
             KBj = K @ embed_input_map(B, j, n_agents)
             candidates = [(ui, uj) for ui in omega.vertices for uj in omega.vertices]
@@ -304,7 +305,7 @@ class TestOnExperimentPipeline:
         omega = circumscribe_ball(s.attack.rho, s.attack.s,
                                   seed=s.rng_seed + OMEGA_SEED_OFFSET,
                                   jitter=s.attack.vertex_jitter)
-        polys = arp(model.K, s.agent_model.B, range(5), record.states[100], omega)
+        polys = arp(model.K, s.agent_model.B, record.states[100], omega)
         got = select_targets(polys)
         best, best_d = None, -1.0
         for i in range(5):

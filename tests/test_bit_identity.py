@@ -24,7 +24,7 @@ from scenario_helpers import offset_difference, slot
 from ncsred import laprec, ncs, reachset
 from ncsred.attack import AttackConfig, agent_reach_polygon
 from ncsred.dmd import SnapshotBuffer
-from ncsred.errors import DegenerateGeometryError, InvalidInputError
+from ncsred.errors import DegenerateGeometryError
 from ncsred.graph import Graph
 from ncsred.harness import run
 from ncsred.reachset import (ANGLE_TOL, AgentPolygon, _direction_fan,
@@ -41,8 +41,8 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 def halfspace_polygon(D, g):
-    """`agent_polygon`'s vertices, the `_ccw_batch` rows for supports g: one
-    array for g (m,), a list of one per row for g (A, m)."""
+    """`agent_polygon`'s vertices for supports g: one array for g (m,), a
+    list of one per row for g (A, m)."""
     g = np.asarray(g, float)
     if g.ndim == 1:
         return agent_polygon(D, 0, g).vertices
@@ -238,11 +238,11 @@ class TestAdjacentFacePass:
         rng = np.random.default_rng(5)
         G = np.array([_supports(kind, D, rng)
                       for kind in ("support", "redundant", "point")])
-        with mock.patch.object(reachset, "_ccw_batch",
-                               wraps=reachset._ccw_batch) as batch:
+        with mock.patch.object(reachset, "_all_pairs_ring",
+                               wraps=reachset._all_pairs_ring) as all_pairs:
             polys = agent_polygon(D, range(3), G)
-        (_, rows), _ = batch.call_args
-        assert batch.call_count == 1 and np.array_equal(rows, G[1:2])
+        (_, row), _ = all_pairs.call_args
+        assert all_pairs.call_count == 1 and np.array_equal(row, G[1])
         assert polys[1]._kept is None and polys[1]._vertices is not None
         for p in (polys[0], polys[2]):
             assert p._kept is not None and p._vertices is None
@@ -313,13 +313,11 @@ class TestBatchedReachPolygons:
                                   seed=int(rng.integers(1000)))
         x0 = rng.normal(scale=10.0, size=n)
         m = int(rng.integers(3, 21))
-        agents = rng.choice(n_agents, size=int(rng.integers(1, n_agents + 1)),
-                            replace=False)
-        got = agent_reach_polygon(K, B, agents, x0, omega, m, h)
+        got = agent_reach_polygon(K, B, x0, omega, m, h)
 
         dirs = planar_directions(m)
-        assert [p.agent for p in got] == agents.tolist()
-        for a, poly in zip(agents, got):
+        assert [p.agent for p in got] == list(range(n_agents))
+        for a, poly in enumerate(got):
             lifts = np.zeros((m, n))
             lifts[:, 4 * a] = dirs[:, 0]
             lifts[:, 4 * a + 2] = dirs[:, 1]
@@ -328,18 +326,6 @@ class TestBatchedReachPolygons:
             want = agent_polygon(dirs, a, sup)
             assert np.array_equal(poly.supports, want.supports)
             assert np.array_equal(poly.vertices, want.vertices)
-
-    def test_rejects_scalar_agent(self):
-        omega = circumscribe_ball(0.1, 4)
-        with pytest.raises(InvalidInputError):
-            agent_reach_polygon(np.eye(8), np.eye(4, 2), 0, np.zeros(8), omega)
-
-    @pytest.mark.parametrize("agent", [7, -1])
-    def test_rejects_agent_out_of_range(self, agent):
-        omega = circumscribe_ball(0.1, 4)
-        with pytest.raises(InvalidInputError, match=f"agent {agent} out of range"):
-            agent_reach_polygon(np.eye(20), np.eye(4, 2), [0, agent], np.zeros(20),
-                                omega)
 
 
 def _uncached_fan(polygons):
@@ -388,9 +374,9 @@ def _extreme(P, arcs):
 
 
 class TestPaddedExtremeVertices:
-    """`pair_distances` and `polygon_distance` take every polygon's extreme
-    vertices in one padded pass; the scores equal those from one polygon at a
-    time, on polygons with differing vertex counts and direction sets."""
+    """`pair_distances` and `polygon_distance` on polygons with differing
+    vertex counts and direction sets: the scores equal those from projecting
+    one polygon at a time, and hand-built vertices count as floats."""
 
     @PROPERTY
     @given(seed=seeds, n_polygons=st.integers(min_value=2, max_value=10))
@@ -414,6 +400,19 @@ class TestPaddedExtremeVertices:
         want = _ring_distances(np.zeros((1, 2)),
                                _extreme(Q, arcs)[0] - _extreme(P, arcs)[1], faces)
         assert polygon_distance(P, Q) == want[0]
+
+    def test_hand_built_integer_or_list_vertices(self):
+        """Vertices given as integers or as nested lists give the extreme
+        bytes of the same vertices as floats."""
+        D = planar_directions(7)
+        ring = [[3, -1], [5, 2], [1, 4], [-2, 1]]
+        _, arcs = _direction_fan([AgentPolygon(0, D, None, ring)])
+        want = _extreme_vertices([AgentPolygon(0, D, None, np.array(ring, float))],
+                                 arcs)
+        for V in (ring, np.array(ring), np.array(ring, dtype=np.int32)):
+            got = _extreme_vertices([AgentPolygon(0, D, None, V)], arcs)
+            assert [g.dtype for g in got] == [np.float64] * 2
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
 
 def _plant_scenario(rng, n):

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from ncsred import attack, reachset
 from ncsred.attack import AttackConfig, agent_reach_polygon
 from ncsred.dmd import DEFAULT_SVD_TOL, SnapshotBuffer, fit
-from ncsred.errors import InvalidInputError
 from ncsred.graph import Graph
 from ncsred.harness import run
 from ncsred.reachset import (AgentPolygon, _direction_fan, _extreme_vertices,
@@ -106,12 +105,12 @@ def test_attacked_run_builds_no_vertex_ring():
     s = build_scenario(seed=4, horizon_steps=70,
                        attack=AttackConfig(start_step=51, dos_step=60, horizon=2))
     spies = [mock.patch.object(reachset, name, wraps=getattr(reachset, name))
-             for name in ("_ccw_batch", "_ring", "_padded_extremes")]
-    with spies[0] as batch, spies[1] as ring, spies[2] as pad:
+             for name in ("_all_pairs_ring", "_ring", "_extremes")]
+    with spies[0] as all_pairs, spies[1] as ring, spies[2] as extremes:
         record = run(s, "fdi_dos")
     assert sum(d is not None for d in record.decisions) > 0
     assert record.dos_events
-    assert batch.call_count == ring.call_count == pad.call_count == 0
+    assert all_pairs.call_count == ring.call_count == extremes.call_count == 0
     with mock.patch.object(reachset, "_adjacent_faces", return_value=None):
         want = run(s, "fdi_dos")
     assert len(record.decisions) == len(want.decisions)
@@ -143,13 +142,12 @@ class TestRunConstantTables:
     def test_read_only_and_equal_to_per_step_build(self, seed):
         rng = np.random.default_rng(seed)
         n_agents, K, B, omega = _random_problem(rng)
-        agents = rng.permutation(n_agents)[:int(rng.integers(1, n_agents + 1))]
+        agents = np.arange(n_agents)
         m = int(rng.integers(3, 20))
         x = rng.normal(size=4 * n_agents)
-        first = agent_reach_polygon(K, B, agents, x, omega, m, 2)
+        first = agent_reach_polygon(K, B, x, omega, m, 2)
 
-        dirs, Bsel, lifts = attack._reach_operands(
-            B.tobytes(), B.shape, agents.tobytes(), n_agents, m)
+        dirs, Bsel, lifts = attack._reach_operands(B.tobytes(), B.shape, n_agents, m)
         assert all(p.directions is dirs for p in first)
         rows = np.arange(len(agents))
         want_B = np.zeros((len(agents), 4 * n_agents, 2))
@@ -181,15 +179,9 @@ class TestRunConstantTables:
         fresh = planar_directions(m)
         assert fresh.flags.writeable and fresh is not dirs
         fresh[:] = 0.0
-        again = agent_reach_polygon(K, B, agents, x, omega, m, 2)
+        again = agent_reach_polygon(K, B, x, omega, m, 2)
         for p, q in zip(first, again):
             assert p.vertices.tobytes() == q.vertices.tobytes()
-
-
-def test_reach_polygon_names_empty_agent_list():
-    omega = circumscribe_ball(0.1, 4)
-    with pytest.raises(InvalidInputError, match="non-empty sequence"):
-        agent_reach_polygon(np.eye(8), np.eye(4, 2), [], np.zeros(8), omega)
 
 
 class TestNeighborIndex:

@@ -291,8 +291,8 @@ class TestCli:
         omega = circumscribe_ball(cfg.rho, cfg.s, seed=s.rng_seed + OMEGA_SEED_OFFSET,
                                   jitter=cfg.vertex_jitter)
         polys = agent_reach_polygon(fit(buf, svd_tol=cfg.svd_tol).K,
-                                    s.agent_model.B, range(s.n_agents), states[60],
-                                    omega, cfg.n_directions, 2)
+                                    s.agent_model.B, states[60], omega,
+                                    cfg.n_directions, 2)
         assert np.array_equal(table[:, 0], np.full(len(table), 60.0))
         assert np.array_equal(table[:, 1], np.concatenate(
             [np.full(len(p.vertices), p.agent) for p in polys]))

@@ -55,7 +55,7 @@ class TestTranslateIdentity:
         n_agents, K, B, omega = _random_problem(rng)
         z = rng.normal(scale=10.0, size=4 * n_agents)
         a = int(rng.integers(n_agents))
-        got = agent_reach_polygon(K, B, [a], z, omega, m)[0].supports
+        got = agent_reach_polygon(K, B, z, omega, m)[a].supports
         dirs = planar_directions(m)
         want = dirs @ (K @ z)[[4 * a, 4 * a + 2]] + _image_polygon(omega, B, m).supports
         assert np.abs(got - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
@@ -97,9 +97,9 @@ class TestAgainstOracle:
         x *= rng.uniform(0.0, 10.0) / np.linalg.norm(x)
         model = DmdModel(K=K, residual=0.0, rank_used=len(K))
         targets = tuple(map(int, rng.choice(n_agents, size=2, replace=False)))
-        polys = agent_reach_polygon(K, B, range(n_agents), x, omega, m)
-        got = synthesize_fdi(targets, model, omega, x, B, polys, m)
-        want = synth_oracle.synthesize_fdi(targets, model, omega, x, B, polys, m)
+        polys = agent_reach_polygon(K, B, x, omega, m)
+        got = synthesize_fdi(targets, model, omega, x, B, polys)
+        want = synth_oracle.synthesize_fdi(targets, model, omega, x, B, polys)
         assert got.targets == want.targets
         assert got.u_a.tobytes() == want.u_a.tobytes()
         assert got.separation_before == want.separation_before
@@ -119,10 +119,10 @@ class TestLargeCoordinates:
         x = np.zeros(8)
         x[0], x[2] = 1.1e7, 2.0
         x[4], x[6] = 1.1e7 + 0.003, 2.0
-        polys = agent_reach_polygon(K, B, [0, 1], x, omega)
+        polys = agent_reach_polygon(K, B, x, omega)
         got = synthesize_fdi((0, 1), model, omega, x, B, polys)
 
-        Pi0, Pj0 = agent_reach_polygon(K, B, [0, 1], K @ x, omega)
+        Pi0, Pj0 = agent_reach_polygon(K, B, K @ x, omega)
         assert len(Pi0.vertices) == len(Pj0.vertices) == 1
         S = _image_polygon(omega, B, 16)
         assert len(S.vertices) > 8
@@ -153,14 +153,14 @@ class TestNoPerStepReachPass:
         B = AgentModel(0.2).B
         model = DmdModel(K=K, residual=0.0, rank_used=len(K))
         x = rng.normal(size=len(K))
-        polys = agent_reach_polygon(K, B, range(n_agents), x, omega)
+        polys = agent_reach_polygon(K, B, x, omega)
         synthesize_fdi((0, 1), model, omega, x, B, polys)
         with mock.patch.object(attack, "agent_reach_polygon",
                                wraps=attack.agent_reach_polygon) as reach, \
-                mock.patch.object(reachset, "_ccw_batch",
-                                  wraps=reachset._ccw_batch) as ccw:
+                mock.patch.object(reachset, "_all_pairs_ring",
+                                  wraps=reachset._all_pairs_ring) as all_pairs:
             for _ in range(3):
                 x = K @ x
                 synthesize_fdi((0, 1), model, omega, x, B, polys)
         assert reach.call_count == 0
-        assert ccw.call_count == 0
+        assert all_pairs.call_count == 0

@@ -175,7 +175,6 @@ class TestReachSupport:
         bad = lifts.copy()
         bad[1, 2, 0] = 0.5
         cases = [
-            ([K], B, x0, bad, "unit vector"),
             ([K], B, x0, lifts[..., :6], "final_dir length"),
             ([K], B[:, :6], x0, lifts, "Bsel rows"),
             ([K, np.eye(6)], B, x0, lifts, "shape mismatch"),
