@@ -115,7 +115,7 @@ def run(scenario: Scenario, mode: str) -> RunRecord:
     model = None
     active_graph = scenario.graph
     graphs = [active_graph]
-    index = neighbor_index(active_graph)
+    index = neighbor_index(active_graph, scenario.formation_offsets)
 
     states = np.zeros((H + 1, dim))
     decisions = [None] * H
@@ -141,7 +141,7 @@ def run(scenario: Scenario, mode: str) -> RunRecord:
             dos_events.append(event)
             if active_graph is not graphs[-1]:
                 graphs.append(active_graph)
-                index = neighbor_index(active_graph)
+                index = neighbor_index(active_graph, scenario.formation_offsets)
 
         u_a = None
         if attacking and k >= cfg.start_step and model is not None:

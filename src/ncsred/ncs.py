@@ -163,12 +163,14 @@ class Scenario:
         return STATE_DIM * self.n_agents
 
 
-def neighbor_index(g: Graph):
-    """Index arrays (ii, jj) of g's neighbour terms, in (i, ascending j) order;
-    a run builds them once per active graph."""
+def neighbor_index(g: Graph, offsets: np.ndarray):
+    """Index arrays (ii, jj) of g's neighbour terms, in (i, ascending j)
+    order, and their slot offset differences offsets[ii] - offsets[jj]; a run
+    builds them once per active graph."""
     nbrs = [g.neighbors(i) for i in range(g.n_nodes)]
     ii = np.repeat(np.arange(g.n_nodes), [len(js) for js in nbrs])
-    return ii, np.array([j for js in nbrs for j in js], dtype=int)
+    jj = np.array([j for js in nbrs for j in js], dtype=int)
+    return ii, jj, offsets[ii] - offsets[jj]
 
 
 def control_inputs(s: Scenario, k: int, x: np.ndarray, index=None):
@@ -179,20 +181,27 @@ def control_inputs(s: Scenario, k: int, x: np.ndarray, index=None):
     feedforward acceleration, which keeps the closed loop on the reference.
     Every neighbour term K (x_i - x_j - (o_i - o_j)) is one stacked 2x4 @ 4x1
     product; each agent sums its terms in ascending neighbour order. `index`
-    is a graph's `neighbor_index`; it defaults to the scenario graph's.
+    is a graph's `neighbor_index(g, s.formation_offsets)`, whose offset
+    differences are run constants; it defaults to the scenario graph's.
+    k must index a track row: 0 <= k < len(s.track.acc).
     """
     N = s.n_agents
+    n_rows = len(s.track.acc)
+    if not 0 <= k < n_rows:
+        raise InvalidInputError(f"step k must be in 0..{n_rows - 1}, got {k}")
     x = np.asarray(x, float)
     if x.shape != (s.dim,):
         raise InvalidInputError(f"state length {x.shape} != {s.dim}")
     X = x.reshape(N, STATE_DIM)
-    ii, jj = neighbor_index(s.graph) if index is None else index
-    off = s.formation_offsets
-    dev = X[ii] - X[jj] - (off[ii] - off[jj])
+    ii, jj, doff = (neighbor_index(s.graph, s.formation_offsets)
+                    if index is None else index)
+    dev = X.take(ii, 0)
+    dev -= X.take(jj, 0)
+    dev -= doff
     u = np.zeros((N, INPUT_DIM))
     np.add.at(u, ii, (s.gain @ dev[..., None])[..., 0])
     u[0] += s.leader_gain @ (X[0] - s.track.states[k])
-    u += s.track.acc[k][None, :]
+    u += s.track.acc[k]
     return u
 
 
@@ -200,18 +209,25 @@ def step(s: Scenario, x: np.ndarray, u: np.ndarray,
          fdi: Optional[np.ndarray] = None) -> np.ndarray:
     """Next stacked state: x_i <- A x_i + B (u_i + u^a_i).
 
-    `u` is this state's `control_inputs` (N x 2); `fdi` is an optional stacked
-    injection of length 2N entering through the same actuator matrix B. All
-    agents update in stacked 4x4 @ 4x1 and 4x2 @ 2x1 products.
+    `x` is the stacked state (length 4N), `u` this state's `control_inputs`
+    (N x 2); `fdi` is an optional stacked injection of length 2N entering
+    through the same actuator matrix B. All agents update in stacked
+    4x4 @ 4x1 and 4x2 @ 2x1 products.
     """
     N = s.n_agents
+    x = np.asarray(x, float)
+    if x.shape != (s.dim,):
+        raise InvalidInputError(f"state length {x.shape} != {s.dim}")
+    u = np.asarray(u, float)
+    if u.shape != (N, INPUT_DIM):
+        raise InvalidInputError(f"inputs shape {u.shape} != {(N, INPUT_DIM)}")
     if fdi is not None:
         fdi = np.asarray(fdi, float)
         if fdi.shape != (INPUT_DIM * N,):
             raise InvalidInputError(f"fdi length {fdi.shape} != {INPUT_DIM * N}")
         u = u + fdi.reshape(N, INPUT_DIM)
-    out = (s.agent_model.A @ np.asarray(x, float).reshape(N, STATE_DIM, 1)
-           + s.agent_model.B @ np.asarray(u, float)[..., None])
+    out = s.agent_model.A @ x.reshape(N, STATE_DIM, 1)
+    out += s.agent_model.B @ u[..., None]
     return out.reshape(-1)
 
 

@@ -447,7 +447,9 @@ class TestStackedPlant:
                               plant_oracle.feedback_inputs(s, k, x) + s.track.acc[k])
         # the index a run builds once per graph stands in for the graph
         assert np.array_equal(
-            ncs.control_inputs(s, k, x, index=ncs.neighbor_index(graph)), want_u)
+            ncs.control_inputs(s, k, x,
+                               index=ncs.neighbor_index(graph, s.formation_offsets)),
+            want_u)
         fdi = rng.normal(size=2 * n) if with_fdi else None
         u = rng.normal(size=(n, 2)) if random_u else want_u
         assert np.array_equal(ncs.step(s, x, u, fdi), plant_oracle.step(s, x, u, fdi))
@@ -462,6 +464,27 @@ class TestStackedPlant:
         s = _plant_scenario(np.random.default_rng(seed), n)
         assert np.array_equal(ncs.stacked_closed_loop(s),
                               plant_oracle.stacked_closed_loop(s))
+
+
+class TestRunReplay:
+    def test_fdi_dos_run_matches_loop_replay(self):
+        """An fdi_dos run with a forced DoS edge replays on the loop oracle:
+        feedback on the graph active at each step, the track's feedforward and
+        the recorded injection give every state row's bytes, so neighbour
+        terms that kept the first graph's offset differences would fail."""
+        s = build_scenario(seed=0, horizon_steps=80,
+                           attack=AttackConfig(rho=0.05, s=8, start_step=51,
+                                               dos_step=60, snapshot_width=50,
+                                               dos_edge=(2, 4)))
+        r = run(s, "fdi_dos")
+        assert len(r.graphs) == 2 and r.dos_events[0].k == 60
+        x, dos_k = r.states[0], r.dos_events[0].k
+        for k in range(r.horizon):
+            graph = r.graphs[0] if k < dos_k else r.graphs[1]
+            u = plant_oracle.feedback_inputs(s, k, x, graph) + s.track.acc[k]
+            d = r.decisions[k]
+            x = plant_oracle.step(s, x, u, None if d is None else d.u_a)
+            assert np.array_equal(x, r.states[k + 1]), k
 
 
 class _DequeBuffer:

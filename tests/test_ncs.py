@@ -103,6 +103,16 @@ class TestControlInputs:
                 want = want + s.leader_gain @ (X[0] - s.track.states[k])
             assert np.allclose(u[i], want, atol=1e-12)
 
+    @pytest.mark.parametrize("k", [-1, 12])
+    def test_rejects_step_outside_track(self, k):
+        """k = -1 would read the last track row and k = horizon + 2 would
+        run off the track; both name k and the valid range."""
+        s = small_scenario(2, {(0, 1)})
+        assert len(s.track.acc) == 12
+        with pytest.raises(InvalidInputError,
+                           match=rf"step k must be in 0\.\.11, got {k}$"):
+            control_inputs(s, k, np.zeros(8))
+
 
 class TestStep:
     def test_zero_fixed_point(self):
@@ -125,6 +135,17 @@ class TestStep:
         s = small_scenario(2, {(0, 1)})
         with pytest.raises(InvalidInputError):
             advance(s, 0, np.zeros(8), fdi=np.zeros(3))
+
+    def test_rejects_shared_input_row(self):
+        """A (2,) input would broadcast to every agent."""
+        s = small_scenario(2, {(0, 1)})
+        with pytest.raises(InvalidInputError, match=r"inputs shape \(2,\) != \(2, 2\)"):
+            step(s, np.zeros(8), np.ones(2))
+
+    def test_rejects_state_not_4n(self):
+        s = small_scenario(2, {(0, 1)})
+        with pytest.raises(InvalidInputError, match=r"state length \(7,\) != 8"):
+            step(s, np.zeros(7), np.zeros((2, 2)))
 
 
 class TestStackedClosedLoop:
