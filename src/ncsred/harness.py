@@ -12,7 +12,8 @@ from .attack import (agent_reach_polygon, plan_dos, select_targets,
                      synthesize_fdi)
 from .errors import InvalidInputError
 from .graph import Graph, remove_edge
-from .ncs import Scenario, control_inputs, neighbor_index, step
+from .ncs import (Scenario, control_inputs, neighbor_index, stacked_closed_loop,
+                  step)
 from .reachset import InputPolytope, circumscribe_ball, pair_indices
 
 MODES = ("nominal", "fdi", "fdi_dos")
@@ -95,10 +96,19 @@ def run(scenario: Scenario, mode: str) -> RunRecord:
     nominal: plant only. fdi: plant plus the eavesdrop / identify / reach /
     inject loop. fdi_dos: same, with structure recovery and a DoS at the
     configured step; the executed jamming severs the planned agent's true
-    links (the attacker's believed link need not exist).
+    links (the attacker's believed link need not exist). A plant whose closed
+    loop is unstable is refused before the first step.
     """
     if mode not in MODES:
         raise InvalidInputError(f"mode must be one of {MODES}, got {mode!r}")
+    # a follower group with no path to the leader keeps the double
+    # integrator's eigenvalue 1, defective, which eigvals returns up to about
+    # 1.4e-8 high; an unstable gain sits far above (1.44 for the gain rows
+    # 0.5 0.5 0 0 / 0 0 0.5 0.5)
+    radius = np.abs(np.linalg.eigvals(stacked_closed_loop(scenario))).max()
+    if not radius <= 1.0 + 1e-6:
+        raise InvalidInputError(f"closed loop is unstable: spectral radius "
+                                f"{radius:.6g} exceeds 1")
     cfg = scenario.attack
     N = scenario.n_agents
     H = scenario.horizon_steps

@@ -5,13 +5,15 @@ directions, lifted into the stacked state space per agent, then intersected
 back into per-agent position polygons. Distances between polygons are point
 queries against their Minkowski difference.
 
-A polygon's faces meet only their angular neighbours (`agent_polygon`): m
-points per polygon give its extreme vertices on the direction fan, and its
-vertex ring is built only when read. Rows where an adjacent point fails a
-half-plane, and direction sets with (nearly) parallel neighbours, take the
-all-pairs pass (`_all_pairs_ring`) instead, one row at a time. On the
-8-scenario benchmark pools it took 0 of 3,960 rows at horizon 1 and 26 of
-7,920 rows on the 10-agent horizon-3 tree, where supports reach 2.2e9.
+Every caller passes a convex set's exact supports, so every face is tight and
+meets its angular neighbour at a vertex (support-function polytopes; Le
+Guernic & Girard, "Reachability analysis of linear systems using support
+functions", Nonlinear Analysis: Hybrid Systems 2010). So `agent_polygon`
+intersects each face with its neighbour only: m points per polygon give its
+extreme vertices on the direction fan and, in gap order, its counter-clockwise
+vertex ring, which is built only when read. Supports whose adjacent points
+fail a face are no convex set's (the set is empty, or a face is not tight),
+and raise `DegenerateGeometryError`.
 """
 from __future__ import annotations
 
@@ -26,10 +28,6 @@ FEAS_TOL = 1e-9
 #: face normals closer than this angle (radians) count as one direction
 ANGLE_TOL = 1e-12
 DEFAULT_JITTER = 0.05
-#: a fan arc at least this angle (radians) from each face normal leaves its
-#: gap's vertex ahead of every other vertex along the arc by far more than
-#: rounding, so gathering that vertex gives a projection pass's bytes
-ARC_MARGIN = 1e-4
 
 
 def _frozen(*arrays):
@@ -161,7 +159,8 @@ class AgentPolygon:
     vertices' extremes on the direction fan of `directions`, so distance
     queries on that fan need not project the vertices; a polygon built by
     hand leaves them None. Vertices not given are built when first read:
-    from the points `agent_polygon` kept, else from the supports.
+    from the points `agent_polygon` kept, else by `agent_polygon` from the
+    supports.
     """
 
     def __init__(self, agent, directions, supports, vertices=None, extremes=None):
@@ -170,122 +169,60 @@ class AgentPolygon:
         self.supports = supports      # (m,)
         self.extremes = extremes      # (arcs, hi, lo), each hi / lo (arcs, 2)
         self._vertices = vertices     # (v, 2) CCW
-        self._kept = None             # `_ring`'s arguments, set by agent_polygon
+        self._kept = None             # (points, keep mask, row), set by agent_polygon
 
     @property
     def vertices(self):
         if self._vertices is None:
-            self._vertices = (
-                _ring(*self._kept) if self._kept is not None else
-                _all_pairs_ring(self.directions, np.asarray(self.supports, float)))
+            if self._kept is None:
+                self._kept = agent_polygon(self.directions, self.agent,
+                                           self.supports)._kept
+            P, keep, r = self._kept
+            self._vertices = P[r, keep[r]]
         return self._vertices
 
 
 @functools.lru_cache(maxsize=16)
-def _face_pairs(key, shape):
-    """Direction-only part of `_all_pairs_ring` for the directions whose
+def _adjacent_faces(key, shape):
+    """Direction-only part of `agent_polygon` for the directions whose
     float64 bytes are `key`.
 
-    For every non-parallel face pair (i, j), i < j, with normals a and b, the
-    lines' intersection is (g[I] * C - g[J] * E) / det, column by column, for
-    the returned index pairs I = (i, j), J = (j, i), coefficients
-    C = (b1, a0), E = (a1, b0) and determinant det (k, 1). Raises when the
-    directions fail to positively span the plane.
+    Faces sorted by angle merge when they lie within ANGLE_TOL of each other,
+    cyclically across +-pi; a merged face keeps the direction and support of
+    its member that sorts first in (-pi, pi]. Merged face k and face k + 1
+    (cyclically) meet at point k, the polygon's vertex on gap k. For that
+    face pair (i, j), oriented i < j, with normals a and b, the point is
+    (g[I] * C - g[J] * E) / det, column by column, for the returned index
+    pairs I = (i, j), J = (j, i), coefficients C = (b1, a0), E = (a1, b0) and
+    determinant det (k, 1). Also returns the gap of every arc of
+    `_fan((key,))` and of its negative. Raises when the directions fail to
+    positively span the plane.
     """
-    D = np.frombuffer(key, dtype=float).reshape(shape)
     if shape[0] < 3:
         raise DegenerateGeometryError("need at least 3 half-planes")
-    ang = np.sort(np.arctan2(D[:, 1], D[:, 0]))
-    gaps = np.diff(np.concatenate([ang, [ang[0] + 2 * np.pi]]))
-    if gaps.max() >= np.pi - 1e-12:
-        raise DegenerateGeometryError("directions do not positively span the plane")
-    ii, jj = np.triu_indices(shape[0], k=1)
-    return _pair_table(D, ii, jj)
-
-
-def _pair_table(D, ii, jj):
-    """`_face_pairs`'s read-only (I, J, C, E, det) for face pairs ii < jj,
-    without the (nearly) parallel ones."""
-    a, b = D[ii], D[jj]
-    det = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    ok = np.abs(det) > 1e-12
-    ii, jj, a, b, det = ii[ok], jj[ok], a[ok], b[ok], det[ok]
-    return _frozen(np.column_stack([ii, jj]), np.column_stack([jj, ii]),
-                   np.column_stack([b[:, 1], a[:, 0]]),
-                   np.column_stack([a[:, 1], b[:, 0]]), det[:, None])
-
-
-@functools.lru_cache(maxsize=16)
-def _adjacent_faces(key, shape):
-    """Direction-only part of the adjacent-face pass of `agent_polygon` for
-    the directions whose float64 bytes are `key`, or None where it does not
-    apply: when two adjacent faces are (nearly) parallel, or a fan arc lies
-    within ARC_MARGIN of a face normal.
-
-    With the faces sorted by angle, face k and face k + 1 (cyclically) meet
-    at point k, the polygon's vertex on gap k. Returns `_pair_table` for
-    those m pairs, each oriented i < j so that its point has the bytes of the
-    all-pairs pass; each point's predecessor; the gap of every arc of
-    `_fan((key,))` and of its negative; and the points in the all-pairs
-    pass's pair order. Raises where `_face_pairs` raises.
-    """
-    _face_pairs(key, shape)
     D = np.frombuffer(key, dtype=float).reshape(shape)
     ang = np.arctan2(D[:, 1], D[:, 0])
     order = np.argsort(ang)
-    ii, jj = np.sort([order, np.roll(order, -1)], axis=0)
-    table = _pair_table(D, ii, jj)
-    m = shape[0]
-    if len(table[-1]) < m:
-        return None
-    face = ang[order]
+    ang = ang[order]
+    gaps = np.diff(np.concatenate([ang, [ang[0] + 2 * np.pi]]))
+    if gaps.max() >= np.pi - 1e-12:
+        raise DegenerateGeometryError("directions do not positively span the plane")
+    first = np.concatenate([[True], gaps[:-1] > ANGLE_TOL])
+    if gaps[-1] <= ANGLE_TOL:  # the last merged face wraps into the first
+        first[np.flatnonzero(first)[-1]] = False
+    faces = order[first]
+    ii, jj = np.sort([faces, np.roll(faces, -1)], axis=0)
+    a, b = D[ii], D[jj]
+    det = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
     arcs = _fan((key,))[1]
-    gaps, margins = [], []
+    arc_gaps = []
     for arc in (arcs, -arcs):
         theta = np.arctan2(arc[:, 1], arc[:, 0])
-        # gap k spans (face[k], face[k + 1]); gap m - 1 wraps past +-pi
-        k = (np.searchsorted(face, theta) - 1) % m
-        margins.append((theta - face[k]) % (2 * np.pi))
-        margins.append((face[(k + 1) % m] - theta) % (2 * np.pi))
-        gaps.append(k)
-    if np.concatenate(margins).min() < ARC_MARGIN:
-        return None
-    return table + _frozen(np.roll(np.arange(m), 1), *gaps, np.lexsort((jj, ii)))
-
-
-def _all_pairs_ring(directions, g):
-    """CCW vertices of the bounded intersection of the planar half-planes
-    <directions[k], p> <= g[k].
-
-    Intersects all non-parallel face-line pairs, keeps the points feasible for
-    every half-plane (FEAS_TOL slack), drops each point within 1e-9 * scale
-    of an earlier one and orders the rest about their centroid. Raises when
-    the directions fail to positively span the plane (unbounded set) or when
-    the intersection is empty. The direction-only work is cached per
-    direction set.
-    """
-    D = np.ascontiguousarray(directions, float)
-    I, J, C, E, det = _face_pairs(D.tobytes(), D.shape)
-    with np.errstate(invalid="ignore"):
-        P = (g[I] * C - g[J] * E) / det
-    P = P[(P @ D.T <= g + FEAS_TOL).all(axis=1)]
-    if not len(P):
-        raise DegenerateGeometryError("empty half-plane intersection")
-    d = P[:, None] - P
-    d *= d
-    near = np.sqrt(d[..., 0] + d[..., 1]) <= 1e-9 * max(1.0, np.abs(P).max())
-    P = P[near.argmax(axis=1) == np.arange(len(P))]
-    c = P.mean(axis=0)
-    return P[np.argsort(np.arctan2(P[:, 1] - c[1], P[:, 0] - c[0]))]
-
-
-def _ring(P, keep, r, pair_order):
-    """CCW vertices from the adjacent-face points P[r] that `agent_polygon`
-    kept: taken in pair order and ordered about their centroid, as the
-    all-pairs pass orders its points."""
-    pts = P[r, pair_order[keep[r, pair_order]]]
-    c = pts.mean(axis=0)
-    return pts[np.argsort(np.arctan2(pts[:, 1] - c[1], pts[:, 0] - c[0]))]
+        # gap k spans (face k, face k + 1); the last gap wraps past +-pi
+        arc_gaps.append((np.searchsorted(ang[first], theta) - 1) % len(faces))
+    return _frozen(np.column_stack([ii, jj]), np.column_stack([jj, ii]),
+                   np.column_stack([b[:, 1], a[:, 0]]),
+                   np.column_stack([a[:, 1], b[:, 0]]), det[:, None], *arc_gaps)
 
 
 def agent_polygon(directions, agent, supports):
@@ -293,48 +230,44 @@ def agent_polygon(directions, agent, supports):
     sequence of agents and supports (A, m), a list of their polygons, each
     with its extremes (see AgentPolygon).
 
-    Each face meets only its angular neighbour: m points per polygon. A row
-    whose points all pass every half-plane (FEAS_TOL slack) merges each
-    point lying within 1e-9 * scale of its predecessor into the run's first,
-    and takes its extremes on every fan arc from the kept point of the gap
-    that arc falls in; its vertices are built only when read. Any other row,
-    and every row on directions `_adjacent_faces` declines, takes
-    `_all_pairs_ring` and projects it, one row at a time in row order. The
-    path is chosen per row, so a batch row is the polygon its supports give
-    alone, and a batch raises what its first failing row raises.
+    Each face meets only its angular neighbour (`_adjacent_faces`), at most m
+    points per polygon. Every point must pass every half-plane within
+    FEAS_TOL * scale, where scale, the points' rounding scale, is the row's
+    largest point coordinate and at least 1. A row with a point that fails
+    is no convex set's supports (the set is empty, or a face is not tight):
+    the first such row raises, naming the row and the face. Each point lying
+    within 1e-9 * scale of its predecessor merges into the run's first. A
+    fan arc's extreme is the kept point of the gap that the arc falls in, the
+    maximiser along it; the vertices, the kept points in gap order, are built
+    only when read.
     """
     directions = np.asarray(directions, float)
     G = np.atleast_2d(np.asarray(supports, float))
     D = np.ascontiguousarray(directions)
     key = D.tobytes()
     arcs = _fan((key,))[1]
-    adjacent = _adjacent_faces(key, D.shape)
-    if adjacent is None:
-        all_pairs = np.ones(len(G), dtype=bool)
-        hi, lo = np.empty((2, len(G), len(arcs), 2))
-    else:
-        I, J, C, E, det, prev, hi_gap, lo_gap, pair_order = adjacent
-        with np.errstate(invalid="ignore"):
-            P = (G[:, I] * C - G[:, J] * E) / det
-            all_pairs = ~(P @ D.T <= G[:, None] + FEAS_TOL).all(axis=(1, 2))
-            d = P - P[:, prev]
-        d *= d
-        scale = np.maximum(1.0, np.abs(P).max(axis=(1, 2)))
-        keep = np.sqrt(d[..., 0] + d[..., 1]) > 1e-9 * scale[:, None]
-        keep[:, 0] |= ~keep.any(axis=1)  # a row of one point keeps its first
-        # a gap's vertex is the last kept point at or before it, cyclically
-        run = np.maximum.accumulate(np.where(keep, np.arange(len(prev)), -1), axis=1)
-        run = np.where(run < 0, run[:, -1:], run)
-        rows = np.arange(len(G))[:, None]
-        hi, lo = P[rows, run[:, hi_gap]], P[rows, run[:, lo_gap]]
-    rings = [None] * len(G)
-    for r in np.flatnonzero(all_pairs).tolist():
-        rings[r] = _all_pairs_ring(D, G[r])
-        hi[r], lo[r] = _extremes(rings[r], arcs)
-    polys = [AgentPolygon(int(a), directions, g, v, (arcs, hi[r], lo[r]))
-             for r, (a, g, v) in enumerate(zip(np.atleast_1d(agent), G, rings))]
-    for r in np.flatnonzero(~all_pairs).tolist():
-        polys[r]._kept = (P, keep, r, pair_order)
+    I, J, C, E, det, hi_gap, lo_gap = _adjacent_faces(key, D.shape)
+    P = (G[:, I] * C - G[:, J] * E) / det
+    scale = np.maximum(1.0, np.abs(P).max(axis=(1, 2)))
+    fails = ~(P @ D.T <= G[:, None] + FEAS_TOL * scale[:, None, None])
+    if fails.any():
+        r, _, k = np.argwhere(fails)[0]
+        raise DegenerateGeometryError(
+            f"supports row {r} are no convex set's: face {k} cuts off a point "
+            "where adjacent faces meet (the set is empty, or a face is not tight)")
+    d = P - P[:, np.arange(-1, len(I) - 1)]  # each point less its predecessor
+    d *= d
+    keep = np.sqrt(d[..., 0] + d[..., 1]) > 1e-9 * scale[:, None]
+    keep[:, 0] |= ~keep.any(axis=1)  # a row of one point keeps its first
+    # a gap's vertex is the last kept point at or before it, cyclically
+    run = np.maximum.accumulate(np.where(keep, np.arange(len(I)), -1), axis=1)
+    run = np.where(run < 0, run[:, -1:], run)
+    rows = np.arange(len(G))[:, None]
+    hi, lo = P[rows, run[:, hi_gap]], P[rows, run[:, lo_gap]]
+    polys = [AgentPolygon(int(a), directions, g, extremes=(arcs, hi[r], lo[r]))
+             for r, (a, g) in enumerate(zip(np.atleast_1d(agent), G))]
+    for r, p in enumerate(polys):
+        p._kept = (P, keep, r)
     return polys if np.ndim(agent) else polys[0]
 
 

@@ -1,12 +1,13 @@
-"""All-pairs half-plane intersection, kept as an oracle for
-`reachset._all_pairs_ring`, the one-row pass that `agent_polygon` takes for
-the rows its adjacent-face pass declines.
+"""All-pairs half-plane intersection, kept as an independent reference for
+`reachset.agent_polygon`, which intersects adjacent faces only.
 
-This is the half-plane intersection as it was before its direction-only work
-(spanning check, face pairs, determinants, parallel mask) moved into a cache:
-every call intersects all face-line pairs, keeps the points feasible within
+Every call intersects all face-line pairs, keeps the points feasible within
 the absolute FEAS_TOL, dedupes them within 1e-9 * scale and orders them about
-their centroid. The cached version must return the same bytes.
+their centroid. On a convex set's supports at unit scale it gives
+`agent_polygon`'s vertices up to rotation, within 1e-9 * scale. At supports
+of about 1e6 and more the absolute FEAS_TOL drops true vertices, down to an
+"empty" intersection, where `agent_polygon`'s point-scaled tolerance keeps
+them.
 """
 import numpy as np
 

@@ -35,7 +35,7 @@ def t_step(K, L):
             if i == j:
                 continue
             num += L[i, j] * _blocks(K, i, j)
-            den += L[i, j] ** 2
+            den += L[i, j] * L[i, j]  # as laprec.t_step's w * w
     regularized = den < RIDGE
     return num / (den + RIDGE), regularized
 

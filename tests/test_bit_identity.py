@@ -3,10 +3,12 @@ the per-agent, per-pair and per-step computations they replace.
 
 The benchmark's decision fingerprints allow separations to drift by 1e-9
 relative, so these compare with `np.array_equal`, not a tolerance. The one
-exception is a polygon vertex that the adjacent-face pass merged from
-several points: it may be another float of that run than the all-pairs
-oracle keeps, within the 1e-9 * scale that defines one vertex.
+exception is the half-plane pass: `agent_polygon` intersects adjacent faces
+only, and its ring may start at another vertex than the all-pairs oracle's
+and hold another float of a merged run, so the two agree up to rotation
+within the 1e-9 * scale that defines one vertex.
 """
+import re
 from collections import deque
 
 import numpy as np
@@ -21,13 +23,13 @@ import plant_oracle
 from halfspace_oracle import halfspace_polygon as oracle_polygon
 from scenario_helpers import offset_difference, slot
 
-from ncsred import laprec, ncs, reachset
+from ncsred import laprec, ncs
 from ncsred.attack import AttackConfig, agent_reach_polygon
 from ncsred.dmd import SnapshotBuffer
 from ncsred.errors import DegenerateGeometryError
 from ncsred.graph import Graph
 from ncsred.harness import run
-from ncsred.reachset import (ANGLE_TOL, AgentPolygon, _direction_fan,
+from ncsred.reachset import (ANGLE_TOL, FEAS_TOL, AgentPolygon, _direction_fan,
                              _extreme_vertices, _ring_distances,
                              agent_polygon, batch_reach_supports,
                              circumscribe_ball, embed_input_map, pair_distances,
@@ -38,6 +40,9 @@ PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+#: the named error of supports that are no convex set's
+NOT_CONVEX = r"supports row \d+ are no convex set's: face \d+ cuts off"
 
 
 def halfspace_polygon(D, g):
@@ -57,29 +62,31 @@ def _outcome(fn, *args):
         return str(exc)
 
 
-def _random_directions(rng):
-    """A uniform fan, or random unit normals that may fail to span the plane,
-    with some (nearly) parallel face pairs: a repeated normal, a negated one,
-    and normals turned by less than the 1e-12 determinant cut-off."""
+def _random_directions(rng, parallel=True):
+    """A uniform fan, or random unit normals that may fail to span the plane;
+    with parallel, about half the random sets add (nearly) parallel face
+    pairs: a repeated normal, a negated one, and normals turned by less than
+    ANGLE_TOL."""
     if rng.random() < 0.4:
         return planar_directions(int(rng.integers(3, 25)))
     ang = rng.uniform(-np.pi, np.pi, size=int(rng.integers(3, 20)))
-    if rng.random() < 0.5:
+    if parallel and rng.random() < 0.5:
         ang = np.concatenate([ang, ang[:2], ang[:1] + np.pi,
                               ang[:2] + rng.uniform(1e-14, 5e-13, size=2)])
     return np.column_stack([np.cos(ang), np.sin(ang)])
 
 
-def _half_planes(kind, seed):
+def _half_planes(kind, seed, parallel=True):
     rng = np.random.default_rng(seed)
-    D = _random_directions(rng)
+    D = _random_directions(rng, parallel)
     return D, _supports(kind, D, rng)
 
 
 def _supports(kind, D, rng):
     """Support values on the directions D: a point's, an empty set's
     (every half-plane pulled in past a common point), or a random point
-    cloud's, with redundant faces or at scales of 1e6-1e9."""
+    cloud's, with faces pushed out (which may leave them tight) or at scales
+    of 1e6-1e9."""
     if kind == "point":
         return D @ rng.normal(scale=5.0, size=2)
     if kind == "empty":
@@ -95,193 +102,235 @@ def _supports(kind, D, rng):
     return g
 
 
-def _adjacent_points_merge(D, g):
-    """Whether the adjacent-face pass may merge two points of this row: no
-    two adjacent faces are (nearly) parallel, every point where adjacent
-    faces meet is feasible, and two consecutive points lie within 1e-9 *
-    scale. Only there may a vertex be another float than the all-pairs
-    pass's, since each pass keeps a different member of the run."""
-    order = np.argsort(np.arctan2(D[:, 1], D[:, 0]))
-    ii, jj = np.sort([order, np.roll(order, -1)], axis=0)
-    a, b = D[ii], D[jj]
-    det = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    if np.abs(det).min() <= 1e-12:
-        return False
-    P = np.column_stack([g[ii] * b[:, 1] - g[jj] * a[:, 1],
-                         g[jj] * a[:, 0] - g[ii] * b[:, 0]]) / det[:, None]
-    if not (P @ D.T <= g + 1e-9).all():
-        return False
-    near = np.linalg.norm(P - np.roll(P, 1, axis=0), axis=1)
-    return bool((near <= 1e-9 * max(1.0, np.abs(P).max())).any())
-
-
-def _assert_matches_oracle(D, g, got, want):
-    """got is the oracle's polygon: its bytes, or, where adjacent-face points
-    merged, its vertex count with every vertex within the 1e-9 * scale that
-    the dedupe takes for one vertex."""
-    if not _adjacent_points_merge(D, g):
-        assert np.array_equal(got, want)
-        return
+def _same_ring(got, want):
+    """got is want up to rotation, each vertex within 1e-9 * scale."""
     assert got.shape == want.shape
-    scale = max(1.0, np.abs(want).max())
-    assert np.hypot(*(got - want).T).max() <= 1e-9 * scale
+    tol = 1e-9 * max(1.0, np.abs(want).max())
+    assert any(np.hypot(*(np.roll(got, k, axis=0) - want).T).max() <= tol
+               for k in range(len(got)))
+
+
+def _assert_extremes_maximise(p):
+    """Each stored extreme maximises (minimises) its fan arc over p's
+    vertices within 1e-8 * scale."""
+    arcs, hi, lo = p.extremes
+    V = p.vertices
+    tol = 1e-8 * max(1.0, np.abs(V).max())
+    proj = V @ arcs.T
+    assert (proj.max(axis=0) - (hi * arcs).sum(axis=1)).max() <= tol
+    assert ((lo * arcs).sum(axis=1) - proj.min(axis=0)).max() <= tol
+
+
+def _assert_polygon_invariants(p, D, g):
+    """p's ring is counter-clockwise and convex, every vertex passes every
+    face within FEAS_TOL * scale, every face is attained, and its extremes
+    maximise their arcs (the last two within 1e-8 * scale, the dedupe's
+    merge radius chained along a run)."""
+    V = p.vertices
+    scale = max(1.0, np.abs(V).max())
+    E = np.roll(V, -1, axis=0) - V
+    F = np.roll(E, -1, axis=0)
+    assert (E[:, 0] * F[:, 1] - E[:, 1] * F[:, 0] >= -1e-9 * scale**2).all()
+    proj = V @ D.T
+    assert (proj <= g + FEAS_TOL * scale).all()
+    assert (proj.max(axis=0) >= g - 1e-8 * scale).all()
+    _assert_extremes_maximise(p)
 
 
 class TestHalfspacePolygon:
     @PROPERTY
-    @given(seed=seeds, kind=st.sampled_from(["support", "redundant", "point",
-                                             "large"]))
+    @given(seed=seeds, kind=st.sampled_from(["support", "point"]))
     def test_matches_all_pairs_oracle(self, seed, kind):
+        """A convex set's supports at unit scale give the oracle's vertices
+        up to rotation, or its error where the directions fail to span."""
         D, g = _half_planes(kind, seed)
         want = _outcome(oracle_polygon, D, g)
         got = _outcome(halfspace_polygon, D, g)
         if isinstance(want, str):
             assert got == want
         else:
-            _assert_matches_oracle(D, g, got, want)
+            _same_ring(got, want)
 
     @PROPERTY
     @given(seed=seeds, kinds=st.lists(st.sampled_from(["support", "redundant",
-                                                       "point", "large"]),
-                                      min_size=1, max_size=12),
-           empty_row=st.integers(min_value=-12, max_value=11))
-    def test_batch_rows_match_oracle(self, seed, kinds, empty_row):
-        """Rows of mixed kinds on one direction set; a batch raises what its
-        first failing row raises."""
-        if 0 <= empty_row < len(kinds):
-            kinds[empty_row] = "empty"
+                                                       "point", "empty"]),
+                                      min_size=1, max_size=12))
+    def test_batch_rows_match_oracle(self, seed, kinds):
+        """Rows of mixed kinds on one direction set, without (nearly)
+        parallel faces: each row is the oracle's polygon up to rotation, and
+        a batch with a row that is no convex set's raises, naming the first
+        such row. By the oracle, such a row is empty or has a face at least
+        1e-6 short of tight; every other row is tight within 1e-9."""
         rng = np.random.default_rng(seed)
-        D = _random_directions(rng)
+        D = _random_directions(rng, parallel=False)
         G = np.array([_supports(kind, D, rng) for kind in kinds])
         want = [_outcome(oracle_polygon, D, g) for g in G]
         got = _outcome(halfspace_polygon, D, G)
-        errors = [w for w in want if isinstance(w, str)]
-        if errors:
-            assert got == errors[0]
-        else:
-            assert len(got) == len(want)
-            for g, a, b in zip(G, got, want):
-                _assert_matches_oracle(D, g, a, b)
+        if any("span" in w for w in want if isinstance(w, str)):
+            assert got == want[0]
+            return
+        slack = [np.inf if isinstance(w, str) else (g - (w @ D.T).max(axis=0)).max()
+                 for g, w in zip(G, want)]
+        assert all(s > 1e-6 or s <= 1e-9 for s in slack)
+        bad = [r for r, s in enumerate(slack) if s > 1e-6]
+        if bad:
+            assert re.match(NOT_CONVEX, got)
+            assert got.startswith(f"supports row {bad[0]} ")
+            return
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            _same_ring(a, b)
 
     @pytest.mark.parametrize("m", [9, 15, 35])
     @pytest.mark.parametrize("center, offset", [((0.0, 0.0), 1.0),
                                                 ((1.0, 0.0), 1.0),
                                                 ((0.0, -3.0), 2.5)])
     def test_regular_polygons_match_oracle(self, m, center, offset):
-        """Regular polygons, some with a vertex level with the centroid,
-        where a centroid summed in another order sorts the ring otherwise."""
+        """Regular polygons, some with a vertex level with the centre, keep
+        every vertex."""
         D = planar_directions(m)
         g = D @ np.array(center) + offset
-        assert not _adjacent_points_merge(D, g)
-        assert np.array_equal(halfspace_polygon(D, g), oracle_polygon(D, g))
+        _same_ring(halfspace_polygon(D, g), oracle_polygon(D, g))
 
     def test_cached_directions_are_not_shared_state(self):
         D = planar_directions(8)
         first = halfspace_polygon(D, np.ones(8))
         D[:] = -D[::-1]  # the caller's array changes after the first call
-        assert np.array_equal(halfspace_polygon(D, np.ones(8)),
-                              oracle_polygon(D, np.ones(8)))
+        _same_ring(halfspace_polygon(D, np.ones(8)), oracle_polygon(D, np.ones(8)))
         assert np.array_equal(halfspace_polygon(planar_directions(8), np.ones(8)),
                               first)
 
+    @PROPERTY
+    @given(seed=seeds)
+    def test_large_supports_keep_invariants(self, seed):
+        """Supports of 1e6-1e9, where the oracle's absolute FEAS_TOL drops
+        true vertices, give a polygon that keeps the invariants."""
+        D, g = _half_planes("large", seed)
+        p = _outcome(agent_polygon, D, 0, g)
+        if isinstance(p, str):
+            assert "span" in p and p == _outcome(oracle_polygon, D, g)
+        else:
+            _assert_polygon_invariants(p, D, g)
 
-def _stored_and_projected(p):
-    """p's stored extremes, and those a projection pass over its vertices
-    gives on the same arcs."""
-    _, arcs = _direction_fan([p])
-    assert p.extremes[0] is arcs
-    hand = AgentPolygon(p.agent, p.directions, p.supports, p.vertices)
-    return p.extremes[1:], [e[0] for e in _extreme_vertices([hand], arcs)]
+    @pytest.mark.parametrize("seed", [1, 309])
+    def test_builds_the_ring_the_oracle_finds_empty(self, seed):
+        """Large supports that the oracle's absolute FEAS_TOL reports empty:
+        a point at |g| ~ 2e8 on 20 directions, and a triangle at ~5e7."""
+        D, g = _half_planes("large", seed)
+        with pytest.raises(DegenerateGeometryError, match="empty"):
+            oracle_polygon(D, g)
+        p = agent_polygon(D, 0, g)
+        assert len(p.vertices) == {1: 1, 309: 3}[seed]
+        _assert_polygon_invariants(p, D, g)
+
+    @PROPERTY
+    @given(seed=seeds, kind=st.sampled_from(["redundant", "empty"]))
+    def test_redundant_and_empty_rows_raise(self, seed, kind):
+        """Supports with a face at least 1e-6 short of tight (by the oracle),
+        or an empty set, raise the named error; tight ones give a ring."""
+        D, g = _half_planes(kind, seed, parallel=False)
+        want = _outcome(oracle_polygon, D, g)
+        if isinstance(want, str) and "span" in want:
+            return
+        if isinstance(want, str) or (g - (want @ D.T).max(axis=0)).max() > 1e-6:
+            with pytest.raises(DegenerateGeometryError, match=NOT_CONVEX):
+                agent_polygon(D, 0, g)
+        else:
+            _same_ring(halfspace_polygon(D, g), want)
 
 
-ADJACENT_KINDS = ["support", "point"]
-FALLBACK_KINDS = ["redundant", "empty", "large"]
+ROW_KINDS = ["support", "point", "large", "redundant", "empty"]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestAdjacentFacePass:
-    """`agent_polygon` intersects each face with its angular neighbour only
-    and falls back to the all-pairs pass per row; rows on direction sets with
-    (nearly) parallel neighbours all fall back."""
+    """`agent_polygon` intersects each face with its angular neighbour only,
+    on every row and every direction set."""
 
     @PROPERTY
-    @given(seed=seeds,
-           kinds=st.lists(st.sampled_from(ADJACENT_KINDS + ["redundant", "large"]),
-                          min_size=2, max_size=10),
+    @given(seed=seeds, kinds=st.lists(st.sampled_from(ROW_KINDS),
+                                      min_size=2, max_size=10),
            uniform=st.booleans())
     def test_mixed_batch_rows_equal_single_row_calls(self, seed, kinds, uniform):
         """Every row has the vertex and extreme bytes of its single-row
-        call, and its stored extremes are a projection pass over its vertices;
-        a batch with an empty row raises what that row raises."""
+        call, and its stored extremes maximise their arcs; a batch with a
+        row that is no convex set's raises what the first such row raises,
+        under its batch row number."""
         rng = np.random.default_rng(seed)
-        kinds[0] = ADJACENT_KINDS[int(rng.integers(2))]
-        kinds[1] = FALLBACK_KINDS[int(rng.integers(3))]
-        rng.shuffle(kinds)
         D = (planar_directions(int(rng.integers(3, 25))) if uniform
              else _random_directions(rng))
         G = np.array([_supports(kind, D, rng) for kind in kinds])
         want = [_outcome(agent_polygon, D, a, g) for a, g in enumerate(G)]
         got = _outcome(agent_polygon, D, range(len(G)), G)
-        errors = [w for w in want if isinstance(w, str)]
+        errors = [(r, w) for r, w in enumerate(want) if isinstance(w, str)]
         if errors:
-            assert got == errors[0]
+            r, w = errors[0]
+            assert got == w.replace("supports row 0 ", f"supports row {r} ")
             return
         for p, q in zip(got, want):
             assert p.vertices.tobytes() == q.vertices.tobytes()
             for a, b in zip(p.extremes[1:], q.extremes[1:]):
                 assert a.tobytes() == b.tobytes()
-            for a, b in zip(*_stored_and_projected(p)):
-                assert a.tobytes() == b.tobytes()
+            _assert_extremes_maximise(p)
 
-    def test_batch_splits_rows_between_passes(self):
+    def test_batch_builds_no_ring(self):
+        """A batch keeps every row's points and builds no ring until read."""
         D = planar_directions(16)
         rng = np.random.default_rng(5)
         G = np.array([_supports(kind, D, rng)
-                      for kind in ("support", "redundant", "point")])
-        with mock.patch.object(reachset, "_all_pairs_ring",
-                               wraps=reachset._all_pairs_ring) as all_pairs:
-            polys = agent_polygon(D, range(3), G)
-        (_, row), _ = all_pairs.call_args
-        assert all_pairs.call_count == 1 and np.array_equal(row, G[1])
-        assert polys[1]._kept is None and polys[1]._vertices is not None
-        for p in (polys[0], polys[2]):
-            assert p._kept is not None and p._vertices is None
+                      for kind in ("support", "large", "point")])
+        polys = agent_polygon(D, range(3), G)
+        for r, p in enumerate(polys):
+            assert p._vertices is None and p._kept[2] == r
+            _assert_polygon_invariants(p, D, G[r])
 
     @PROPERTY
-    @given(seed=seeds, kind=st.sampled_from(ADJACENT_KINDS + ["redundant"]),
+    @given(seed=seeds, kind=st.sampled_from(["support", "point", "large"]),
            n=st.integers(min_value=1, max_value=8))
     def test_read_vertices_equal_supports_built_alone(self, seed, kind, n):
         """A ring built when read comes from the points the batch kept: a
-        caller's later edit to the supports does not reach it."""
+        caller's later edit to the supports does not reach it. A polygon
+        built by hand from the supports gets the same ring."""
         rng = np.random.default_rng(seed)
         D = planar_directions(int(rng.integers(3, 25)))
         G = np.array([_supports(kind, D, rng) for _ in range(n)])
         alone = [agent_polygon(D, a, g.copy()).vertices for a, g in enumerate(G)]
+        hand = [AgentPolygon(a, D, g.copy()).vertices for a, g in enumerate(G)]
         polys = agent_polygon(D, range(n), G)
         G[:] = 0.0
-        for p, want in zip(polys, alone):
-            assert p.vertices.tobytes() == want.tobytes()
+        for p, want, by_hand in zip(polys, alone, hand):
+            assert p.vertices.tobytes() == want.tobytes() == by_hand.tobytes()
             assert p.vertices is p.vertices  # built once
 
     @PROPERTY
     @given(seed=seeds, log_gap=st.floats(min_value=-11.0, max_value=-5.0))
     def test_arc_next_to_a_face_keeps_projection_extremes(self, seed, log_gap):
         """A face turned 1e-11 to 1e-5 rad from another's negative puts a
-        fan arc next to a face normal, where a gathered vertex may not be the
-        projection's: the stored extremes still are a projection pass's."""
+        fan arc next to a face normal: the stored extremes, taken from the
+        arc's gap, still maximise the arc within 1e-8 * scale."""
         rng = np.random.default_rng(seed)
         ang = rng.uniform(-np.pi, np.pi, size=int(rng.integers(5, 12)))
         ang[1] = ang[0] + np.pi + rng.choice([-1.0, 1.0]) * 10.0 ** log_gap
         D = np.column_stack([np.cos(ang), np.sin(ang)])
         pts = rng.normal(scale=5.0, size=2) + rng.normal(
             scale=10.0 ** rng.uniform(-8, 0), size=(int(rng.integers(2, 6)), 2))
-        p = _outcome(agent_polygon, D, 0, (pts @ D.T).max(axis=0))
+        g = (pts @ D.T).max(axis=0)
+        p = _outcome(agent_polygon, D, 0, g)
         if not isinstance(p, str):
-            for a, b in zip(*_stored_and_projected(p)):
-                assert a.tobytes() == b.tobytes()
+            _assert_polygon_invariants(p, D, g)
+
+    @pytest.mark.parametrize("turn", [-3e-13, 0.0, 3e-13])
+    def test_parallel_normals_across_pi_merge(self, turn):
+        """A normal within ANGLE_TOL of (-1, 0) on the other side of +-pi
+        merges with it: the pair meets at no far-off point."""
+        D = planar_directions(8)
+        D = np.vstack([D, [np.cos(np.pi + turn), np.sin(np.pi + turn)]])
+        cloud = np.array([[3.5, 39.0], [5.0, 40.3], [2.0, 41.5]])
+        g = (cloud @ D.T).max(axis=0)
+        _same_ring(halfspace_polygon(D, g), oracle_polygon(D, g))
 
     @PROPERTY
-    @given(seed=seeds, kind=st.sampled_from(ADJACENT_KINDS + FALLBACK_KINDS))
+    @given(seed=seeds, kind=st.sampled_from(ROW_KINDS))
     def test_random_directions_warn_nothing(self, seed, kind):
         """Direction sets with repeated, negated and nearly parallel normals
         divide by no vanishing determinant."""
@@ -631,6 +680,7 @@ class TestLaprecBlockView:
     @PROPERTY
     @given(seed=seeds, n_agents=st.integers(min_value=2, max_value=12),
            kind=st.sampled_from(["random", "structured", "block_diagonal"]))
+    @example(seed=94294, n_agents=3, kind="random")  # x ** 2 != x * x here
     def test_recover_matches_loops(self, seed, n_agents, kind):
         K = _recover_input(kind, seed, n_agents)
         got = laprec.recover(K, seed=seed)

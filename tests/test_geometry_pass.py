@@ -98,20 +98,31 @@ class TestStoredExtremes:
 
 def test_attacked_run_builds_no_vertex_ring():
     """An attacked h = 2 run takes every extreme from the adjacent-face pass:
-    it makes no all-pairs pass, builds no vertex ring and projects no
-    vertices. Its decisions are those of a run whose polygons all take the
-    all-pairs pass and project their rings, with the scores within the
-    benchmark's 1e-9 relative tolerance."""
+    it builds no vertex ring and projects no vertices. Its decisions are
+    those of a run whose polygons are built by hand from their rings, so
+    that every query projects the ring."""
     s = build_scenario(seed=4, horizon_steps=70,
                        attack=AttackConfig(start_step=51, dos_step=60, horizon=2))
-    spies = [mock.patch.object(reachset, name, wraps=getattr(reachset, name))
-             for name in ("_all_pairs_ring", "_ring", "_extremes")]
-    with spies[0] as all_pairs, spies[1] as ring, spies[2] as extremes:
+    built = []
+
+    def keep(*args):
+        polys = agent_polygon(*args)
+        built.extend(polys)
+        return polys
+
+    with mock.patch.object(attack, "agent_polygon", side_effect=keep), \
+            mock.patch.object(reachset, "_extremes",
+                              wraps=reachset._extremes) as extremes:
         record = run(s, "fdi_dos")
     assert sum(d is not None for d in record.decisions) > 0
     assert record.dos_events
-    assert all_pairs.call_count == ring.call_count == extremes.call_count == 0
-    with mock.patch.object(reachset, "_adjacent_faces", return_value=None):
+    assert built and all(p._vertices is None for p in built)
+    assert extremes.call_count == 0
+
+    def by_hand(*args):
+        return [_by_hand(p) for p in agent_polygon(*args)]
+
+    with mock.patch.object(attack, "agent_polygon", side_effect=by_hand):
         want = run(s, "fdi_dos")
     assert len(record.decisions) == len(want.decisions)
     for got, ref in zip(record.decisions, want.decisions):
@@ -119,11 +130,8 @@ def test_attacked_run_builds_no_vertex_ring():
         if got is not None:
             assert got.targets == ref.targets
             assert got.u_a.tobytes() == ref.u_a.tobytes()
-            # a merged vertex may be another float of the same run (1e-9 *
-            # scale); the benchmark's fingerprints allow 1e-9 relative
             for name in ("separation_before", "separation_after"):
-                assert getattr(got, name) == pytest.approx(getattr(ref, name),
-                                                           rel=1e-9, abs=0)
+                assert getattr(got, name) == getattr(ref, name)
     assert record.states.tobytes() == want.states.tobytes()
 
 

@@ -10,7 +10,8 @@ from ncsred.attack import AttackConfig, agent_reach_polygon
 from ncsred.cli import main
 from ncsred.dmd import SnapshotBuffer, fit
 from ncsred.errors import InvalidInputError
-from ncsred.harness import OMEGA_SEED_OFFSET, emit, metrics, run
+from ncsred.harness import MODES, OMEGA_SEED_OFFSET, emit, metrics, run
+from ncsred.ncs import stacked_closed_loop
 from ncsred.reachset import circumscribe_ball
 from ncsred.scenario_io import (PARSERS, build_scenario, load_scenario,
                                 parse_scenario_text)
@@ -28,6 +29,11 @@ def readme_keys():
         section = fh.read().split("## Scenario files", 1)[1].split("\n## ", 1)[0]
     cells = re.findall(r"^\| (`.*?) \|", section, re.M)
     return {key for cell in cells for key in re.findall(r"`([a-z0-9_]+)`", cell)}
+
+
+#: gain rows under which the 5-agent formation diverges (radius 1.44)
+DIVERGING_GAIN = [[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5]]
+UNSTABLE = "closed loop is unstable: spectral radius 1.44026 exceeds 1"
 
 
 def short_scenario(seed=0, horizon=80, **attack_overrides):
@@ -86,6 +92,26 @@ class TestRun:
         s = short_scenario(dos_edge=(3, 4))
         with pytest.raises(InvalidInputError):
             run(s, "fdi_dos")
+
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_unstable_closed_loop_refused(self, mode):
+        s = build_scenario(horizon_steps=200, gain=DIVERGING_GAIN)
+        with pytest.raises(InvalidInputError, match=UNSTABLE):
+            run(s, mode)
+
+    @pytest.mark.parametrize("edges, exact", [
+        (set(), True), ({(0, 1), (1, 2), (2, 3)}, True), ({(2, 3), (3, 4)}, False)],
+        ids=["no-edges", "follower-alone", "follower-group"])
+    def test_marginal_closed_loop_runs(self, edges, exact):
+        """A follower with no path to the leader keeps the double
+        integrator's eigenvalue 1. For a connected group of such followers
+        eigvals returns it slightly above 1, and the run still goes ahead."""
+        s = build_scenario(horizon_steps=60, edges=edges,
+                           attack=short_scenario(start_step=40).attack)
+        radius = np.abs(np.linalg.eigvals(stacked_closed_loop(s))).max()
+        assert radius == 1.0 if exact else 1.0 < radius < 1.0 + 1e-7
+        assert all(np.isfinite(run(s, mode).states).all() for mode in ("nominal", "fdi"))
 
 
 class TestMetrics:
@@ -359,6 +385,17 @@ class TestCli:
             assert (f"InvalidInputError: fdi_dos needs dos_step ({dos_step}) below "
                     "horizon_steps (70)") in capsys.readouterr().err
             assert not out.exists()
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_simulate_refuses_unstable_closed_loop(self, tmp_path, capsys, mode):
+        path = tmp_path / "scn.txt"
+        path.write_text("horizon_steps = 200\ngain_row1 = 0.5 0.5 0 0\n"
+                        "gain_row2 = 0 0 0.5 0.5\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", str(path), "--mode", mode,
+                     "--out", str(out)]) == 2
+        assert f"InvalidInputError: {UNSTABLE}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, at", [("reachset-dump", "-5"),
                                              ("dmd-export", "-450")])

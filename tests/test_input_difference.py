@@ -157,10 +157,10 @@ class TestNoPerStepReachPass:
         synthesize_fdi((0, 1), model, omega, x, B, polys)
         with mock.patch.object(attack, "agent_reach_polygon",
                                wraps=attack.agent_reach_polygon) as reach, \
-                mock.patch.object(reachset, "_all_pairs_ring",
-                                  wraps=reachset._all_pairs_ring) as all_pairs:
+                mock.patch.object(reachset, "agent_polygon",
+                                  wraps=reachset.agent_polygon) as polygon:
             for _ in range(3):
                 x = K @ x
                 synthesize_fdi((0, 1), model, omega, x, B, polys)
         assert reach.call_count == 0
-        assert all_pairs.call_count == 0
+        assert polygon.call_count == 0

@@ -112,8 +112,9 @@ def test_pair_scores_equal_per_pair_distance(seed, n, shared):
     if shared:
         # the pipeline case: one direction fan for every agent
         dirs = planar_directions(16)
-        polys = [agent_polygon(dirs, a, dirs @ rng.normal(scale=6.0, size=2)
-                               + rng.uniform(0.0, 2.0, size=16)) for a in range(n)]
+        clouds = rng.normal(scale=6.0, size=(n, 1, 2)) + rng.normal(size=(n, 5, 2))
+        polys = [agent_polygon(dirs, a, (pts @ dirs.T).max(axis=0))
+                 for a, pts in enumerate(clouds)]
     else:
         polys = [hull_polygon(random_hull(rng, rng.normal(scale=6.0, size=2)), rng)
                  for _ in range(n)]

@@ -14,6 +14,13 @@ def square_polygon(center, half):
     return agent_polygon(dirs, 0, sup)
 
 
+def cloud_supports(dirs, center, rng):
+    """Supports of a random point cloud about center: a convex set's, so
+    every face is tight."""
+    pts = center + rng.normal(size=(int(rng.integers(3, 9)), 2))
+    return (pts @ dirs.T).max(axis=0)
+
+
 def sample_omega(omega, n, rng):
     """Admissible inputs: polytope vertices plus interior convex combinations."""
     s = omega.vertices.shape[0]
@@ -203,8 +210,7 @@ class TestAgentPolygon:
     def test_ccw_and_convex(self):
         rng = np.random.default_rng(3)
         dirs = planar_directions(12)
-        sup = dirs @ rng.normal(size=2) + rng.uniform(0.5, 2.0, size=12)
-        poly = agent_polygon(dirs, 0, sup)
+        poly = agent_polygon(dirs, 0, cloud_supports(dirs, rng.normal(size=2), rng))
         v = poly.vertices
         n = len(v)
         for i in range(n):
@@ -278,8 +284,7 @@ class TestPolygonDistance:
         dirs = planar_directions(10)
         polys = []
         for _ in range(12):
-            c = rng.normal(scale=5.0, size=2)
-            sup = dirs @ c + rng.uniform(0.3, 1.5, size=10)
+            sup = cloud_supports(dirs, rng.normal(scale=5.0, size=2), rng)
             polys.append(agent_polygon(dirs, 0, sup))
         for a in range(len(polys)):
             for b in range(a + 1, len(polys)):
@@ -306,8 +311,8 @@ class TestPolygonDistance:
             offset_dir = rng.normal(size=2)
             offset_dir /= np.linalg.norm(offset_dir)
             c2 = c1 + offset_dir * rng.uniform(6.0, 12.0)
-            P = agent_polygon(dirs, 0, dirs @ c1 + rng.uniform(0.3, 2.0, size=9))
-            Q = agent_polygon(dirs, 0, dirs @ c2 + rng.uniform(0.3, 2.0, size=9))
+            P = agent_polygon(dirs, 0, cloud_supports(dirs, c1, rng))
+            Q = agent_polygon(dirs, 0, cloud_supports(dirs, c2, rng))
             got = polygon_distance(P, Q)
             oracle = _boundary_sample_distance(P.vertices, Q.vertices, 2000)
             assert abs(got - oracle) < 1e-4
