@@ -79,6 +79,7 @@ def cmd_dmd_export(args):
     _write_matrix_csv(args.out, "K.csv", model.K)
     print(f"residual,{model.residual!r}")
     print(f"rank_used,{model.rank_used}")
+    print(f"cond,{model.cond!r}")
     return 0
 
 

@@ -69,11 +69,16 @@ class SnapshotBuffer:
 
 @dataclass(frozen=True)
 class DmdModel:
-    """Least-squares one-step operator with its fit diagnostics."""
+    """Least-squares one-step operator with its fit diagnostics.
+
+    `cond` is the kept condition number sig[0] / sig[rank - 1] of the fit's
+    snapshot matrix: inf at rank 0, nan for a model not made by `fit`.
+    """
 
     K: np.ndarray
     residual: float
     rank_used: int
+    cond: float = float("nan")
 
     def predict(self, x):
         """One-step prediction K @ x."""
@@ -100,7 +105,8 @@ def fit(buf: SnapshotBuffer, svd_tol=DEFAULT_SVD_TOL) -> DmdModel:
         rank = int(np.sum(sig > svd_tol * sig[0]))
         Ur, sr, Vr = U[:, :rank], sig[:rank], Vt[:rank]
         K = ((Xp @ Vr.T) * (1.0 / sr)) @ Ur.T
+    cond = sig[0] / sig[rank - 1] if rank else np.inf
     num = np.linalg.norm(Xp - K @ X)
     den = np.linalg.norm(Xp)
     residual = float(num / den) if den > 0 else float(num)
-    return DmdModel(K=K, residual=residual, rank_used=rank)
+    return DmdModel(K=K, residual=residual, rank_used=rank, cond=float(cond))

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -97,7 +98,9 @@ def run(scenario: Scenario, mode: str) -> RunRecord:
     inject loop. fdi_dos: same, with structure recovery and a DoS at the
     configured step; the executed jamming severs the planned agent's true
     links (the attacker's believed link need not exist). A plant whose closed
-    loop is unstable is refused before the first step.
+    loop is unstable is refused before the first step. An attacked mode warns
+    when the snapshot window is narrower than the 4N-dimensional state, since
+    such a window cannot identify the plant.
     """
     if mode not in MODES:
         raise InvalidInputError(f"mode must be one of {MODES}, got {mode!r}")
@@ -118,6 +121,10 @@ def run(scenario: Scenario, mode: str) -> RunRecord:
     if mode == "fdi_dos" and cfg.dos_step >= H:
         raise InvalidInputError(f"fdi_dos needs dos_step ({cfg.dos_step}) below "
                                 f"horizon_steps ({H})")
+    if mode != "nominal" and cfg.snapshot_width < dim:
+        warnings.warn(f"snapshot_width {cfg.snapshot_width} is below 4 * n_agents = "
+                      f"{dim}: the window cannot identify the plant", UserWarning,
+                      stacklevel=2)
     attacking = mode in ("fdi", "fdi_dos") and cfg.rho > 0
     omega = input_polytope(scenario) if attacking else None
 

@@ -143,7 +143,8 @@ def batch_reach_supports(K_seq, Bsel, x0, omega: InputPolytope, final_dirs):
         W[k] = lam @ Bsel
         if k:
             lam = lam @ K_seq[k]
-    X = np.broadcast_to(x0, F.shape).copy()
+    X = np.empty(F.shape)
+    X[...] = x0
     for k in range(h):
         U = omega.vertices[np.argmax(W[k] @ omega.vertices.T, axis=-1)]
         X = X @ K_seq[k].T
@@ -155,31 +156,73 @@ class AgentPolygon:
     """Planar position polygon of one agent's reach set.
 
     Vertices are the counter-clockwise boundary of the intersection of the
-    supporting half-planes <d_k, p> <= gamma_k. `agent_polygon` keeps the
-    vertices' extremes on the direction fan of `directions`, so distance
-    queries on that fan need not project the vertices; a polygon built by
-    hand leaves them None. Vertices not given are built when first read:
-    from the points `agent_polygon` kept, else by `agent_polygon` from the
-    supports.
+    supporting half-planes <d_k, p> <= gamma_k. A polygon from `agent_polygon`
+    reads its extremes on the direction fan of `directions` from its batch
+    (see `_Batch`), so distance queries on that fan need not project the
+    vertices; a polygon built by hand keeps the extremes it is given, None by
+    default. Vertices not given are built when first read: from the points
+    the batch kept, else by `agent_polygon` from the supports.
     """
 
     def __init__(self, agent, directions, supports, vertices=None, extremes=None):
         self.agent = agent
         self.directions = directions  # (m, 2)
         self.supports = supports      # (m,)
-        self.extremes = extremes      # (arcs, hi, lo), each hi / lo (arcs, 2)
+        self._extremes = extremes     # (arcs, hi, lo), each hi / lo (arcs, 2)
         self._vertices = vertices     # (v, 2) CCW
-        self._kept = None             # (points, keep mask, row), set by agent_polygon
+        self._batch = None            # the agent_polygon batch, and this
+        self._row = None              # polygon's row in it
+
+    @property
+    def extremes(self):
+        if self._batch is None:
+            return self._extremes
+        b, r = self._batch, self._row
+        return b.arcs, b.hi[:, r].T, b.lo[:, r].T
 
     @property
     def vertices(self):
         if self._vertices is None:
-            if self._kept is None:
-                self._kept = agent_polygon(self.directions, self.agent,
-                                           self.supports)._kept
-            P, keep, r = self._kept
-            self._vertices = P[r, keep[r]]
+            p = self if self._batch is not None else agent_polygon(
+                self.directions, self.agent, self.supports)
+            b, r = p._batch, p._row
+            self._vertices = b.points[r, b.keep[r]]
         return self._vertices
+
+
+class _Batch:
+    """What one `agent_polygon` call computed, shared by its polygons.
+
+    `points` (A, m, 2) and `keep` (A, m) are the adjacent points and the
+    mask of the kept ones. `faces` and `arcs` are `_fan((key,))` of the
+    directions whose bytes are `key`. `hi` and `lo` (2, A, arcs) are the x
+    and y planes of each row's max and min vertices on the arcs. `table` is
+    the `pair_distances` of the whole batch in batch order once a call has
+    filled it.
+    """
+
+    def __init__(self, directions, key, points, keep, faces, arcs, planes):
+        self.directions, self.key, self.points, self.keep = directions, key, points, keep
+        self.faces, self.arcs = faces, arcs
+        self.hi, self.lo = planes[..., :len(arcs)], planes[..., len(arcs):]
+        self.table = None
+
+    def holds(self, polygons):
+        """Whether `polygons` are members of this batch that still have its
+        directions: the same array, with the same bytes."""
+        return (all(getattr(p, "_batch", None) is self
+                    and p.directions is self.directions for p in polygons)
+                and self.directions.tobytes() == self.key)
+
+
+def _whole_batch(polygons):
+    """The batch whose polygons `polygons` are, every one in batch order,
+    else None."""
+    b = getattr(polygons[0], "_batch", None) if len(polygons) else None
+    if (b is None or len(polygons) != len(b.points) or not b.holds(polygons)
+            or any(p._row != r for r, p in enumerate(polygons))):
+        return None
+    return b
 
 
 @functools.lru_cache(maxsize=16)
@@ -195,8 +238,8 @@ def _adjacent_faces(key, shape):
     (g[I] * C - g[J] * E) / det, column by column, for the returned index
     pairs I = (i, j), J = (j, i), coefficients C = (b1, a0), E = (a1, b0) and
     determinant det (k, 1). Also returns the gap of every arc of
-    `_fan((key,))` and of its negative. Raises when the directions fail to
-    positively span the plane.
+    `_fan((key,))` and then of its negative. Raises when the directions fail
+    to positively span the plane.
     """
     if shape[0] < 3:
         raise DegenerateGeometryError("need at least 3 half-planes")
@@ -222,13 +265,14 @@ def _adjacent_faces(key, shape):
         arc_gaps.append((np.searchsorted(ang[first], theta) - 1) % len(faces))
     return _frozen(np.column_stack([ii, jj]), np.column_stack([jj, ii]),
                    np.column_stack([b[:, 1], a[:, 0]]),
-                   np.column_stack([a[:, 1], b[:, 0]]), det[:, None], *arc_gaps)
+                   np.column_stack([a[:, 1], b[:, 0]]), det[:, None],
+                   np.concatenate(arc_gaps))
 
 
 def agent_polygon(directions, agent, supports):
     """Position polygon of an agent from its support values (m,); for a
-    sequence of agents and supports (A, m), a list of their polygons, each
-    with its extremes (see AgentPolygon).
+    sequence of agents and supports (A, m), a list of their polygons, which
+    share one `_Batch` record.
 
     Each face meets only its angular neighbour (`_adjacent_faces`), at most m
     points per polygon. Every point must pass every half-plane within
@@ -245,8 +289,8 @@ def agent_polygon(directions, agent, supports):
     G = np.atleast_2d(np.asarray(supports, float))
     D = np.ascontiguousarray(directions)
     key = D.tobytes()
-    arcs = _fan((key,))[1]
-    I, J, C, E, det, hi_gap, lo_gap = _adjacent_faces(key, D.shape)
+    faces, arcs = _fan((key,))
+    I, J, C, E, det, arc_gaps = _adjacent_faces(key, D.shape)
     P = (G[:, I] * C - G[:, J] * E) / det
     scale = np.maximum(1.0, np.abs(P).max(axis=(1, 2)))
     fails = ~(P @ D.T <= G[:, None] + FEAS_TOL * scale[:, None, None])
@@ -255,19 +299,20 @@ def agent_polygon(directions, agent, supports):
         raise DegenerateGeometryError(
             f"supports row {r} are no convex set's: face {k} cuts off a point "
             "where adjacent faces meet (the set is empty, or a face is not tight)")
-    d = P - P[:, np.arange(-1, len(I) - 1)]  # each point less its predecessor
+    d = P - P[:, _predecessors(len(I))]  # each point less its predecessor
     d *= d
     keep = np.sqrt(d[..., 0] + d[..., 1]) > 1e-9 * scale[:, None]
     keep[:, 0] |= ~keep.any(axis=1)  # a row of one point keeps its first
     # a gap's vertex is the last kept point at or before it, cyclically
     run = np.maximum.accumulate(np.where(keep, np.arange(len(I)), -1), axis=1)
     run = np.where(run < 0, run[:, -1:], run)
-    rows = np.arange(len(G))[:, None]
-    hi, lo = P[rows, run[:, hi_gap]], P[rows, run[:, lo_gap]]
-    polys = [AgentPolygon(int(a), directions, g, extremes=(arcs, hi[r], lo[r]))
-             for r, (a, g) in enumerate(zip(np.atleast_1d(agent), G))]
-    for r, p in enumerate(polys):
-        p._kept = (P, keep, r)
+    planes = P.transpose(2, 0, 1)[:, np.arange(len(G))[:, None], run[:, arc_gaps]]
+    batch = _Batch(directions, key, P, keep, faces, arcs, planes)
+    polys = []
+    for r, (a, g) in enumerate(zip(np.atleast_1d(agent), G)):
+        p = AgentPolygon(int(a), directions, g)
+        p._batch, p._row = batch, r
+        polys.append(p)
     return polys if np.ndim(agent) else polys[0]
 
 
@@ -319,27 +364,38 @@ def _extremes(V, arcs):
 
 
 def _ring_edges(rings):
-    """Each ring vertex's predecessor, the edge from it and its squared length."""
-    prev = np.concatenate((rings[..., -1:, :], rings[..., :-1, :]), axis=-2)
+    """Each ring vertex's predecessor, the edge from it and its squared
+    length, for rings given as coordinate planes (2, b, m)."""
+    prev = rings.take(_predecessors(rings.shape[-1]), axis=-1)
     E = rings - prev
-    return prev, E, E[..., 0] * E[..., 0] + E[..., 1] * E[..., 1]
+    return prev, E, E[0] * E[0] + E[1] * E[1]
+
+
+@functools.lru_cache(maxsize=16)
+def _predecessors(m):
+    """Read-only index of each of m ring vertices' predecessor."""
+    return _frozen(np.arange(-1, m - 1))[0]
 
 
 def _ring_distances(points, rings, faces, edges=None):
-    """Distances from points (b, 2) to convex rings (m, 2) or (b, m, 2).
+    """Distances from points (2, b) to convex rings (2, 1, m) or (2, b, m),
+    all given as x and y coordinate planes.
 
     The edge from ring vertex k - 1 to vertex k lies on the face line with
-    outward normal faces[k]. A point inside within FEAS_TOL scores exactly 0.
-    `edges` is `_ring_edges(rings)` when the caller keeps it.
+    outward normal faces[k], a row of faces (m, 2). A point inside within
+    FEAS_TOL scores exactly 0. `edges` is `_ring_edges(rings)` when the
+    caller keeps it.
     """
     prev, E, L2 = _ring_edges(rings) if edges is None else edges
-    W = points[:, None, :] - prev
-    inside = (W[..., 0] * faces[:, 0] + W[..., 1] * faces[:, 1]).max(axis=1) <= FEAS_TOL
-    t = W[..., 0] * E[..., 0] + W[..., 1] * E[..., 1]
+    W = points[..., None] - prev
+    F = W * faces.T[:, None]
+    inside = (F[0] + F[1]).max(axis=1) <= FEAS_TOL
+    T = W * E
+    t = T[0] + T[1]
     with np.errstate(invalid="ignore", divide="ignore"):
-        t = np.clip(np.where(L2 > 0, t / L2, 0.0), 0.0, 1.0)
-    d = np.hypot(W[..., 0] - t * E[..., 0], W[..., 1] - t * E[..., 1]).min(axis=1)
-    return np.where(inside, 0.0, d)
+        t = np.where(L2 > 0, t / L2, 0.0).clip(0.0, 1.0)
+    W -= t * E
+    return np.where(inside, 0.0, np.hypot(W[0], W[1]).min(axis=1))
 
 
 @functools.lru_cache(maxsize=16)
@@ -351,11 +407,24 @@ def pair_indices(n):
 
 def pair_distances(polygons):
     """dist(polygons[i], polygons[j]) for every pair i < j, in lexicographic
-    order; an `agent_polygon` batch gives its stored extremes, not a new pass."""
-    faces, arcs = _direction_fan(polygons)
-    hi, lo = _extreme_vertices(polygons, arcs)
+    order, from the polygons' stored extremes, not a new pass. The whole
+    batch of an `agent_polygon` call in batch order takes its faces and
+    extremes from the batch, and its result, read-only, is computed once
+    and kept in the batch for `polygon_distance`."""
+    b = _whole_batch(polygons)
+    if b is None:
+        faces, arcs = _direction_fan(polygons)
+        hi, lo = (v.transpose(2, 0, 1) for v in _extreme_vertices(polygons, arcs))
+    elif b.table is None:
+        faces, hi, lo = b.faces, b.hi, b.lo
+    else:
+        return b.table
     ii, jj = pair_indices(len(polygons))
-    return _ring_distances(np.zeros((len(ii), 2)), hi[jj] - lo[ii], faces)
+    rings = hi.take(jj, axis=1) - lo.take(ii, axis=1)
+    d = _ring_distances(np.zeros((2, len(ii))), rings, faces)
+    if b is not None:
+        b.table = _frozen(d)[0]
+    return d
 
 
 def input_image_distances(omega: InputPolytope, Bpos, n_directions, shifts):
@@ -367,22 +436,30 @@ def input_image_distances(omega: InputPolytope, Bpos, n_directions, shifts):
     """
     keys = (np.ascontiguousarray(a, float).tobytes() for a in (omega.vertices, Bpos))
     ring, faces, edges = _input_difference(*keys, n_directions)
-    return _ring_distances(np.asarray(shifts, float).reshape(-1, 2), ring, faces, edges)
+    shifts = np.asarray(shifts, float).reshape(-1, 2)
+    return _ring_distances(shifts.T, ring, faces, edges)
 
 
 @functools.lru_cache(maxsize=16)
 def _input_difference(vkey, bkey, m):
-    """Read-only ring, face normals and `_ring_edges` of S - S for
-    `input_image_distances`: S's max minus min vertices on its own fan."""
+    """Read-only ring planes (2, 1, m), face normals and `_ring_edges` of
+    S - S for `input_image_distances`: S's max minus min vertices on its own
+    fan."""
     D = planar_directions(m)
     V = np.frombuffer(vkey).reshape(-1, 2)
     S = agent_polygon(D, -1, (D @ np.frombuffer(bkey).reshape(2, 2) @ V.T).max(axis=1))
     _, hi, lo = S.extremes
-    ring = hi - lo
+    ring = np.ascontiguousarray((hi - lo).T[:, None])
     return _frozen(ring, _direction_fan((S,))[0]) + (_frozen(*_ring_edges(ring)),)
 
 
 def polygon_distance(P: AgentPolygon, Q: AgentPolygon) -> float:
-    """Euclidean distance between two convex polygons (0 when they intersect);
-    polygons from `agent_polygon` give their stored extremes, not a new pass."""
+    """Euclidean distance between two convex polygons (0 when they intersect).
+    Two members of one `agent_polygon` batch, P's row before Q's, read the
+    batch's pair table once `pair_distances` has filled it; other polygons
+    from `agent_polygon` give their stored extremes, not a new pass."""
+    b = getattr(P, "_batch", None)
+    if b is not None and b.table is not None and b.holds((P, Q)) and P._row < Q._row:
+        i, j, n = P._row, Q._row, len(b.points)
+        return float(b.table[i * (2 * n - i - 1) // 2 + j - i - 1])
     return float(pair_distances((P, Q))[0])

@@ -32,7 +32,8 @@ def synthesize_fdi(targets, model, omega, state, B, polygons):
     # Pj0 - Pi0: Pj0's max vertices minus Pi0's min vertices on the shared fan
     faces, arcs = _direction_fan((Pi0, Pj0))
     hi, lo = _extreme_vertices((Pi0, Pj0), arcs)
-    scores = _ring_distances(shifts, hi[1] - lo[0], faces)
+    # `_ring_distances` takes x / y coordinate planes
+    scores = _ring_distances(shifts.T, (hi[1] - lo[0]).T[:, None], faces)
     best = int(np.argmax(scores))
     u_a = np.zeros(2 * n_agents)
     u_a[2 * i:2 * i + 2] = Ui[best]

@@ -281,7 +281,8 @@ class TestAdjacentFacePass:
                       for kind in ("support", "large", "point")])
         polys = agent_polygon(D, range(3), G)
         for r, p in enumerate(polys):
-            assert p._vertices is None and p._kept[2] == r
+            assert p._vertices is None and p._row == r
+            assert p._batch is polys[0]._batch
             _assert_polygon_invariants(p, D, G[r])
 
     @PROPERTY
@@ -441,13 +442,14 @@ class TestPaddedExtremeVertices:
         faces, arcs = _uncached_fan(polys)
         hi, lo = map(np.array, zip(*(_extreme(p, arcs) for p in polys)))
         ii, jj = np.triu_indices(n_polygons, k=1)
-        want = _ring_distances(np.zeros((len(ii), 2)), hi[jj] - lo[ii], faces)
+        want = _ring_distances(np.zeros((2, len(ii))),
+                               (hi[jj] - lo[ii]).transpose(2, 0, 1), faces)
         assert np.array_equal(pair_distances(polys), want)
 
         P, Q = polys[:2]
         faces, arcs = _uncached_fan((P, Q))
-        want = _ring_distances(np.zeros((1, 2)),
-                               _extreme(Q, arcs)[0] - _extreme(P, arcs)[1], faces)
+        want = _ring_distances(np.zeros((2, 1)), (_extreme(Q, arcs)[0]
+                                                  - _extreme(P, arcs)[1]).T[:, None], faces)
         assert polygon_distance(P, Q) == want[0]
 
     def test_hand_built_integer_or_list_vertices(self):

@@ -94,6 +94,30 @@ class TestFit:
             dK *= 1e-3 / np.linalg.norm(dK)
             assert np.linalg.norm(Xp - (model.K + dK) @ X) >= base - 1e-9
 
+    def test_cond_is_the_kept_condition_number(self):
+        rng = np.random.default_rng(5)
+        buf = SnapshotBuffer(12, 6)
+        for _ in range(13):
+            buf.push(rng.normal(size=6) * np.array([1, 1, 1, 1e-6, 1e-12, 1e-14]))
+        sig = np.linalg.svd(buf.X, full_matrices=False)[1]  # fit's LAPACK path
+        for svd_tol, rank in ((1e-10, 4), (1e-2, 3)):
+            model = fit(buf, svd_tol=svd_tol)
+            assert model.rank_used == rank
+            assert model.cond == sig[0] / sig[rank - 1]
+
+    @pytest.mark.parametrize("data, svd_tol", [(0.0, 1e-10), (1.0, 1.0)],
+                             ids=["zero-window", "tolerance-cuts-all"])
+    def test_cond_is_inf_at_rank_zero(self, data, svd_tol):
+        buf = SnapshotBuffer(4, 3)
+        for k in range(5):
+            buf.push(np.full(3, data * (k + 1)))
+        model = fit(buf, svd_tol=svd_tol)
+        assert model.rank_used == 0 and model.cond == np.inf
+        assert not model.K.any()
+
+    def test_hand_built_model_has_no_cond(self):
+        assert np.isnan(DmdModel(K=np.eye(2), residual=0.0, rank_used=2).cond)
+
 
 class TestPredict:
     def test_identity(self):

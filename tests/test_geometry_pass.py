@@ -2,11 +2,16 @@
 
 `agent_polygon` keeps every polygon's extreme vertices from the pass that
 finds its vertices, and the distance queries read them instead of projecting
-the vertices again; an attacked run builds no vertex ring. The reach pass's directions, injection maps
-and lifts, the injection candidates and the S - S ring's edges are built once
-per run and cached read-only, and a run builds each active graph's neighbour
-index once. Each must give the bytes of the per-call computation it replaces.
+the vertices again; an attacked run builds no vertex ring. Each polygon pair
+is scored once per attacked step: selection fills its batch's pair table,
+and the chosen pair's separation is read from it. The reach pass's
+directions, injection maps and lifts, the injection candidates and the
+S - S ring's edges are built once per run and cached read-only, and a run
+builds each active graph's neighbour index once. Each must give the bytes
+of the per-call computation it replaces.
 """
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,15 +19,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncsred import attack, reachset
-from ncsred.attack import AttackConfig, agent_reach_polygon
+from ncsred import attack, harness, reachset
+from ncsred.attack import AttackConfig, agent_reach_polygon, synthesize_fdi
 from ncsred.dmd import DEFAULT_SVD_TOL, SnapshotBuffer, fit
 from ncsred.graph import Graph
 from ncsred.harness import run
 from ncsred.reachset import (AgentPolygon, _direction_fan, _extreme_vertices,
                              agent_polygon, circumscribe_ball, pair_distances,
-                             planar_directions, polygon_distance)
-from ncsred.scenario_io import build_scenario
+                             pair_indices, planar_directions, polygon_distance)
+from ncsred.scenario_io import build_scenario, load_scenario
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from scenarios import WORKLOADS, scenario_text  # noqa: E402
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
@@ -133,6 +141,109 @@ def test_attacked_run_builds_no_vertex_ring():
             for name in ("separation_before", "separation_after"):
                 assert getattr(got, name) == getattr(ref, name)
     assert record.states.tobytes() == want.states.tobytes()
+
+
+def _pool_run(tmp_path, workload, seed):
+    """A benchmark pool scenario's run, with each attacked step's targets and
+    polygons, and the count of `_ring_distances` calls."""
+    path = tmp_path / f"{workload}-{seed}.scn"
+    path.write_text(scenario_text(WORKLOADS[workload], seed))
+    steps = []
+
+    def keep(targets, model, omega, x, B, polygons):
+        steps.append((targets, polygons))
+        return synthesize_fdi(targets, model, omega, x, B, polygons)
+
+    with mock.patch.object(harness, "synthesize_fdi", side_effect=keep), \
+            mock.patch.object(reachset, "_ring_distances",
+                              wraps=reachset._ring_distances) as rings:
+        record = run(load_scenario(str(path)), WORKLOADS[workload].mode)
+    return record, steps, rings.call_count
+
+
+class TestPairTable:
+    @pytest.mark.parametrize("workload, seed", [("stock_fdi_dos", 0),
+                                                ("wide_h3_fdi_dos", 3)])
+    def test_separation_before_is_the_table_entry(self, tmp_path, workload, seed):
+        """Each attacked step scores its pairs once: selection fills the
+        batch's table, and `separation_before` is the chosen pair's entry,
+        equal to a fresh two-polygon computation. A step makes two ring
+        passes: the pair table and the candidate scores."""
+        record, steps, ring_passes = _pool_run(tmp_path, workload, seed)
+        decisions = [d for d in record.decisions if d is not None]
+        assert len(decisions) == len(steps) == 99
+        assert ring_passes == 2 * len(steps)
+        for d, (targets, polys) in zip(decisions, steps):
+            table = polys[0]._batch.table
+            assert pair_distances(polys) is table
+            ii, jj = pair_indices(len(polys))
+            k = int(np.flatnonzero((ii == targets[0]) & (jj == targets[1]))[0])
+            assert d.separation_before == table[k]
+            fresh = [agent_polygon(p.directions, p.agent, p.supports)
+                     for p in (polys[i] for i in targets)]
+            assert d.separation_before == polygon_distance(*fresh)
+
+    @PROPERTY
+    @given(seed=seeds, n=st.integers(min_value=4, max_value=10),
+           m=st.integers(min_value=3, max_value=24))
+    def test_other_queries_read_no_table(self, seed, n, m):
+        """Reversed pairs, polygons from two batches, sub-lists, a batch out
+        of order, hand-built polygons and a batch whose table is not filled
+        compute their distances, with the bytes of polygons that never had a
+        table: a poisoned table reaches only in-order pairs of its own
+        batch."""
+        rng = np.random.default_rng(seed)
+        polys = _batch(rng, n, m)
+        D, G = polys[0].directions, np.array([p.supports for p in polys])
+        other = agent_polygon(D, np.arange(n), G)
+        second = _batch(rng, n, m)  # other polygons on equal directions
+        hand = [_by_hand(p) for p in polys]
+        i, j = sorted(map(int, rng.choice(n, size=2, replace=False)))
+        queries = (lambda P: polygon_distance(P[j], P[i]),
+                   lambda P: polygon_distance(P[i], (other if P is polys else polys)[j]),
+                   lambda P: pair_distances(P[:3]).tobytes(),
+                   lambda P: pair_distances(P[1:]).tobytes(),
+                   lambda P: pair_distances(P[::-1]).tobytes())
+        want = [q(other) for q in queries]
+        want_in_order = polygon_distance(other[i], other[j])
+        want_second = polygon_distance(second[i], second[j])
+        assert other[0]._batch.table is None
+
+        whole = pair_distances(polys)
+        assert not whole.flags.writeable
+        assert whole.tobytes() == pair_distances(hand).tobytes()
+        assert polygon_distance(polys[i], polys[j]) == want_in_order
+        polys[0]._batch.table = np.full_like(whole, np.nan)
+        assert np.isnan(polygon_distance(polys[i], polys[j]))
+        assert [q(polys) for q in queries] == want
+        assert polygon_distance(other[i], other[j]) == want_in_order
+        assert polygon_distance(second[i], second[j]) == want_second
+        assert polygon_distance(hand[i], hand[j]) == want_in_order
+        assert pair_distances(hand).tobytes() == whole.tobytes()
+
+    def test_changed_directions_read_no_table(self):
+        D = planar_directions(8)
+        polys = agent_polygon(D, range(3), np.ones((3, 8)) + np.arange(3)[:, None])
+        pair_distances(polys)
+        polys[0]._batch.table = np.full(3, np.nan)
+        D[:] = np.roll(D, 1, axis=0)  # the caller's array changes
+        want = polygon_distance(*(_by_hand(p) for p in polys[:2]))
+        assert polygon_distance(polys[0], polys[1]) == want
+        assert not np.isnan(pair_distances(polys)).any()
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_list_directions_give_the_array_bytes(self, n):
+        """`agent_polygon` takes directions as any array-like; a batch built
+        from a list of pairs fills and reads its table as the array form."""
+        D = planar_directions(8)
+        G = np.arange(n)[:, None] * 3.0 * D[:, 0] + 1.0
+        polys = {kind: agent_polygon(dirs, range(n), G)
+                 for kind, dirs in (("array", D), ("list", D.tolist()))}
+        got = {kind: (pair_distances(P).tobytes(), polygon_distance(P[0], P[-1]),
+                      pair_distances(P) is P[0]._batch.table)
+               for kind, P in polys.items()}
+        assert got["list"] == got["array"]
+        assert got["list"][2]
 
 
 def _random_problem(rng):

@@ -1,6 +1,9 @@
 import dataclasses
 import os
 import re
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,9 @@ from ncsred.reachset import circumscribe_ball
 from ncsred.scenario_io import (PARSERS, build_scenario, load_scenario,
                                 parse_scenario_text)
 from scenario_helpers import read_trajectories_csv
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from scenarios import WORKLOADS, scenario_text  # noqa: E402
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -112,6 +118,34 @@ class TestRun:
         radius = np.abs(np.linalg.eigvals(stacked_closed_loop(s))).max()
         assert radius == 1.0 if exact else 1.0 < radius < 1.0 + 1e-7
         assert all(np.isfinite(run(s, mode).states).all() for mode in ("nominal", "fdi"))
+
+    @pytest.mark.parametrize("mode", ["fdi", "fdi_dos"])
+    def test_narrow_window_warns_once(self, mode):
+        """A 5-wide window cannot identify the 20-dimensional stock plant:
+        an attacked run says so once, and still runs."""
+        s = short_scenario(snapshot_width=5)
+        with pytest.warns(UserWarning) as caught:
+            record = run(s, mode)
+        assert [str(w.message) for w in caught] == [
+            "snapshot_width 5 is below 4 * n_agents = 20: "
+            "the window cannot identify the plant"]
+        assert any(d is not None for d in record.decisions)
+
+    def test_nominal_run_ignores_the_window(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run(short_scenario(snapshot_width=5), "nominal")
+
+    @pytest.mark.parametrize("workload", ["stock_fdi_dos", "wide_h3_fdi_dos"])
+    def test_benchmark_workloads_do_not_warn(self, tmp_path, workload):
+        """The attack workloads keep a window of 50 against 4N = 20 and 40."""
+        path = tmp_path / "w.scn"
+        path.write_text(scenario_text(WORKLOADS[workload], 0, horizon=101))
+        s = load_scenario(str(path))
+        assert s.attack.snapshot_width == 50 and s.dim in (20, 40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run(s, WORKLOADS[workload].mode)
 
 
 class TestMetrics:
@@ -296,6 +330,13 @@ class TestCli:
         K = np.loadtxt(out / "K.csv", delimiter=",")
         assert X.shape == (20, 50) and Xp.shape == (20, 50) and K.shape == (20, 20)
         assert np.allclose(X[:, 1:], Xp[:, :-1])
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(",")[0] for line in lines] == ["residual", "rank_used", "cond"]
+        sig = np.linalg.svd(X, compute_uv=False)
+        rank = int(lines[1].split(",")[1])
+        # X went through CSV text, and the kept sigma is 1e-9 of the largest
+        assert float(lines[2].split(",")[1]) == pytest.approx(sig[0] / sig[rank - 1],
+                                                             rel=1e-3)
 
     def test_reachset_dump(self, tmp_path):
         out = tmp_path / "reach"
