@@ -8,7 +8,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .dmd import DEFAULT_SVD_TOL
-from .errors import InvalidInputError
+from .errors import DegenerateGeometryError, InvalidInputError
 from .graph import Graph, algebraic_connectivity, is_connected, remove_edge
 from .reachset import (DEFAULT_JITTER, AgentPolygon, InputPolytope, _frozen,
                        agent_polygon, batch_reach_supports, embed_input_map,
@@ -82,19 +82,21 @@ def select_targets(polygons):
 
 def agent_reach_polygon(model_K, B, x0, omega,
                         n_directions=AttackConfig.n_directions,
-                        horizon=AttackConfig.horizon) -> list[AgentPolygon]:
+                        horizon=AttackConfig.horizon) -> tuple[AgentPolygon, ...]:
     """Position polygons of every agent's h-step reach set from the current
-    state, one AgentPolygon per agent in agent order.
+    state: one `agent_polygon` batch, a polygon per agent in agent order.
 
     Each agent's injection channel is its own actuator block; support queries
     use fixed uniformly spaced planar directions, and all agents' queries run
     in one batched `batch_reach_supports` call, each agent's rows bit-identical
-    to its own call.
+    to its own call. Supports that overflow raise `DegenerateGeometryError`.
     """
     n_agents = model_K.shape[0] // 4
     B = np.asarray(B, float)
     dirs, Bsel, lifts = _reach_operands(B.tobytes(), B.shape, n_agents, n_directions)
     sup, _ = batch_reach_supports([model_K] * horizon, Bsel, x0, omega, lifts)
+    if not np.isfinite(sup).all():
+        raise DegenerateGeometryError("reach supports are not finite")
     return agent_polygon(dirs, range(n_agents), sup)
 
 

@@ -11,7 +11,7 @@ import numpy as np
 from . import dmd, laprec, svgplot
 from .attack import (agent_reach_polygon, plan_dos, select_targets,
                      synthesize_fdi)
-from .errors import InvalidInputError
+from .errors import DegenerateGeometryError, InvalidInputError
 from .graph import Graph, remove_edge
 from .ncs import (Scenario, control_inputs, neighbor_index, stacked_closed_loop,
                   step)
@@ -100,7 +100,8 @@ def run(scenario: Scenario, mode: str) -> RunRecord:
     links (the attacker's believed link need not exist). A plant whose closed
     loop is unstable is refused before the first step. An attacked mode warns
     when the snapshot window is narrower than the 4N-dimensional state, since
-    such a window cannot identify the plant.
+    such a window cannot identify the plant. A geometry error in an attacked
+    step (reach supports that overflow) names the step.
     """
     if mode not in MODES:
         raise InvalidInputError(f"mode must be one of {MODES}, got {mode!r}")
@@ -162,8 +163,11 @@ def run(scenario: Scenario, mode: str) -> RunRecord:
 
         u_a = None
         if attacking and k >= cfg.start_step and model is not None:
-            polygons = agent_reach_polygon(model.K, B, x, omega,
-                                           cfg.n_directions, cfg.horizon)
+            try:
+                polygons = agent_reach_polygon(model.K, B, x, omega,
+                                               cfg.n_directions, cfg.horizon)
+            except DegenerateGeometryError as exc:
+                raise DegenerateGeometryError(f"step {k}: {exc}") from exc
             targets = select_targets(polygons)
             decision = synthesize_fdi(targets, model, omega, x, B, polygons)
             decisions[k] = decision

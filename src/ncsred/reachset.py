@@ -157,72 +157,37 @@ class AgentPolygon:
 
     Vertices are the counter-clockwise boundary of the intersection of the
     supporting half-planes <d_k, p> <= gamma_k. A polygon from `agent_polygon`
-    reads its extremes on the direction fan of `directions` from its batch
-    (see `_Batch`), so distance queries on that fan need not project the
-    vertices; a polygon built by hand keeps the extremes it is given, None by
-    default. Vertices not given are built when first read: from the points
-    the batch kept, else by `agent_polygon` from the supports.
+    is a row of its call's `_Batch`, which keeps its extremes on the direction
+    fan, so distance queries on that fan need not project the vertices; its
+    vertices are built from the batch's points when first read. A polygon
+    built by hand has no batch and keeps the vertices it is given.
     """
 
-    def __init__(self, agent, directions, supports, vertices=None, extremes=None):
+    def __init__(self, agent, directions, supports, vertices=None):
         self.agent = agent
         self.directions = directions  # (m, 2)
         self.supports = supports      # (m,)
-        self._extremes = extremes     # (arcs, hi, lo), each hi / lo (arcs, 2)
         self._vertices = vertices     # (v, 2) CCW
         self._batch = None            # the agent_polygon batch, and this
         self._row = None              # polygon's row in it
 
     @property
-    def extremes(self):
-        if self._batch is None:
-            return self._extremes
-        b, r = self._batch, self._row
-        return b.arcs, b.hi[:, r].T, b.lo[:, r].T
-
-    @property
     def vertices(self):
         if self._vertices is None:
-            p = self if self._batch is not None else agent_polygon(
-                self.directions, self.agent, self.supports)
-            b, r = p._batch, p._row
+            b, r = self._batch, self._row
             self._vertices = b.points[r, b.keep[r]]
         return self._vertices
 
 
-class _Batch:
-    """What one `agent_polygon` call computed, shared by its polygons.
-
-    `points` (A, m, 2) and `keep` (A, m) are the adjacent points and the
-    mask of the kept ones. `faces` and `arcs` are `_fan((key,))` of the
-    directions whose bytes are `key`. `hi` and `lo` (2, A, arcs) are the x
-    and y planes of each row's max and min vertices on the arcs. `table` is
-    the `pair_distances` of the whole batch in batch order once a call has
-    filled it.
+class _Batch(tuple):
+    """The polygons of one `agent_polygon` call in row order, and what the
+    call computed for them: their read-only `directions`, the adjacent
+    `points` (A, m, 2) and the `keep` mask (A, m) of the kept ones, the
+    `_fan` of the directions as `faces` and `arcs`, the x and y planes `hi`
+    and `lo` (2, A, arcs) of each row's max and min vertices on the arcs, and
+    the `table` of the batch's `pair_distances` once a call has filled it. A
+    slice, a reversal, `list(batch)` or `tuple(batch)` is not the batch.
     """
-
-    def __init__(self, directions, key, points, keep, faces, arcs, planes):
-        self.directions, self.key, self.points, self.keep = directions, key, points, keep
-        self.faces, self.arcs = faces, arcs
-        self.hi, self.lo = planes[..., :len(arcs)], planes[..., len(arcs):]
-        self.table = None
-
-    def holds(self, polygons):
-        """Whether `polygons` are members of this batch that still have its
-        directions: the same array, with the same bytes."""
-        return (all(getattr(p, "_batch", None) is self
-                    and p.directions is self.directions for p in polygons)
-                and self.directions.tobytes() == self.key)
-
-
-def _whole_batch(polygons):
-    """The batch whose polygons `polygons` are, every one in batch order,
-    else None."""
-    b = getattr(polygons[0], "_batch", None) if len(polygons) else None
-    if (b is None or len(polygons) != len(b.points) or not b.holds(polygons)
-            or any(p._row != r for r, p in enumerate(polygons))):
-        return None
-    return b
 
 
 @functools.lru_cache(maxsize=16)
@@ -271,8 +236,9 @@ def _adjacent_faces(key, shape):
 
 def agent_polygon(directions, agent, supports):
     """Position polygon of an agent from its support values (m,); for a
-    sequence of agents and supports (A, m), a list of their polygons, which
-    share one `_Batch` record.
+    sequence of agents and supports (A, m), the `_Batch` of their polygons.
+    The polygons keep the directions read-only: a writable array is copied
+    once, so a caller's later edit does not reach them.
 
     Each face meets only its angular neighbour (`_adjacent_faces`), at most m
     points per polygon. Every point must pass every half-plane within
@@ -285,9 +251,10 @@ def agent_polygon(directions, agent, supports):
     maximiser along it; the vertices, the kept points in gap order, are built
     only when read.
     """
-    directions = np.asarray(directions, float)
+    D = np.asarray(directions, float)
+    if D.flags.writeable or not D.flags.c_contiguous:
+        D = _frozen(D.copy())[0]
     G = np.atleast_2d(np.asarray(supports, float))
-    D = np.ascontiguousarray(directions)
     key = D.tobytes()
     faces, arcs = _fan((key,))
     I, J, C, E, det, arc_gaps = _adjacent_faces(key, D.shape)
@@ -307,13 +274,13 @@ def agent_polygon(directions, agent, supports):
     run = np.maximum.accumulate(np.where(keep, np.arange(len(I)), -1), axis=1)
     run = np.where(run < 0, run[:, -1:], run)
     planes = P.transpose(2, 0, 1)[:, np.arange(len(G))[:, None], run[:, arc_gaps]]
-    batch = _Batch(directions, key, P, keep, faces, arcs, planes)
-    polys = []
-    for r, (a, g) in enumerate(zip(np.atleast_1d(agent), G)):
-        p = AgentPolygon(int(a), directions, g)
+    batch = _Batch(AgentPolygon(int(a), D, g) for a, g in zip(np.atleast_1d(agent), G))
+    batch.directions, batch.points, batch.keep = D, P, keep
+    batch.faces, batch.arcs, batch.table = faces, arcs, None
+    batch.hi, batch.lo = planes[..., :len(arcs)], planes[..., len(arcs):]
+    for r, p in enumerate(batch):
         p._batch, p._row = batch, r
-        polys.append(p)
-    return polys if np.ndim(agent) else polys[0]
+    return batch if np.ndim(agent) else batch[0]
 
 
 def _direction_fan(polygons):
@@ -343,12 +310,12 @@ def _fan(keys):
 
 def _extreme_vertices(polygons, arcs):
     """Vertices of each polygon attaining max and min of <arc, v> for each
-    arc direction, as (A, arcs, 2) arrays: the stored rows when every polygon
-    keeps extremes on these arcs, else a projection pass over each polygon's
-    vertices."""
-    if all(p.extremes is not None and p.extremes[0] is arcs for p in polygons):
-        return (np.array([p.extremes[1] for p in polygons]),
-                np.array([p.extremes[2] for p in polygons]))
+    arc direction, as (A, arcs, 2) arrays: the batch rows when every polygon
+    is a row of a batch on these arcs, else a projection pass over each
+    polygon's vertices."""
+    if all(p._batch is not None and p._batch.arcs is arcs for p in polygons):
+        return (np.array([p._batch.hi[:, p._row].T for p in polygons]),
+                np.array([p._batch.lo[:, p._row].T for p in polygons]))
     V = [np.asarray(p.vertices, float) for p in polygons]
     if not all(map(len, V)):
         raise DegenerateGeometryError("empty polygon")
@@ -392,10 +359,12 @@ def _ring_distances(points, rings, faces, edges=None):
     inside = (F[0] + F[1]).max(axis=1) <= FEAS_TOL
     T = W * E
     t = T[0] + T[1]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        t = np.where(L2 > 0, t / L2, 0.0).clip(0.0, 1.0)
+    t = np.divide(t, L2, out=np.zeros(t.shape), where=L2 > 0).clip(0.0, 1.0)
     W -= t * E
-    return np.where(inside, 0.0, np.hypot(W[0], W[1]).min(axis=1))
+    W *= W
+    d = np.sqrt((W[0] + W[1]).min(axis=1))
+    d[inside] = 0.0
+    return d
 
 
 @functools.lru_cache(maxsize=16)
@@ -407,11 +376,11 @@ def pair_indices(n):
 
 def pair_distances(polygons):
     """dist(polygons[i], polygons[j]) for every pair i < j, in lexicographic
-    order, from the polygons' stored extremes, not a new pass. The whole
-    batch of an `agent_polygon` call in batch order takes its faces and
-    extremes from the batch, and its result, read-only, is computed once
-    and kept in the batch for `polygon_distance`."""
-    b = _whole_batch(polygons)
+    order, from the polygons' stored extremes, not a new pass. A `_Batch`
+    itself takes its faces and extremes from its record, and its result,
+    read-only, is computed once and kept in the batch for
+    `polygon_distance`; any other sequence is computed afresh."""
+    b = polygons if isinstance(polygons, _Batch) else None
     if b is None:
         faces, arcs = _direction_fan(polygons)
         hi, lo = (v.transpose(2, 0, 1) for v in _extreme_vertices(polygons, arcs))
@@ -447,10 +416,9 @@ def _input_difference(vkey, bkey, m):
     fan."""
     D = planar_directions(m)
     V = np.frombuffer(vkey).reshape(-1, 2)
-    S = agent_polygon(D, -1, (D @ np.frombuffer(bkey).reshape(2, 2) @ V.T).max(axis=1))
-    _, hi, lo = S.extremes
-    ring = np.ascontiguousarray((hi - lo).T[:, None])
-    return _frozen(ring, _direction_fan((S,))[0]) + (_frozen(*_ring_edges(ring)),)
+    S = agent_polygon(D, [-1], (D @ np.frombuffer(bkey).reshape(2, 2) @ V.T).max(axis=1))
+    ring = S.hi - S.lo
+    return _frozen(ring, S.faces) + (_frozen(*_ring_edges(ring)),)
 
 
 def polygon_distance(P: AgentPolygon, Q: AgentPolygon) -> float:
@@ -458,8 +426,8 @@ def polygon_distance(P: AgentPolygon, Q: AgentPolygon) -> float:
     Two members of one `agent_polygon` batch, P's row before Q's, read the
     batch's pair table once `pair_distances` has filled it; other polygons
     from `agent_polygon` give their stored extremes, not a new pass."""
-    b = getattr(P, "_batch", None)
-    if b is not None and b.table is not None and b.holds((P, Q)) and P._row < Q._row:
-        i, j, n = P._row, Q._row, len(b.points)
+    b = P._batch
+    if b is not None and Q._batch is b and b.table is not None and P._row < Q._row:
+        i, j, n = P._row, Q._row, len(b)
         return float(b.table[i * (2 * n - i - 1) // 2 + j - i - 1])
     return float(pair_distances((P, Q))[0])

@@ -64,7 +64,7 @@ class TestStoredExtremes:
         polys = _batch(np.random.default_rng(seed), n, m)
         assert len({len(p.vertices) for p in polys}) > 1
         _, arcs = _direction_fan(polys)
-        assert all(p.extremes[0] is arcs for p in polys)
+        assert polys.arcs is arcs
         got = _extreme_vertices(polys, arcs)
         want = _extreme_vertices([_by_hand(p) for p in polys], arcs)
         for g, w in zip(got, want):
@@ -88,17 +88,7 @@ class TestStoredExtremes:
         D = planar_directions(8)
         p = agent_polygon(D, 3, np.ones(8))
         _, arcs = _direction_fan([p])
-        assert p.agent == 3 and p.extremes[0] is arcs
-        for g, w in zip(_extreme_vertices([p], arcs),
-                        _extreme_vertices([_by_hand(p)], arcs)):
-            assert g.tobytes() == w.tobytes()
-
-    def test_changed_directions_are_recomputed(self):
-        D = planar_directions(8)
-        p = agent_polygon(D, 0, np.ones(8))
-        D[:] = np.roll(D, 1, axis=0)  # the caller's array changes
-        _, arcs = _direction_fan([p])
-        assert p.extremes[0] is not arcs
+        assert p.agent == 3 and p._batch.arcs is arcs
         for g, w in zip(_extreme_vertices([p], arcs),
                         _extreme_vertices([_by_hand(p)], arcs)):
             assert g.tobytes() == w.tobytes()
@@ -187,11 +177,11 @@ class TestPairTable:
     @given(seed=seeds, n=st.integers(min_value=4, max_value=10),
            m=st.integers(min_value=3, max_value=24))
     def test_other_queries_read_no_table(self, seed, n, m):
-        """Reversed pairs, polygons from two batches, sub-lists, a batch out
-        of order, hand-built polygons and a batch whose table is not filled
-        compute their distances, with the bytes of polygons that never had a
-        table: a poisoned table reaches only in-order pairs of its own
-        batch."""
+        """Reversed pairs, polygons from two batches, a batch copied to a
+        list or a tuple, slices, a reversed batch, hand-built polygons and a
+        batch whose table is not filled compute their distances, with the
+        bytes of polygons that never had a table: a poisoned table reaches
+        only in-order pairs of its own batch."""
         rng = np.random.default_rng(seed)
         polys = _batch(rng, n, m)
         D, G = polys[0].directions, np.array([p.supports for p in polys])
@@ -201,6 +191,8 @@ class TestPairTable:
         i, j = sorted(map(int, rng.choice(n, size=2, replace=False)))
         queries = (lambda P: polygon_distance(P[j], P[i]),
                    lambda P: polygon_distance(P[i], (other if P is polys else polys)[j]),
+                   lambda P: pair_distances(list(P)).tobytes(),
+                   lambda P: pair_distances(tuple(P)).tobytes(),
                    lambda P: pair_distances(P[:3]).tobytes(),
                    lambda P: pair_distances(P[1:]).tobytes(),
                    lambda P: pair_distances(P[::-1]).tobytes())
@@ -221,16 +213,6 @@ class TestPairTable:
         assert polygon_distance(hand[i], hand[j]) == want_in_order
         assert pair_distances(hand).tobytes() == whole.tobytes()
 
-    def test_changed_directions_read_no_table(self):
-        D = planar_directions(8)
-        polys = agent_polygon(D, range(3), np.ones((3, 8)) + np.arange(3)[:, None])
-        pair_distances(polys)
-        polys[0]._batch.table = np.full(3, np.nan)
-        D[:] = np.roll(D, 1, axis=0)  # the caller's array changes
-        want = polygon_distance(*(_by_hand(p) for p in polys[:2]))
-        assert polygon_distance(polys[0], polys[1]) == want
-        assert not np.isnan(pair_distances(polys)).any()
-
     @pytest.mark.parametrize("n", [2, 4])
     def test_list_directions_give_the_array_bytes(self, n):
         """`agent_polygon` takes directions as any array-like; a batch built
@@ -244,6 +226,51 @@ class TestPairTable:
                for kind, P in polys.items()}
         assert got["list"] == got["array"]
         assert got["list"][2]
+
+
+class TestBatchContract:
+    """`agent_polygon` on a sequence of agents returns its `_Batch`: a tuple
+    of the polygons in row order that carries their read-only directions,
+    points, fan, extreme planes and pair table."""
+
+    def test_sequence_returns_the_batch(self):
+        D = planar_directions(8)
+        polys = agent_polygon(D, [4, 2, 7], np.ones((3, 8)) + np.arange(3)[:, None])
+        assert isinstance(polys, reachset._Batch) and isinstance(polys, tuple)
+        assert [p.agent for p in polys] == [4, 2, 7]
+        assert all(p._batch is polys and p._row == r for r, p in enumerate(polys))
+        for copy in (list(polys), tuple(polys), polys[:2], polys[1:], polys[::-1]):
+            assert not isinstance(copy, reachset._Batch)
+        one = agent_polygon(D, 3, np.ones(8))
+        assert isinstance(one, AgentPolygon) and one._batch == (one,)
+
+    def test_caller_edit_of_directions_reaches_nothing(self):
+        """An in-place edit of the caller's writable directions after the
+        call leaves the batch's directions, its table and every distance as
+        a fresh computation gives them."""
+        D = planar_directions(8)
+        G = np.ones((3, 8)) + 2.0 * np.arange(3)[:, None] * D[:, 0]
+        polys = agent_polygon(D, range(3), G)
+        table = pair_distances(polys)
+        assert polys.directions is not D and not polys.directions.flags.writeable
+        assert all(p.directions is polys.directions for p in polys)
+        D[:] = np.roll(D, 1, axis=0)
+        fresh = agent_polygon(planar_directions(8), range(3), G)
+        assert polys.directions.tobytes() == fresh.directions.tobytes()
+        assert pair_distances(polys) is table
+        assert table.tobytes() == pair_distances(fresh).tobytes()
+        assert pair_distances(list(polys)).tobytes() == table.tobytes()
+        for i, j in ((0, 1), (1, 2), (2, 0)):
+            assert polygon_distance(polys[i], polys[j]) == polygon_distance(
+                fresh[i], fresh[j])
+
+    def test_read_only_directions_are_shared(self):
+        D = planar_directions(8)
+        D.flags.writeable = False
+        polys = agent_polygon(D, range(2), np.ones((2, 8)))
+        assert polys.directions is D
+        assert all(p.directions is D for p in polys)
+        assert agent_polygon(D, 0, np.ones(8)).directions is D
 
 
 def _random_problem(rng):

@@ -12,7 +12,7 @@ from ncsred import laprec
 from ncsred.attack import AttackConfig, agent_reach_polygon
 from ncsred.cli import main
 from ncsred.dmd import SnapshotBuffer, fit
-from ncsred.errors import InvalidInputError
+from ncsred.errors import InvalidInputError, WorkbenchError
 from ncsred.harness import MODES, OMEGA_SEED_OFFSET, emit, metrics, run
 from ncsred.ncs import stacked_closed_loop
 from ncsred.reachset import circumscribe_ball
@@ -40,6 +40,8 @@ def readme_keys():
 #: gain rows under which the 5-agent formation diverges (radius 1.44)
 DIVERGING_GAIN = [[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5]]
 UNSTABLE = "closed loop is unstable: spectral radius 1.44026 exceeds 1"
+#: a scenario file whose step-51 injection overflows the reach pass at step 52
+OVERFLOW_TEXT = "horizon_steps = 120\nrho = 1e155\n"
 
 
 def short_scenario(seed=0, horizon=80, **attack_overrides):
@@ -48,6 +50,14 @@ def short_scenario(seed=0, horizon=80, **attack_overrides):
     defaults.update(attack_overrides)
     return build_scenario(seed=seed, horizon_steps=horizon,
                           attack=AttackConfig(**defaults))
+
+
+def overflow_scenario(tmp_path):
+    """A 120-step scenario file whose injection budget rho = 1e155 overflows
+    the attacker's reach pass."""
+    path = tmp_path / "overflow.scn"
+    path.write_text(OVERFLOW_TEXT)
+    return load_scenario(str(path))
 
 
 class TestRun:
@@ -105,6 +115,25 @@ class TestRun:
         s = build_scenario(horizon_steps=200, gain=DIVERGING_GAIN)
         with pytest.raises(InvalidInputError, match=UNSTABLE):
             run(s, mode)
+
+    @pytest.mark.parametrize("mode", ["fdi", "fdi_dos"])
+    def test_overflowing_reach_supports_name_their_step(self, tmp_path, mode):
+        """With rho = 1e155 the step-51 injection drives the state to about
+        2e154. At step 52 the state and the fitted K are finite and their
+        products overflow: the run names the step whose reach supports are
+        not finite."""
+        s = overflow_scenario(tmp_path)
+        with pytest.warns(RuntimeWarning, match="overflow") as caught, \
+                pytest.raises(WorkbenchError,
+                              match="^step 52: reach supports are not finite$"):
+            run(s, mode)
+        assert all("overflow" in str(w.message) for w in caught)
+
+    def test_overflow_scenario_runs_nominal(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            record = run(overflow_scenario(tmp_path), "nominal")
+        assert record.horizon == 120 and np.isfinite(record.states).all()
 
     @pytest.mark.parametrize("edges, exact", [
         (set(), True), ({(0, 1), (1, 2), (2, 3)}, True), ({(2, 3), (3, 4)}, False)],
@@ -437,6 +466,17 @@ class TestCli:
                      "--out", str(out)]) == 2
         assert f"InvalidInputError: {UNSTABLE}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["fdi", "fdi_dos"])
+    def test_simulate_names_the_overflowing_step(self, tmp_path, capsys, mode):
+        path = tmp_path / "scn.txt"
+        path.write_text(OVERFLOW_TEXT)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            rc = main(["simulate", "--scenario", str(path), "--mode", mode,
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert ("DegenerateGeometryError: step 52: reach supports are not finite"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command, at", [("reachset-dump", "-5"),
                                              ("dmd-export", "-450")])

@@ -9,12 +9,24 @@ on odd ones, so a drift in host speed falls on both sides alike. Each
 checkout runs its own `perfbench/run.py` and `src/`. `--workload` may be
 given more than once; the workloads run one after another.
 
+The end-to-end metrics, which way each is better and the bound by which
+each may worsen are read from the change checkout's `BENCHMARK.json`.
+
 Prints the per-pair `run_s` values, then one Markdown table row per
 workload: for each end-to-end metric, the parent's median [quartiles] ->
 the change's median, the relative change of the medians, and the pairs the
-change wins (a lower value, or a higher one for `passed_frac`); then the
-failed experiments of the parent and of the change. Exits 1 when a run
-fails to produce its result line.
+change wins (ties count for neither); then the failed experiments of the
+parent and of the change. A second table gives two verdicts per workload
+and metric:
+- gain: whether the change shows a gain, that is, it wins at least 9/10
+  of the pairs and the medians differ by more than the parent's
+  interquartile range;
+- bound: `worse` when the change's median is worse than the parent's by
+  more than the metric's bound, relative to the parent's median;
+  `unresolved` when it is not, but the parent's interquartile range is
+  wider than the bound and some run of the change reads no better than
+  some run of the parent; else `within`.
+Exits 1 when a run fails to produce its result line.
 """
 from __future__ import annotations
 
@@ -24,10 +36,6 @@ import os
 import statistics
 import subprocess
 import sys
-
-METRICS = ("run_s", "emit_s", "setup_s", "peak_rss_mb", "passed_frac")
-HIGHER_IS_BETTER = ("passed_frac",)
-
 
 def bench(tree, workload, seed, seconds):
     """The result object that `perfbench/run.py` prints last, from `tree`."""
@@ -47,22 +55,38 @@ def _fmt(v):
     return f"{v:.4g}"
 
 
-def summary(name, parent, change):
-    """One table cell: parent median [quartiles] -> change median, the change
-    of the medians and the change's wins."""
+def end_to_end(tree):
+    """The end-to-end metrics of `tree`'s BENCHMARK.json, by name."""
+    with open(os.path.join(tree, "BENCHMARK.json"), encoding="utf-8") as fh:
+        return {m["name"]: m for m in json.load(fh)["end_to_end"]}
+
+
+def summary(metric, parent, change):
+    """One table cell (parent median [quartiles] -> change median, the change
+    of the medians and the change's wins) and the (gain, bound) verdicts."""
     mp, mc = statistics.median(parent), statistics.median(change)
     q1, _, q3 = (statistics.quantiles(parent, n=4, method="inclusive")
                  if len(parent) > 1 else (mp, mp, mp))
-    better = (lambda c, p: c > p) if name in HIGHER_IS_BETTER else (lambda c, p: c < p)
-    wins = sum(better(c, p) for p, c in zip(parent, change))
+    sign = 1.0 if metric["better"] == "lower" else -1.0
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     delta = f"{(mc - mp) / mp * 100:+.1f}%".replace("-", "−") if mp else "n/a"
-    return (f"{_fmt(mp)} [{_fmt(q1)}, {_fmt(q3)}] → {_fmt(mc)}, {delta}, "
+    cell = (f"{_fmt(mp)} [{_fmt(q1)}, {_fmt(q3)}] → {_fmt(mc)}, {delta}, "
             f"{wins}/{len(parent)}")
+    gain = wins >= 0.9 * len(parent) and sign * (mp - mc) > q3 - q1
+    worse, spread = (sign * (mc - mp) / mp, (q3 - q1) / mp) if mp else (0.0, 0.0)
+    all_better = max(sign * c for c in change) < min(sign * p for p in parent)
+    if worse > metric["bound"]:
+        bound = "worse"
+    elif spread > metric["bound"] and not all_better:
+        bound = "unresolved"
+    else:
+        bound = "within"
+    return cell, ("gain" if gain else "no gain"), bound
 
 
-def ab(parent_dir, change_dir, workload, pairs, seconds, first_seed):
+def ab(parent_dir, change_dir, workload, pairs, seconds, first_seed, metrics):
     """Per-metric value lists and failed counts, (parent, change)."""
-    values = {side: {m: [] for m in METRICS} for side in ("parent", "change")}
+    values = {side: {m: [] for m in metrics} for side in ("parent", "change")}
     failed = {"parent": 0, "change": 0}
     for i in range(pairs):
         seed = first_seed + i
@@ -70,7 +94,7 @@ def ab(parent_dir, change_dir, workload, pairs, seconds, first_seed):
         for side, tree in (sides if i % 2 == 0 else sides[::-1]):
             result = bench(tree, workload, seed, seconds)
             failed[side] += result["failed"]
-            for m in METRICS:
+            for m in metrics:
                 values[side][m].append(result["metrics"][m]["value"])
         print(f"{workload} pair {i} seed {seed}: run_s "
               f"{_fmt(values['parent']['run_s'][-1])} → "
@@ -89,21 +113,32 @@ def main(argv=None):
     args = p.parse_args(argv)
     if args.pairs < 1:
         p.error("--pairs must be >= 1")
-    rows = []
+    metrics = end_to_end(args.change_dir)
+    rows, verdicts = [], []
     for workload in args.workload:
         try:
             values, failed = ab(args.parent_dir, args.change_dir, workload,
-                                args.pairs, args.seconds, args.first_seed)
+                                args.pairs, args.seconds, args.first_seed, metrics)
         except RuntimeError as exc:
             print(exc, file=sys.stderr)
             return 1
-        cells = [summary(m, values["parent"][m], values["change"][m]) for m in METRICS]
+        cells = []
+        for name, metric in metrics.items():
+            cell, gain, bound = summary(metric, values["parent"][name],
+                                        values["change"][name])
+            cells.append(cell)
+            verdicts.append(f"| {workload} | {name} | {gain} | "
+                            f"{metric['bound']:g}: {bound} |")
         rows.append(f"| {workload} ({args.pairs}) | " + " | ".join(cells)
                     + f" | {failed['parent']} / {failed['change']} |")
     print()
-    print("| workload (pairs) | " + " | ".join(METRICS) + " | failed (parent / change) |")
-    print("|---" * (len(METRICS) + 2) + "|")
+    print("| workload (pairs) | " + " | ".join(metrics) + " | failed (parent / change) |")
+    print("|---" * (len(metrics) + 2) + "|")
     print("\n".join(rows))
+    print()
+    print("| workload | metric | gain (9/10 wins, gap > parent IQR) | bound |")
+    print("|---|---|---|---|")
+    print("\n".join(verdicts))
     return 0
 
 
