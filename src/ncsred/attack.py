@@ -39,6 +39,8 @@ class AttackConfig:
     def __post_init__(self):
         if not self.rho >= 0:
             raise InvalidInputError(f"rho must be >= 0, got {self.rho}")
+        if not np.isfinite(self.rho):
+            raise InvalidInputError(f"rho must be finite, got {self.rho}")
         if self.s < 3:
             raise InvalidInputError(f"face count must be >= 3, got {self.s}")
         if self.start_step < 1:

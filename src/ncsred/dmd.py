@@ -92,7 +92,9 @@ def fit(buf: SnapshotBuffer, svd_tol=DEFAULT_SVD_TOL) -> DmdModel:
     """K = X+ pinv(X) with singular values below svd_tol * sigma_max truncated.
 
     The result minimizes ||X+ - K X||_F over matrices acting on the retained
-    row space of X.
+    row space of X. The residual's norms are taken on the window scaled by
+    the power of two of its largest magnitude, which is exact and keeps them
+    from overflowing.
     """
     if not buf.can_fit:
         raise InsufficientDataError("need at least 2 snapshot columns to fit")
@@ -106,7 +108,8 @@ def fit(buf: SnapshotBuffer, svd_tol=DEFAULT_SVD_TOL) -> DmdModel:
         Ur, sr, Vr = U[:, :rank], sig[:rank], Vt[:rank]
         K = ((Xp @ Vr.T) * (1.0 / sr)) @ Ur.T
     cond = sig[0] / sig[rank - 1] if rank else np.inf
-    num = np.linalg.norm(Xp - K @ X)
-    den = np.linalg.norm(Xp)
+    e = -np.frexp(max(np.abs(X).max(), np.abs(Xp).max()))[1]
+    num = np.linalg.norm(np.ldexp(Xp - K @ X, e))
+    den = np.linalg.norm(np.ldexp(Xp, e))
     residual = float(num / den) if den > 0 else float(num)
     return DmdModel(K=K, residual=residual, rank_used=rank, cond=float(cond))

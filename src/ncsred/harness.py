@@ -98,7 +98,8 @@ def run(scenario: Scenario, mode: str) -> RunRecord:
     inject loop. fdi_dos: same, with structure recovery and a DoS at the
     configured step; the executed jamming severs the planned agent's true
     links (the attacker's believed link need not exist). A plant whose closed
-    loop is unstable is refused before the first step. An attacked mode warns
+    loop is unstable, and an attacked mode with fewer than 2 agents, are
+    refused before the first step. An attacked mode warns
     when the snapshot window is narrower than the 4N-dimensional state, since
     such a window cannot identify the plant. A geometry error in an attacked
     step (reach supports that overflow) names the step.
@@ -122,6 +123,8 @@ def run(scenario: Scenario, mode: str) -> RunRecord:
     if mode == "fdi_dos" and cfg.dos_step >= H:
         raise InvalidInputError(f"fdi_dos needs dos_step ({cfg.dos_step}) below "
                                 f"horizon_steps ({H})")
+    if mode != "nominal" and N < 2:
+        raise InvalidInputError(f"{mode} needs at least 2 agents, got n_agents = {N}")
     if mode != "nominal" and cfg.snapshot_width < dim:
         warnings.warn(f"snapshot_width {cfg.snapshot_width} is below 4 * n_agents = "
                       f"{dim}: the window cannot identify the plant", UserWarning,

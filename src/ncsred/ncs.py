@@ -52,6 +52,8 @@ class AgentModel:
         dt = self.dt
         if not dt > 0:
             raise InvalidInputError(f"dt must be positive, got {dt}")
+        if not np.isfinite(dt):
+            raise InvalidInputError(f"dt must be finite, got {dt}")
         object.__setattr__(self, "A", np.array([[1.0, dt, 0.0, 0.0],
                                                 [0.0, 1.0, 0.0, 0.0],
                                                 [0.0, 0.0, 1.0, dt],
@@ -153,6 +155,11 @@ class Scenario:
             raise InvalidInputError("formation_offsets must be N x 4")
         if self.initial_states.shape != (N, STATE_DIM):
             raise InvalidInputError("initial_states must be N x 4")
+        for name in ("gain", "leader_gain", "formation_offsets", "initial_states"):
+            v = getattr(self, name)
+            if not np.isfinite(v).all():
+                i, j = np.argwhere(~np.isfinite(v))[0]
+                raise InvalidInputError(f"{name}[{i}, {j}] is {v[i, j]}, not finite")
         if self.horizon_steps < 1:
             raise InvalidInputError("horizon_steps must be >= 1")
         self.track = ReferenceTrack(self.reference, self.horizon_steps,

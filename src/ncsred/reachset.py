@@ -10,10 +10,10 @@ meets its angular neighbour at a vertex (support-function polytopes; Le
 Guernic & Girard, "Reachability analysis of linear systems using support
 functions", Nonlinear Analysis: Hybrid Systems 2010). So `agent_polygon`
 intersects each face with its neighbour only: m points per polygon give its
-extreme vertices on the direction fan and, in gap order, its counter-clockwise
-vertex ring, which is built only when read. Supports whose adjacent points
-fail a face are no convex set's (the set is empty, or a face is not tight),
-and raise `DegenerateGeometryError`.
+extreme vertices on the direction fan, which score the call's polygon pairs,
+and, in gap order, its counter-clockwise vertex ring, built only when read.
+Supports whose adjacent points fail a face are no convex set's (the set is
+empty, or a face is not tight), and raise `DegenerateGeometryError`.
 """
 from __future__ import annotations
 
@@ -157,10 +157,10 @@ class AgentPolygon:
 
     Vertices are the counter-clockwise boundary of the intersection of the
     supporting half-planes <d_k, p> <= gamma_k. A polygon from `agent_polygon`
-    is a row of its call's `_Batch`, which keeps its extremes on the direction
-    fan, so distance queries on that fan need not project the vertices; its
-    vertices are built from the batch's points when first read. A polygon
-    built by hand has no batch and keeps the vertices it is given.
+    holds its call's read-only `(points, keep, table)` and its row in them:
+    its vertices are built from the points when first read, and
+    `polygon_distance` reads the pair table. A polygon built by hand has
+    neither and keeps the vertices it is given.
     """
 
     def __init__(self, agent, directions, supports, vertices=None):
@@ -168,31 +168,28 @@ class AgentPolygon:
         self.directions = directions  # (m, 2)
         self.supports = supports      # (m,)
         self._vertices = vertices     # (v, 2) CCW
-        self._batch = None            # the agent_polygon batch, and this
-        self._row = None              # polygon's row in it
+        self._call = None             # (points, keep, table) of its call,
+        self._row = None              # and this polygon's row in them
 
     @property
     def vertices(self):
         if self._vertices is None:
-            b, r = self._batch, self._row
-            self._vertices = b.points[r, b.keep[r]]
+            P, keep, _ = self._call
+            self._vertices = P[self._row, keep[self._row]]
         return self._vertices
 
 
 class _Batch(tuple):
-    """The polygons of one `agent_polygon` call in row order, and what the
-    call computed for them: their read-only `directions`, the adjacent
-    `points` (A, m, 2) and the `keep` mask (A, m) of the kept ones, the
-    `_fan` of the directions as `faces` and `arcs`, the x and y planes `hi`
-    and `lo` (2, A, arcs) of each row's max and min vertices on the arcs, and
-    the `table` of the batch's `pair_distances` once a call has filled it. A
-    slice, a reversal, `list(batch)` or `tuple(batch)` is not the batch.
+    """The polygons of one `agent_polygon` call in row order, carrying the
+    `call` record `(points, keep, table)` that each of them holds, so that
+    `pair_distances` returns its table. A slice, a reversal, `list(batch)` or
+    `tuple(batch)` is not the batch.
     """
 
 
 @functools.lru_cache(maxsize=16)
 def _adjacent_faces(key, shape):
-    """Direction-only part of `agent_polygon` for the directions whose
+    """Direction-only part of `_adjacent_pass` for the directions whose
     float64 bytes are `key`.
 
     Faces sorted by angle merge when they lie within ANGLE_TOL of each other,
@@ -238,23 +235,38 @@ def agent_polygon(directions, agent, supports):
     """Position polygon of an agent from its support values (m,); for a
     sequence of agents and supports (A, m), the `_Batch` of their polygons.
     The polygons keep the directions read-only: a writable array is copied
-    once, so a caller's later edit does not reach them.
+    once, so a caller's later edit does not reach them. The call scores every
+    pair of its polygons once, as `pair_distances` on the batch returns it.
+    """
+    D = np.asarray(directions, float)
+    if D.flags.writeable or not D.flags.c_contiguous:
+        D = _frozen(D.copy())[0]
+    G = np.atleast_2d(np.asarray(supports, float))
+    faces, P, keep, hi, lo = _adjacent_pass(D, G)
+    call = _frozen(P, keep, _pair_table(faces, hi, lo))
+    batch = _Batch(AgentPolygon(int(a), D, g) for a, g in zip(np.atleast_1d(agent), G))
+    batch.call = call
+    for r, p in enumerate(batch):
+        p._call, p._row = call, r
+    return batch if np.ndim(agent) else batch[0]
+
+
+def _adjacent_pass(D, G):
+    """Faces of the fan of directions D (m, 2), and the adjacent points P
+    (A, m, 2), their keep mask (A, m) and the x and y planes hi and lo
+    (2, A, arcs) of each row's max and min vertices on the fan's arcs, for
+    the support rows G (A, m).
 
     Each face meets only its angular neighbour (`_adjacent_faces`), at most m
-    points per polygon. Every point must pass every half-plane within
+    points per row. Every point must pass every half-plane within
     FEAS_TOL * scale, where scale, the points' rounding scale, is the row's
     largest point coordinate and at least 1. A row with a point that fails
     is no convex set's supports (the set is empty, or a face is not tight):
     the first such row raises, naming the row and the face. Each point lying
     within 1e-9 * scale of its predecessor merges into the run's first. A
     fan arc's extreme is the kept point of the gap that the arc falls in, the
-    maximiser along it; the vertices, the kept points in gap order, are built
-    only when read.
+    maximiser along it; a row's vertices are its kept points in gap order.
     """
-    D = np.asarray(directions, float)
-    if D.flags.writeable or not D.flags.c_contiguous:
-        D = _frozen(D.copy())[0]
-    G = np.atleast_2d(np.asarray(supports, float))
     key = D.tobytes()
     faces, arcs = _fan((key,))
     I, J, C, E, det, arc_gaps = _adjacent_faces(key, D.shape)
@@ -274,13 +286,7 @@ def agent_polygon(directions, agent, supports):
     run = np.maximum.accumulate(np.where(keep, np.arange(len(I)), -1), axis=1)
     run = np.where(run < 0, run[:, -1:], run)
     planes = P.transpose(2, 0, 1)[:, np.arange(len(G))[:, None], run[:, arc_gaps]]
-    batch = _Batch(AgentPolygon(int(a), D, g) for a, g in zip(np.atleast_1d(agent), G))
-    batch.directions, batch.points, batch.keep = D, P, keep
-    batch.faces, batch.arcs, batch.table = faces, arcs, None
-    batch.hi, batch.lo = planes[..., :len(arcs)], planes[..., len(arcs):]
-    for r, p in enumerate(batch):
-        p._batch, p._row = batch, r
-    return batch if np.ndim(agent) else batch[0]
+    return faces, P, keep, planes[..., :len(arcs)], planes[..., len(arcs):]
 
 
 def _direction_fan(polygons):
@@ -310,12 +316,7 @@ def _fan(keys):
 
 def _extreme_vertices(polygons, arcs):
     """Vertices of each polygon attaining max and min of <arc, v> for each
-    arc direction, as (A, arcs, 2) arrays: the batch rows when every polygon
-    is a row of a batch on these arcs, else a projection pass over each
-    polygon's vertices."""
-    if all(p._batch is not None and p._batch.arcs is arcs for p in polygons):
-        return (np.array([p._batch.hi[:, p._row].T for p in polygons]),
-                np.array([p._batch.lo[:, p._row].T for p in polygons]))
+    arc direction, as (A, arcs, 2) arrays, projected polygon by polygon."""
     V = [np.asarray(p.vertices, float) for p in polygons]
     if not all(map(len, V)):
         raise DegenerateGeometryError("empty polygon")
@@ -376,24 +377,22 @@ def pair_indices(n):
 
 def pair_distances(polygons):
     """dist(polygons[i], polygons[j]) for every pair i < j, in lexicographic
-    order, from the polygons' stored extremes, not a new pass. A `_Batch`
-    itself takes its faces and extremes from its record, and its result,
-    read-only, is computed once and kept in the batch for
-    `polygon_distance`; any other sequence is computed afresh."""
-    b = polygons if isinstance(polygons, _Batch) else None
-    if b is None:
-        faces, arcs = _direction_fan(polygons)
-        hi, lo = (v.transpose(2, 0, 1) for v in _extreme_vertices(polygons, arcs))
-    elif b.table is None:
-        faces, hi, lo = b.faces, b.hi, b.lo
-    else:
-        return b.table
-    ii, jj = pair_indices(len(polygons))
+    order. A `_Batch` returns the read-only table its call computed; any other
+    sequence is computed from its polygons' projected extremes."""
+    if isinstance(polygons, _Batch):
+        return polygons.call[2]
+    faces, arcs = _direction_fan(polygons)
+    hi, lo = (v.transpose(2, 0, 1) for v in _extreme_vertices(polygons, arcs))
+    return _pair_table(faces, hi, lo)
+
+
+def _pair_table(faces, hi, lo):
+    """Pair distances, lexicographic, of polygons whose max and min vertices
+    on the arcs between `faces` are the x and y planes hi and lo (2, A, arcs):
+    the distance from the origin to each pair's Minkowski difference ring."""
+    ii, jj = pair_indices(hi.shape[1])
     rings = hi.take(jj, axis=1) - lo.take(ii, axis=1)
-    d = _ring_distances(np.zeros((2, len(ii))), rings, faces)
-    if b is not None:
-        b.table = _frozen(d)[0]
-    return d
+    return _ring_distances(np.zeros((2, len(ii))), rings, faces)
 
 
 def input_image_distances(omega: InputPolytope, Bpos, n_directions, shifts):
@@ -416,18 +415,18 @@ def _input_difference(vkey, bkey, m):
     fan."""
     D = planar_directions(m)
     V = np.frombuffer(vkey).reshape(-1, 2)
-    S = agent_polygon(D, [-1], (D @ np.frombuffer(bkey).reshape(2, 2) @ V.T).max(axis=1))
-    ring = S.hi - S.lo
-    return _frozen(ring, S.faces) + (_frozen(*_ring_edges(ring)),)
+    G = (D @ np.frombuffer(bkey).reshape(2, 2) @ V.T).max(axis=1)
+    faces, _, _, hi, lo = _adjacent_pass(D, G[None])
+    ring = hi - lo
+    return _frozen(ring, faces) + (_frozen(*_ring_edges(ring)),)
 
 
 def polygon_distance(P: AgentPolygon, Q: AgentPolygon) -> float:
     """Euclidean distance between two convex polygons (0 when they intersect).
-    Two members of one `agent_polygon` batch, P's row before Q's, read the
-    batch's pair table once `pair_distances` has filled it; other polygons
-    from `agent_polygon` give their stored extremes, not a new pass."""
-    b = P._batch
-    if b is not None and Q._batch is b and b.table is not None and P._row < Q._row:
-        i, j, n = P._row, Q._row, len(b)
-        return float(b.table[i * (2 * n - i - 1) // 2 + j - i - 1])
+    Two polygons of one `agent_polygon` call, P's row before Q's, read their
+    call's pair table; every other pair is computed."""
+    call, i, j = P._call, P._row, Q._row
+    if call is not None and Q._call is call and i < j:
+        n = len(call[1])
+        return float(call[2][i * (2 * n - i - 1) // 2 + j - i - 1])
     return float(pair_distances((P, Q))[0])

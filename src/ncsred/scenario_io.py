@@ -35,6 +35,9 @@ def build_scenario(seed=0, n_agents=5, dt=0.2, horizon_steps=500,
     and another `n_agents` needs its own edges and offsets."""
     if seed is not None and seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    for name, v in (("init_box_low", init_box_low), ("init_box_high", init_box_high)):
+        if not np.isfinite(v):
+            raise InvalidInputError(f"{name} must be finite, got {v}")
     missing = [key for key, v in (("edges", edges), ("formation_offsets", offsets))
                if v is None]
     if n_agents != len(DEFAULT_OFFSETS) and missing:

@@ -29,8 +29,9 @@ from ncsred.dmd import SnapshotBuffer
 from ncsred.errors import DegenerateGeometryError
 from ncsred.graph import Graph
 from ncsred.harness import run
-from ncsred.reachset import (ANGLE_TOL, FEAS_TOL, AgentPolygon, _direction_fan,
-                             _extreme_vertices, _ring_distances,
+from ncsred.reachset import (ANGLE_TOL, FEAS_TOL, AgentPolygon, _adjacent_pass,
+                             _direction_fan, _extreme_vertices, _fan,
+                             _ring_distances,
                              agent_polygon, batch_reach_supports,
                              circumscribe_ball, embed_input_map, pair_distances,
                              planar_directions, polygon_distance)
@@ -110,17 +111,17 @@ def _same_ring(got, want):
                for k in range(len(got)))
 
 
-def _stored_extremes(p):
-    """p's fan arcs and its max and min vertices on them (arcs, 2), as its
-    batch keeps them."""
-    b, r = p._batch, p._row
-    return b.arcs, b.hi[:, r].T, b.lo[:, r].T
+def _pass_extremes(D, G):
+    """The fan arcs of the directions D and each support row's max and min
+    vertices on them (A, arcs, 2), as the adjacent-face pass finds them."""
+    *_, hi, lo = _adjacent_pass(D, G)
+    return _fan((D.tobytes(),))[1], hi.transpose(1, 2, 0), lo.transpose(1, 2, 0)
 
 
 def _assert_extremes_maximise(p):
-    """Each stored extreme maximises (minimises) its fan arc over p's
-    vertices within 1e-8 * scale."""
-    arcs, hi, lo = _stored_extremes(p)
+    """Each extreme of p's row of the adjacent-face pass maximises
+    (minimises) its fan arc over p's vertices within 1e-8 * scale."""
+    arcs, (hi,), (lo,) = _pass_extremes(p.directions, p.supports[None])
     V = p.vertices
     tol = 1e-8 * max(1.0, np.abs(V).max())
     proj = V @ arcs.T
@@ -260,7 +261,7 @@ class TestAdjacentFacePass:
            uniform=st.booleans())
     def test_mixed_batch_rows_equal_single_row_calls(self, seed, kinds, uniform):
         """Every row has the vertex and extreme bytes of its single-row
-        call, and its stored extremes maximise their arcs; a batch with a
+        call, and its pass extremes maximise their arcs; a batch with a
         row that is no convex set's raises what the first such row raises,
         under its batch row number."""
         rng = np.random.default_rng(seed)
@@ -274,10 +275,12 @@ class TestAdjacentFacePass:
             r, w = errors[0]
             assert got == w.replace("supports row 0 ", f"supports row {r} ")
             return
-        for p, q in zip(got, want):
+        _, hi, lo = _pass_extremes(D, G)
+        for r, (p, q) in enumerate(zip(got, want)):
             assert p.vertices.tobytes() == q.vertices.tobytes()
-            for a, b in zip(_stored_extremes(p)[1:], _stored_extremes(q)[1:]):
-                assert a.tobytes() == b.tobytes()
+            _, (hi_q,), (lo_q,) = _pass_extremes(D, G[r:r + 1])
+            assert hi[r].tobytes() == hi_q.tobytes()
+            assert lo[r].tobytes() == lo_q.tobytes()
             _assert_extremes_maximise(p)
 
     def test_batch_builds_no_ring(self):
@@ -289,7 +292,7 @@ class TestAdjacentFacePass:
         polys = agent_polygon(D, range(3), G)
         for r, p in enumerate(polys):
             assert p._vertices is None and p._row == r
-            assert p._batch is polys[0]._batch
+            assert p._call is polys.call
             _assert_polygon_invariants(p, D, G[r])
 
     @PROPERTY
@@ -312,7 +315,7 @@ class TestAdjacentFacePass:
     @given(seed=seeds, log_gap=st.floats(min_value=-11.0, max_value=-5.0))
     def test_arc_next_to_a_face_keeps_projection_extremes(self, seed, log_gap):
         """A face turned 1e-11 to 1e-5 rad from another's negative puts a
-        fan arc next to a face normal: the stored extremes, taken from the
+        fan arc next to a face normal: the pass extremes, taken from the
         arc's gap, still maximise the arc within 1e-8 * scale."""
         rng = np.random.default_rng(seed)
         ang = rng.uniform(-np.pi, np.pi, size=int(rng.integers(5, 12)))

@@ -115,6 +115,33 @@ class TestFit:
         assert model.rank_used == 0 and model.cond == np.inf
         assert not model.K.any()
 
+    def test_residual_keeps_its_bytes_on_a_normal_window(self):
+        """Scaling the window by a power of two before the norms is exact:
+        the residual is the unscaled ratio's float."""
+        rng = np.random.default_rng(6)
+        buf = SnapshotBuffer(9, 3)
+        for _ in range(10):
+            buf.push(rng.normal(scale=1e3, size=3))
+        model = fit(buf)
+        X, Xp = buf.X, buf.X_plus
+        want = np.linalg.norm(Xp - model.K @ X) / np.linalg.norm(Xp)
+        assert model.residual > 0.1 and model.residual == want
+
+    def test_residual_of_a_window_past_the_norms_range(self):
+        """A window whose squares overflow (entries about 2^600) gives the
+        finite residual of the same window at unit scale."""
+        rng = np.random.default_rng(7)
+        cols = rng.normal(size=(10, 3))
+        small, large = SnapshotBuffer(9, 3), SnapshotBuffer(9, 3)
+        for col in cols:
+            small.push(col)
+            large.push(np.ldexp(col, 600))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert np.isinf(np.linalg.norm(large.X_plus))
+        want = fit(small).residual
+        got = fit(large).residual
+        assert want > 0.1 and got == pytest.approx(want, rel=1e-12)
+
     def test_hand_built_model_has_no_cond(self):
         assert np.isnan(DmdModel(K=np.eye(2), residual=0.0, rank_used=2).cond)
 

@@ -1,16 +1,17 @@
 """One geometry pass per attacked step.
 
-`agent_polygon` keeps every polygon's extreme vertices from the pass that
-finds its vertices, and the distance queries read them instead of projecting
-the vertices again; an attacked run builds no vertex ring. Each polygon pair
-is scored once per attacked step: selection fills its batch's pair table,
-and the chosen pair's separation is read from it. The reach pass's
-directions, injection maps and lifts, the injection candidates and the
-S - S ring's edges are built once per run and cached read-only, and a run
-builds each active graph's neighbour index once. Each must give the bytes
-of the per-call computation it replaces.
+`agent_polygon` takes every polygon's extreme vertices from the pass that
+finds its vertices and scores each pair of its polygons once, as it builds
+them; selection and the chosen pair's separation read that table, and an
+attacked run builds no vertex ring. The reach pass's directions, injection
+maps and lifts, the injection candidates and the S - S ring's edges are
+built once per run and cached read-only, and a run builds each active
+graph's neighbour index once. Each must give the bytes of the per-call
+computation it replaces.
 """
+import gc
 import sys
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -21,12 +22,13 @@ from hypothesis import strategies as st
 
 from ncsred import attack, harness, reachset
 from ncsred.attack import AttackConfig, agent_reach_polygon, synthesize_fdi
-from ncsred.dmd import DEFAULT_SVD_TOL, SnapshotBuffer, fit
+from ncsred.dmd import DEFAULT_SVD_TOL, DmdModel, SnapshotBuffer, fit
 from ncsred.graph import Graph
 from ncsred.harness import run
-from ncsred.reachset import (AgentPolygon, _direction_fan, _extreme_vertices,
-                             agent_polygon, circumscribe_ball, pair_distances,
-                             pair_indices, planar_directions, polygon_distance)
+from ncsred.reachset import (AgentPolygon, _adjacent_pass, _direction_fan,
+                             _extreme_vertices, agent_polygon, circumscribe_ball,
+                             pair_distances, pair_indices, planar_directions,
+                             polygon_distance)
 from ncsred.scenario_io import build_scenario, load_scenario
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -52,11 +54,22 @@ def _batch(rng, n_polygons, m):
 
 
 def _by_hand(p):
-    """The polygon as a caller would build it, without stored extremes."""
+    """The polygon as a caller would build it, without its call's record."""
     return AgentPolygon(p.agent, p.directions, p.supports, p.vertices)
 
 
+def _pass_extremes(polys):
+    """The max and min vertices (A, arcs, 2) that the adjacent-face pass
+    finds for the polygons' directions and supports."""
+    G = np.array([p.supports for p in polys])
+    *_, hi, lo = _adjacent_pass(polys[0].directions, G)
+    return hi.transpose(1, 2, 0), lo.transpose(1, 2, 0)
+
+
 class TestStoredExtremes:
+    """The adjacent-face pass's extremes, which build the pair table, are
+    the bytes of projecting each polygon's vertices."""
+
     @PROPERTY
     @given(seed=seeds, n=st.integers(min_value=2, max_value=10),
            m=st.integers(min_value=3, max_value=24))
@@ -64,11 +77,10 @@ class TestStoredExtremes:
         polys = _batch(np.random.default_rng(seed), n, m)
         assert len({len(p.vertices) for p in polys}) > 1
         _, arcs = _direction_fan(polys)
-        assert polys.arcs is arcs
-        got = _extreme_vertices(polys, arcs)
         want = _extreme_vertices([_by_hand(p) for p in polys], arcs)
-        for g, w in zip(got, want):
-            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        for got in (_pass_extremes(polys), _extreme_vertices(polys, arcs)):
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
     @PROPERTY
     @given(seed=seeds, n=st.integers(min_value=2, max_value=10),
@@ -88,8 +100,8 @@ class TestStoredExtremes:
         D = planar_directions(8)
         p = agent_polygon(D, 3, np.ones(8))
         _, arcs = _direction_fan([p])
-        assert p.agent == 3 and p._batch.arcs is arcs
-        for g, w in zip(_extreme_vertices([p], arcs),
+        assert p.agent == 3 and p._row == 0 and len(p._call[1]) == 1
+        for g, w in zip(_pass_extremes([p]),
                         _extreme_vertices([_by_hand(p)], arcs)):
             assert g.tobytes() == w.tobytes()
 
@@ -155,16 +167,17 @@ class TestPairTable:
     @pytest.mark.parametrize("workload, seed", [("stock_fdi_dos", 0),
                                                 ("wide_h3_fdi_dos", 3)])
     def test_separation_before_is_the_table_entry(self, tmp_path, workload, seed):
-        """Each attacked step scores its pairs once: selection fills the
-        batch's table, and `separation_before` is the chosen pair's entry,
-        equal to a fresh two-polygon computation. A step makes two ring
-        passes: the pair table and the candidate scores."""
+        """Each attacked step scores its pairs once: the `agent_polygon`
+        call builds the table that selection reads, and `separation_before`
+        is the chosen pair's entry, equal to a fresh two-polygon computation.
+        A step makes two ring passes: the pair table and the candidate
+        scores."""
         record, steps, ring_passes = _pool_run(tmp_path, workload, seed)
         decisions = [d for d in record.decisions if d is not None]
         assert len(decisions) == len(steps) == 99
         assert ring_passes == 2 * len(steps)
         for d, (targets, polys) in zip(decisions, steps):
-            table = polys[0]._batch.table
+            table = polys[0]._call[2]
             assert pair_distances(polys) is table
             ii, jj = pair_indices(len(polys))
             k = int(np.flatnonzero((ii == targets[0]) & (jj == targets[1]))[0])
@@ -177,11 +190,10 @@ class TestPairTable:
     @given(seed=seeds, n=st.integers(min_value=4, max_value=10),
            m=st.integers(min_value=3, max_value=24))
     def test_other_queries_read_no_table(self, seed, n, m):
-        """Reversed pairs, polygons from two batches, a batch copied to a
-        list or a tuple, slices, a reversed batch, hand-built polygons and a
-        batch whose table is not filled compute their distances, with the
-        bytes of polygons that never had a table: a poisoned table reaches
-        only in-order pairs of its own batch."""
+        """Reversed pairs, polygons from two calls, a batch copied to a list
+        or a tuple, slices, a reversed batch and hand-built polygons compute
+        their distances, with the bytes of another call on the same
+        supports; in-order pairs of one call read its read-only table."""
         rng = np.random.default_rng(seed)
         polys = _batch(rng, n, m)
         D, G = polys[0].directions, np.array([p.supports for p in polys])
@@ -199,14 +211,13 @@ class TestPairTable:
         want = [q(other) for q in queries]
         want_in_order = polygon_distance(other[i], other[j])
         want_second = polygon_distance(second[i], second[j])
-        assert other[0]._batch.table is None
 
         whole = pair_distances(polys)
         assert not whole.flags.writeable
+        with pytest.raises(ValueError):
+            whole[0] = np.nan
         assert whole.tobytes() == pair_distances(hand).tobytes()
         assert polygon_distance(polys[i], polys[j]) == want_in_order
-        polys[0]._batch.table = np.full_like(whole, np.nan)
-        assert np.isnan(polygon_distance(polys[i], polys[j]))
         assert [q(polys) for q in queries] == want
         assert polygon_distance(other[i], other[j]) == want_in_order
         assert polygon_distance(second[i], second[j]) == want_second
@@ -216,13 +227,13 @@ class TestPairTable:
     @pytest.mark.parametrize("n", [2, 4])
     def test_list_directions_give_the_array_bytes(self, n):
         """`agent_polygon` takes directions as any array-like; a batch built
-        from a list of pairs fills and reads its table as the array form."""
+        from a list of pairs builds and reads its table as the array form."""
         D = planar_directions(8)
         G = np.arange(n)[:, None] * 3.0 * D[:, 0] + 1.0
         polys = {kind: agent_polygon(dirs, range(n), G)
                  for kind, dirs in (("array", D), ("list", D.tolist()))}
         got = {kind: (pair_distances(P).tobytes(), polygon_distance(P[0], P[-1]),
-                      pair_distances(P) is P[0]._batch.table)
+                      pair_distances(P) is P[0]._call[2])
                for kind, P in polys.items()}
         assert got["list"] == got["array"]
         assert got["list"][2]
@@ -230,33 +241,39 @@ class TestPairTable:
 
 class TestBatchContract:
     """`agent_polygon` on a sequence of agents returns its `_Batch`: a tuple
-    of the polygons in row order that carries their read-only directions,
-    points, fan, extreme planes and pair table."""
+    of the polygons in row order whose one attribute is the call's read-only
+    `(points, keep, table)` record, which each polygon holds with its row."""
 
     def test_sequence_returns_the_batch(self):
         D = planar_directions(8)
         polys = agent_polygon(D, [4, 2, 7], np.ones((3, 8)) + np.arange(3)[:, None])
         assert isinstance(polys, reachset._Batch) and isinstance(polys, tuple)
         assert [p.agent for p in polys] == [4, 2, 7]
-        assert all(p._batch is polys and p._row == r for r, p in enumerate(polys))
+        assert list(vars(polys)) == ["call"]
+        assert not any(v.flags.writeable for v in polys.call)
+        assert all(p._call is polys.call and p._row == r for r, p in enumerate(polys))
+        assert not any(isinstance(v, reachset._Batch)
+                       for p in polys for v in vars(p).values())
         for copy in (list(polys), tuple(polys), polys[:2], polys[1:], polys[::-1]):
             assert not isinstance(copy, reachset._Batch)
         one = agent_polygon(D, 3, np.ones(8))
-        assert isinstance(one, AgentPolygon) and one._batch == (one,)
+        assert isinstance(one, AgentPolygon) and one._row == 0
+        assert len(one._call[1]) == 1 and len(one._call[2]) == 0
 
     def test_caller_edit_of_directions_reaches_nothing(self):
         """An in-place edit of the caller's writable directions after the
-        call leaves the batch's directions, its table and every distance as
-        a fresh computation gives them."""
+        call leaves the polygons' directions, their table and every distance
+        as a fresh computation gives them."""
         D = planar_directions(8)
         G = np.ones((3, 8)) + 2.0 * np.arange(3)[:, None] * D[:, 0]
         polys = agent_polygon(D, range(3), G)
         table = pair_distances(polys)
-        assert polys.directions is not D and not polys.directions.flags.writeable
-        assert all(p.directions is polys.directions for p in polys)
+        dirs = polys[0].directions
+        assert dirs is not D and not dirs.flags.writeable
+        assert all(p.directions is dirs for p in polys)
         D[:] = np.roll(D, 1, axis=0)
         fresh = agent_polygon(planar_directions(8), range(3), G)
-        assert polys.directions.tobytes() == fresh.directions.tobytes()
+        assert dirs.tobytes() == fresh[0].directions.tobytes()
         assert pair_distances(polys) is table
         assert table.tobytes() == pair_distances(fresh).tobytes()
         assert pair_distances(list(polys)).tobytes() == table.tobytes()
@@ -268,9 +285,28 @@ class TestBatchContract:
         D = planar_directions(8)
         D.flags.writeable = False
         polys = agent_polygon(D, range(2), np.ones((2, 8)))
-        assert polys.directions is D
         assert all(p.directions is D for p in polys)
         assert agent_polygon(D, 0, np.ones(8)).directions is D
+
+
+def test_attacked_step_frees_its_polygons_without_the_collector():
+    """Nothing an `agent_polygon` call builds refers back to its batch, so
+    an attacked step's polygons are freed by reference counting alone, with
+    the cyclic garbage collector off."""
+    n_agents, K, B, omega = _random_problem(np.random.default_rng(3))
+    x = np.random.default_rng(4).normal(size=4 * n_agents)
+    model = DmdModel(K=K, residual=0.0, rank_used=4 * n_agents)
+    gc.disable()
+    try:
+        polys = agent_reach_polygon(K, B, x, omega, 16, 2)
+        targets = attack.select_targets(polys)
+        synthesize_fdi(targets, model, omega, x, B, polys)
+        polys[0].vertices
+        refs = [weakref.ref(p) for p in polys]
+        del polys
+        assert all(r() is None for r in refs)
+    finally:
+        gc.enable()
 
 
 def _random_problem(rng):

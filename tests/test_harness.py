@@ -4,6 +4,7 @@ import re
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -313,6 +314,34 @@ class TestScenarioIO:
         assert load_scenario(path).attack == dataclasses.replace(
             AttackConfig(), **{field.name: value})
 
+    @pytest.mark.parametrize("text, message", [
+        ("dt = inf\n", "dt must be finite, got inf"),
+        ("gain_row1 = nan 0 0 0\ngain_row2 = 0 0 0 0\n", "gain[0, 0] is nan, not finite"),
+        ("gain_row1 = 0 0 0 0\ngain_row2 = 0 0 nan 0\n", "gain[1, 2] is nan, not finite"),
+        ("leader_gain_row1 = inf 0 0 0\nleader_gain_row2 = 0 0 -5 -2\n",
+         "leader_gain[0, 0] is inf, not finite"),
+        ("init_box_low = nan\n", "init_box_low must be finite, got nan"),
+        ("init_box_high = -inf\n", "init_box_high must be finite, got -inf"),
+        ("formation_offsets = inf,0; -4,-3; 4,-3; -8,0; 8,0\n",
+         "formation_offsets[0, 0] is inf, not finite"),
+        ("rho = inf\n", "rho must be finite, got inf"),
+    ])
+    def test_non_finite_numbers_refused(self, tmp_path, text, message):
+        """A non-finite plant, formation, start or budget number is refused
+        where it is owned, naming the field."""
+        path = tmp_path / "scn.txt"
+        path.write_text(text)
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            load_scenario(str(path))
+
+    def test_non_finite_initial_states_refused(self):
+        s = build_scenario(horizon_steps=5)
+        states = s.initial_states.copy()
+        states[3, 1] = np.nan
+        with pytest.raises(InvalidInputError,
+                           match=re.escape("initial_states[3, 1] is nan, not finite")):
+            dataclasses.replace(s, initial_states=states)
+
     def test_readme_lists_the_parsed_keys(self):
         assert readme_keys() == set(PARSERS)
 
@@ -455,6 +484,24 @@ class TestCli:
             assert (f"InvalidInputError: fdi_dos needs dos_step ({dos_step}) below "
                     "horizon_steps (70)") in capsys.readouterr().err
             assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["fdi", "fdi_dos"])
+    def test_attack_needs_two_agents(self, tmp_path, capsys, mode):
+        """An attacked mode on one agent is refused before the first step,
+        naming the agent count; `nominal` runs it."""
+        path = tmp_path / "scn.txt"
+        path.write_text("n_agents = 1\nedges =\nformation_offsets = 0,0\n"
+                        "horizon_steps = 120\n")
+        out = tmp_path / "out"
+        with mock.patch("ncsred.harness.step") as step:
+            rc = main(["simulate", "--scenario", str(path), "--mode", mode,
+                       "--out", str(out)])
+        assert rc == 2 and step.call_count == 0
+        assert (f"InvalidInputError: {mode} needs at least 2 agents, got n_agents = 1"
+                in capsys.readouterr().err)
+        assert not out.exists()
+        assert main(["simulate", "--scenario", str(path), "--mode", "nominal",
+                     "--out", str(out)]) == 0
 
     @pytest.mark.parametrize("mode", MODES)
     def test_simulate_refuses_unstable_closed_loop(self, tmp_path, capsys, mode):
