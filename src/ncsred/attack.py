@@ -12,11 +12,15 @@ from .errors import DegenerateGeometryError, InvalidInputError
 from .graph import Graph, algebraic_connectivity, is_connected, remove_edge
 from .reachset import (DEFAULT_JITTER, AgentPolygon, InputPolytope, _frozen,
                        agent_polygon, batch_reach_supports, embed_input_map,
-                       input_image_distances, pair_distances, pair_indices,
-                       planar_directions, polygon_distance)
+                       input_image_distances, input_term, pair_distances,
+                       pair_indices, planar_directions, polygon_distance)
 
 FIEDLER_TIE_TOL = 1e-9
 EDGE_THRESHOLD_FACTOR = 0.5
+#: `synthesize_fdi` scores a table of s^2 + 1 candidate injections per step
+MAX_FACES = 128
+#: each agent's polygon checks its m points against its m faces per step
+MAX_DIRECTIONS = 256
 
 
 @dataclass(frozen=True)
@@ -43,6 +47,10 @@ class AttackConfig:
             raise InvalidInputError(f"rho must be finite, got {self.rho}")
         if self.s < 3:
             raise InvalidInputError(f"face count must be >= 3, got {self.s}")
+        if self.s > MAX_FACES:
+            raise InvalidInputError(
+                f"face count must be <= {MAX_FACES}, got {self.s}: each attacked "
+                "step scores a table of s^2 + 1 candidate injections")
         if self.start_step < 1:
             raise InvalidInputError("start_step must be >= 1")
         if self.dos_step < 0:
@@ -55,6 +63,11 @@ class AttackConfig:
             raise InvalidInputError("refit_every must be >= 1")
         if self.n_directions < 3:
             raise InvalidInputError("n_directions must be >= 3")
+        if self.n_directions > MAX_DIRECTIONS:
+            raise InvalidInputError(
+                f"n_directions must be <= {MAX_DIRECTIONS}, got {self.n_directions}: "
+                "each attacked step checks every agent's m points against its "
+                "m faces, an m x m table per agent")
         for name in ("svd_tol", "recovery_svd_tol"):
             if not getattr(self, name) >= 0:
                 raise InvalidInputError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -94,12 +107,13 @@ def agent_reach_polygon(model_K, B, x0, omega,
     to its own call. Supports that overflow raise `DegenerateGeometryError`.
     """
     n_agents = model_K.shape[0] // 4
-    B = np.asarray(B, float)
-    dirs, Bsel, lifts = _reach_operands(B.tobytes(), B.shape, n_agents, n_directions)
-    sup, _ = batch_reach_supports([model_K] * horizon, Bsel, x0, omega, lifts)
+    key = (np.asarray(B, float).tobytes(), np.shape(B), n_agents, n_directions)
+    dirs, Bsel, lifts = _reach_operands(*key)
+    last = _last_input(*key, np.ascontiguousarray(omega.vertices, float).tobytes())
+    sup, _ = batch_reach_supports([model_K] * horizon, Bsel, x0, omega, lifts, last)
     if not np.isfinite(sup).all():
         raise DegenerateGeometryError("reach supports are not finite")
-    return agent_polygon(dirs, range(n_agents), sup)
+    return agent_polygon(dirs, _agent_index(n_agents), sup)
 
 
 @functools.lru_cache(maxsize=16)
@@ -114,6 +128,22 @@ def _reach_operands(bkey, bshape, n_agents, n_directions):
     lift[::2] = dirs.T
     lifts = np.array([embed_input_map(lift, a, n_agents).T for a in range(n_agents)])
     return _frozen(dirs, Bsel, lifts)
+
+
+@functools.lru_cache(maxsize=16)
+def _last_input(bkey, bshape, n_agents, n_directions, vkey):
+    """Read-only input term of the reach pass's last step, whose costates are
+    the lifts themselves: it depends only on B, Omega (vertex bytes `vkey`),
+    N and m, so it is kept per run beside the `_reach_operands` it reads."""
+    _, Bsel, lifts = _reach_operands(bkey, bshape, n_agents, n_directions)
+    V = np.frombuffer(vkey).reshape(-1, 2)
+    return _frozen(input_term(lifts @ Bsel, V, Bsel))[0]
+
+
+@functools.lru_cache(maxsize=16)
+def _agent_index(n_agents):
+    """Read-only index 0..n_agents - 1 of `agent_reach_polygon`'s polygons."""
+    return _frozen(np.arange(n_agents))[0]
 
 
 def synthesize_fdi(targets, model, omega: InputPolytope, state, B,
@@ -146,14 +176,17 @@ def synthesize_fdi(targets, model, omega: InputPolytope, state, B,
         raise InvalidInputError("state length does not match model")
 
     sep_before = polygon_distance(polygons[i], polygons[j])
+    m = len(polygons[i].directions)
+    _, Bsel, _ = _reach_operands(np.asarray(B, float).tobytes(), np.shape(B),
+                                 n_agents, m)
     c = K @ (K @ x)
     Ui, Uj = _candidates(np.ascontiguousarray(omega.vertices, float).tobytes())
-    delta = (Ui @ (K @ embed_input_map(B, i, n_agents)).T
-             + Uj @ (K @ embed_input_map(B, j, n_agents)).T)
-    pi, pj = [4 * i, 4 * i + 2], [4 * j, 4 * j + 2]
-    shifts = delta[:, pi] - delta[:, pj] + (c[pi] - c[pj])
-    scores = input_image_distances(omega, B[[0, 2]], len(polygons[i].directions),
-                                   shifts)
+    delta = Ui @ (K @ Bsel[i]).T + Uj @ (K @ Bsel[j]).T
+    pi, pj = slice(4 * i, 4 * i + 3, 2), slice(4 * j, 4 * j + 3, 2)
+    # column-major, so the ring pass reads each coordinate plane contiguously
+    shifts = np.subtract(delta[:, pi], delta[:, pj], order="F")
+    shifts += c[pi] - c[pj]
+    scores = input_image_distances(omega, B[::2], m, shifts)
     best = int(np.argmax(scores))
 
     u_a = np.zeros(2 * n_agents)

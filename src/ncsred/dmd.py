@@ -51,20 +51,24 @@ class SnapshotBuffer:
     def can_fit(self):
         return len(self) >= 2
 
-    def _window(self, first, last):
-        """Copy of window columns first..last-1, oldest column first."""
+    @property
+    def window(self):
+        """Read-only dim x n view of the window's columns, oldest first: X
+        is all but its last column and X+ all but its first."""
         start = (self._pushed - len(self)) % (self.width + 1)
-        return self._ring[:, start + first:start + last].copy()
+        view = self._ring[:, start:start + len(self)]
+        view.flags.writeable = False
+        return view
 
     @property
     def X(self):
         """dim x (n-1) matrix of all but the newest column."""
-        return self._window(0, len(self) - 1) if self.can_fit else np.zeros((self.dim, 0))
+        return self.window[:, :-1].copy() if self.can_fit else np.zeros((self.dim, 0))
 
     @property
     def X_plus(self):
         """dim x (n-1) matrix of all but the oldest column."""
-        return self._window(1, len(self)) if self.can_fit else np.zeros((self.dim, 0))
+        return self.window[:, 1:].copy() if self.can_fit else np.zeros((self.dim, 0))
 
 
 @dataclass(frozen=True)
@@ -98,7 +102,8 @@ def fit(buf: SnapshotBuffer, svd_tol=DEFAULT_SVD_TOL) -> DmdModel:
     """
     if not buf.can_fit:
         raise InsufficientDataError("need at least 2 snapshot columns to fit")
-    X, Xp = buf.X, buf.X_plus
+    window = buf.window
+    X, Xp = window[:, :-1], window[:, 1:]
     U, sig, Vt = np.linalg.svd(X, full_matrices=False)
     if sig.size == 0 or sig[0] == 0.0:
         rank = 0
@@ -108,7 +113,7 @@ def fit(buf: SnapshotBuffer, svd_tol=DEFAULT_SVD_TOL) -> DmdModel:
         Ur, sr, Vr = U[:, :rank], sig[:rank], Vt[:rank]
         K = ((Xp @ Vr.T) * (1.0 / sr)) @ Ur.T
     cond = sig[0] / sig[rank - 1] if rank else np.inf
-    e = -np.frexp(max(np.abs(X).max(), np.abs(Xp).max()))[1]
+    e = -np.frexp(np.abs(window).max())[1]
     num = np.linalg.norm(np.ldexp(Xp - K @ X, e))
     den = np.linalg.norm(np.ldexp(Xp, e))
     residual = float(num / den) if den > 0 else float(num)

@@ -62,6 +62,9 @@ class AgentModel:
                                                 [dt, 0.0],
                                                 [0.0, dt * dt / 2.0],
                                                 [0.0, dt]]))
+        if not np.isfinite(self.B).all():  # A's entries are dt, 1 and 0
+            raise InvalidInputError(f"dt = {dt} makes B not finite: "
+                                    "dt * dt / 2 overflows")
 
 
 def reference(k) -> np.ndarray:

@@ -69,6 +69,7 @@ def circumscribe_ball(rho, s, seed=None, jitter=DEFAULT_JITTER) -> InputPolytope
         raise InvalidInputError(f"rho must be positive, got {rho}")
     if not 0 <= jitter < 0.5:
         raise InvalidInputError(f"jitter must be in [0, 0.5), got {jitter}")
+    jitter = abs(jitter)  # -0.0 draws as 0.0: rng.uniform(0.0, -0.0) refuses
     base = np.arange(s, dtype=float)
     if seed is not None:
         rng = np.random.default_rng(seed)
@@ -109,7 +110,8 @@ def reach_support(K_seq, Bsel, x0, omega: InputPolytope, final_dir):
     return float(gammas[0]), points[0]
 
 
-def batch_reach_supports(K_seq, Bsel, x0, omega: InputPolytope, final_dirs):
+def batch_reach_supports(K_seq, Bsel, x0, omega: InputPolytope, final_dirs,
+                         last_input=None):
     """Exact support values and points (gammas, points) of the h-step reach
     set from {x0} along each unit row of final_dirs: costates run back from
     the rows, then the points roll forward on the costate-maximizing vertices.
@@ -119,7 +121,13 @@ def batch_reach_supports(K_seq, Bsel, x0, omega: InputPolytope, final_dirs):
     (A, n, 2) and (A, m, n); gammas are then (A, m) and points (A, m, n).
     Stacked `@` runs one m-row product per agent, so each agent's values are
     bit-identical to its own 2-D call (one flat (A*m)-row product is not:
-    BLAS takes another kernel path for larger row counts).
+    BLAS takes another kernel path for larger row counts). Every agent's
+    first forward product is the same m rows of x0 times K, so it runs once.
+
+    The last step's input term depends only on final_dirs, Bsel and omega:
+    `last_input`, when given, is
+    `input_term(final_dirs @ Bsel, omega.vertices, Bsel)`,
+    kept by a caller that queries the same directions at every step.
     """
     K_seq = [np.asarray(K, float) for K in K_seq]
     h = len(K_seq)
@@ -135,21 +143,29 @@ def batch_reach_supports(K_seq, Bsel, x0, omega: InputPolytope, final_dirs):
         raise InvalidInputError("Bsel rows do not match state dimension")
     if any(K.shape != (n, n) for K in K_seq):
         raise InvalidInputError("one-step matrix shape mismatch")
-    # costates lam_k, from lam_h = F back, are kept only as their input-channel
-    # projections W[k - 1] = lam_k @ Bsel
-    W = [None] * h
+    # costates lam_k, from lam_h = F back, enter only as the input terms of
+    # their input-channel projections lam_k @ Bsel
+    terms = [None] * (h - 1) + [last_input]
     lam = F
     for k in range(h - 1, -1, -1):
-        W[k] = lam @ Bsel
+        if terms[k] is None:
+            terms[k] = input_term(lam @ Bsel, omega.vertices, Bsel)
         if k:
             lam = lam @ K_seq[k]
-    X = np.empty(F.shape)
+    X = np.empty(F.shape[-2:])
     X[...] = x0
-    for k in range(h):
-        U = omega.vertices[np.argmax(W[k] @ omega.vertices.T, axis=-1)]
+    X = X @ K_seq[0].T + terms[0]
+    for k in range(1, h):
         X = X @ K_seq[k].T
-        X += U @ np.swapaxes(Bsel, -1, -2)
+        X += terms[k]
     return np.einsum("...ij,...ij->...i", F, X), X
+
+
+def input_term(W, V, Bsel):
+    """Bsel u for each row w of the costate projections W (..., m, 2), where
+    u is the row of the vertices V (s, 2) that maximizes <w, u>, the first
+    on ties."""
+    return V[np.argmax(W @ V.T, axis=-1)] @ np.swapaxes(Bsel, -1, -2)
 
 
 class AgentPolygon:

@@ -38,6 +38,12 @@ def build_scenario(seed=0, n_agents=5, dt=0.2, horizon_steps=500,
     for name, v in (("init_box_low", init_box_low), ("init_box_high", init_box_high)):
         if not np.isfinite(v):
             raise InvalidInputError(f"{name} must be finite, got {v}")
+    if init_box_low > init_box_high:
+        raise InvalidInputError(f"init_box_low ({init_box_low}) must not exceed "
+                                f"init_box_high ({init_box_high})")
+    if not np.isfinite(float(init_box_high) - float(init_box_low)):
+        raise InvalidInputError(f"init_box_high - init_box_low overflows: the box "
+                                f"from {init_box_low} to {init_box_high} is too wide")
     missing = [key for key, v in (("edges", edges), ("formation_offsets", offsets))
                if v is None]
     if n_agents != len(DEFAULT_OFFSETS) and missing:
