@@ -102,7 +102,10 @@ def run(scenario: Scenario, mode: str) -> RunRecord:
     refused before the first step. An attacked mode warns
     when the snapshot window is narrower than the 4N-dimensional state, since
     such a window cannot identify the plant. A geometry error in an attacked
-    step (reach supports that overflow) names the step.
+    step (reach supports that overflow) names the step, and so does a state
+    that leaves the float range: an attacked mode checks each step's state
+    before the eavesdropper records it, and every mode checks all states once
+    after the loop.
     """
     if mode not in MODES:
         raise InvalidInputError(f"mode must be one of {MODES}, got {mode!r}")
@@ -151,6 +154,8 @@ def run(scenario: Scenario, mode: str) -> RunRecord:
     for k in range(H):
         x = states[k]
         if mode != "nominal":
+            if not np.isfinite(x).all():
+                raise InvalidInputError(f"step {k}: state is not finite")
             buffer.push(x)
             refit_due = (k >= cfg.start_step
                          and (k - cfg.start_step) % cfg.refit_every == 0)
@@ -179,6 +184,9 @@ def run(scenario: Scenario, mode: str) -> RunRecord:
         states[k + 1] = step(scenario, x, control_inputs(scenario, k, x, index=index),
                              fdi=u_a)
 
+    if not np.isfinite(states).all():
+        k = int(np.argmin(np.isfinite(states).all(axis=1)))
+        raise InvalidInputError(f"step {k}: state is not finite")
     _positional_errors(scenario, states, out=pair_errors)
     _slot_tracking(scenario, states, out=tracking)
     return RunRecord(mode=mode, dt=scenario.agent_model.dt, n_agents=N,

@@ -169,21 +169,20 @@ def input_term(W, V, Bsel):
 
 
 class AgentPolygon:
-    """Planar position polygon of one agent's reach set.
+    """Planar position polygon of one agent's reach set, from `agent_polygon`.
 
     Vertices are the counter-clockwise boundary of the intersection of the
-    supporting half-planes <d_k, p> <= gamma_k. A polygon from `agent_polygon`
-    holds its call's read-only `(points, keep, table)` and its row in them:
-    its vertices are built from the points when first read, and
-    `polygon_distance` reads the pair table. A polygon built by hand has
-    neither and keeps the vertices it is given.
+    supporting half-planes <d_k, p> <= gamma_k. A polygon holds its call's
+    read-only `(points, keep, table)` and its row in them: its vertices are
+    built from the points when first read, and `polygon_distance` reads the
+    pair table.
     """
 
-    def __init__(self, agent, directions, supports, vertices=None):
+    def __init__(self, agent, directions, supports):
         self.agent = agent
         self.directions = directions  # (m, 2)
         self.supports = supports      # (m,)
-        self._vertices = vertices     # (v, 2) CCW
+        self._vertices = None         # (v, 2) CCW, built when first read
         self._call = None             # (points, keep, table) of its call,
         self._row = None              # and this polygon's row in them
 
@@ -332,19 +331,15 @@ def _fan(keys):
 
 def _extreme_vertices(polygons, arcs):
     """Vertices of each polygon attaining max and min of <arc, v> for each
-    arc direction, as (A, arcs, 2) arrays, projected polygon by polygon."""
-    V = [np.asarray(p.vertices, float) for p in polygons]
-    if not all(map(len, V)):
-        raise DegenerateGeometryError("empty polygon")
-    hi, lo = zip(*(_extremes(v, arcs) for v in V))
+    arc direction, as (A, arcs, 2) arrays, projected polygon by polygon;
+    ties go to the first vertex."""
+    hi, lo = [], []
+    for p in polygons:
+        V = p.vertices
+        proj = V[:, :1] * arcs[:, 0] + V[:, 1:] * arcs[:, 1]
+        hi.append(V[proj.argmax(axis=0)])
+        lo.append(V[proj.argmin(axis=0)])
     return np.array(hi), np.array(lo)
-
-
-def _extremes(V, arcs):
-    """Vertices of V (v, 2) attaining max and min of <arc, v> for each arc
-    direction, as (arcs, 2) arrays; ties go to the first vertex."""
-    proj = V[:, :1] * arcs[:, 0] + V[:, 1:] * arcs[:, 1]
-    return V[proj.argmax(axis=0)], V[proj.argmin(axis=0)]
 
 
 def _ring_edges(rings):
@@ -442,7 +437,7 @@ def polygon_distance(P: AgentPolygon, Q: AgentPolygon) -> float:
     Two polygons of one `agent_polygon` call, P's row before Q's, read their
     call's pair table; every other pair is computed."""
     call, i, j = P._call, P._row, Q._row
-    if call is not None and Q._call is call and i < j:
+    if Q._call is call and i < j:
         n = len(call[1])
         return float(call[2][i * (2 * n - i - 1) // 2 + j - i - 1])
     return float(pair_distances((P, Q))[0])

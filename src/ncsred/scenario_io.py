@@ -73,7 +73,9 @@ def build_scenario(seed=0, n_agents=5, dt=0.2, horizon_steps=500,
         formation_offsets=offsets,
         reference=ref_fn,
         horizon_steps=horizon_steps,
-        initial_states=initial_states_from_box(n_agents, (init_box_low, init_box_high), seed),
+        # + 0.0 draws a -0.0 bound as 0.0: rng.uniform(0.0, -0.0) refuses
+        initial_states=initial_states_from_box(
+            n_agents, (init_box_low + 0.0, init_box_high + 0.0), seed),
         rng_seed=seed,
         attack=attack,
     )

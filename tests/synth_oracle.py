@@ -2,15 +2,16 @@
 run-constant input difference, kept as an oracle.
 
 It builds both targets' 1-step reach polygons from K x with
-`agent_reach_polygon` and scores every candidate translate against their own
-Minkowski difference. The pipeline's version must choose the same injection
-bytes and give the same separations to within 1e-9.
+`agent_reach_polygon` and scores every candidate translate of the first
+target's polygon against the second's, all in one `agent_polygon` call. The
+pipeline's version must choose the same injection bytes and give the same
+separations to within 1e-9.
 """
 import numpy as np
 
 from ncsred.attack import AttackDecision, agent_reach_polygon
-from ncsred.reachset import (_direction_fan, _extreme_vertices, _ring_distances,
-                             embed_input_map, polygon_distance)
+from ncsred.reachset import (agent_polygon, embed_input_map, pair_distances,
+                             polygon_distance)
 
 
 def synthesize_fdi(targets, model, omega, state, B, polygons):
@@ -28,12 +29,11 @@ def synthesize_fdi(targets, model, omega, state, B, polygons):
     delta = (Ui @ (K @ embed_input_map(B, i, n_agents)).T
              + Uj @ (K @ embed_input_map(B, j, n_agents)).T)
     shifts = delta[:, [4 * i, 4 * i + 2]] - delta[:, [4 * j, 4 * j + 2]]
-    # dist(Pi0 + s, Pj0) is the distance from s to the Minkowski difference
-    # Pj0 - Pi0: Pj0's max vertices minus Pi0's min vertices on the shared fan
-    faces, arcs = _direction_fan((Pi0, Pj0))
-    hi, lo = _extreme_vertices((Pi0, Pj0), arcs)
-    # `_ring_distances` takes x / y coordinate planes
-    scores = _ring_distances(shifts.T, (hi[1] - lo[0]).T[:, None], faces)
+    # Pi0 + s has Pi0's supports plus <d, s> on each direction d; the pairs
+    # (0, c) of the call score dist(Pj0, Pi0 + s_c)
+    D = Pi0.directions
+    rows = np.vstack([Pj0.supports, Pi0.supports + shifts @ D.T])
+    scores = pair_distances(agent_polygon(D, range(len(rows)), rows))[:len(shifts)]
     best = int(np.argmax(scores))
     u_a = np.zeros(2 * n_agents)
     u_a[2 * i:2 * i + 2] = Ui[best]

@@ -9,8 +9,8 @@ from ncsred.graph import Graph, laplacian
 from ncsred.harness import OMEGA_SEED_OFFSET
 from ncsred.laprec import KroneckerModel, RecoveryResult
 from ncsred.ncs import AgentModel
-from ncsred.reachset import (AgentPolygon, agent_polygon, circumscribe_ball,
-                             embed_input_map, polygon_distance)
+from ncsred.reachset import (agent_polygon, circumscribe_ball, embed_input_map,
+                             polygon_distance)
 from segment_oracle import segment_distance
 
 FIG_EDGES = {(0, 1), (0, 2), (1, 3), (2, 4)}
@@ -213,10 +213,8 @@ class TestSynthesizeFdi:
 
 
 def translated(P, d):
-    """P moved by d, with its support values and vertices shifted explicitly."""
-    return AgentPolygon(agent=P.agent, directions=P.directions,
-                        supports=P.supports + P.directions @ d,
-                        vertices=P.vertices + d[None, :])
+    """P moved by d: the polygon of P's supports shifted by <direction, d>."""
+    return agent_polygon(P.directions, P.agent, P.supports + P.directions @ d)
 
 
 class TestRecoveredGraph:

@@ -1,12 +1,14 @@
-"""Property tests: the batched and vectorised passes return the same bytes as
-the per-agent, per-pair and per-step computations they replace.
+"""Property tests: the batched and vectorised passes keep the results of the
+per-agent, per-pair and per-step computations they replace.
 
-The benchmark's decision fingerprints allow separations to drift by 1e-9
-relative, so these compare with `np.array_equal`, not a tolerance. The one
-exception is the half-plane pass: `agent_polygon` intersects adjacent faces
-only, and its ring may start at another vertex than the all-pairs oracle's
-and hold another float of a merged run, so the two agree up to rotation
-within the 1e-9 * scale that defines one vertex.
+The plant, snapshot, metric and recovery passes must return the loops'
+bytes: the benchmark's decision fingerprints allow separations to drift by
+1e-9 relative, so these compare with `np.array_equal`, not a tolerance. The
+half-plane pass is checked on `agent_polygon` against the all-pairs oracle
+(`halfspace_oracle`) and its pair table against the segment oracle: the pass
+intersects adjacent faces only, and its ring may start at another vertex than
+the oracle's and hold another float of a merged run, so the two agree up to
+rotation within the 1e-9 * scale that defines one vertex.
 """
 import re
 from collections import deque
@@ -22,6 +24,7 @@ import laprec_oracle
 import plant_oracle
 from halfspace_oracle import halfspace_polygon as oracle_polygon
 from scenario_helpers import offset_difference, slot
+from segment_oracle import segment_distance
 
 from ncsred import laprec, ncs
 from ncsred.attack import AttackConfig, agent_reach_polygon
@@ -29,11 +32,9 @@ from ncsred.dmd import SnapshotBuffer
 from ncsred.errors import DegenerateGeometryError
 from ncsred.graph import Graph
 from ncsred.harness import run
-from ncsred.reachset import (ANGLE_TOL, FEAS_TOL, AgentPolygon, _adjacent_pass,
-                             _direction_fan, _extreme_vertices, _fan,
-                             _ring_distances,
-                             agent_polygon, batch_reach_supports,
-                             circumscribe_ball, embed_input_map, pair_distances,
+from ncsred.reachset import (FEAS_TOL, AgentPolygon, agent_polygon,
+                             batch_reach_supports, circumscribe_ball,
+                             embed_input_map, pair_distances, pair_indices,
                              planar_directions, polygon_distance)
 from ncsred.scenario_io import build_scenario
 
@@ -111,30 +112,41 @@ def _same_ring(got, want):
                for k in range(len(got)))
 
 
-def _pass_extremes(D, G):
-    """The fan arcs of the directions D and each support row's max and min
-    vertices on them (A, arcs, 2), as the adjacent-face pass finds them."""
-    *_, hi, lo = _adjacent_pass(D, G)
-    return _fan((D.tobytes(),))[1], hi.transpose(1, 2, 0), lo.transpose(1, 2, 0)
-
-
-def _assert_extremes_maximise(p):
-    """Each extreme of p's row of the adjacent-face pass maximises
-    (minimises) its fan arc over p's vertices within 1e-8 * scale."""
-    arcs, (hi,), (lo,) = _pass_extremes(p.directions, p.supports[None])
-    V = p.vertices
-    tol = 1e-8 * max(1.0, np.abs(V).max())
-    proj = V @ arcs.T
-    assert (proj.max(axis=0) - (hi * arcs).sum(axis=1)).max() <= tol
-    assert ((lo * arcs).sum(axis=1) - proj.min(axis=0)).max() <= tol
+def _assert_extremes_maximise(D, g, V):
+    """The polygon of supports g and vertices V, first and last in one `agent_polygon` call
+    with a point on each mid-arc direction between its sorted normals and
+    their negatives, scores each point at the segment oracle's distance from
+    the polygon's ring, within 1e-8 * scale. Those pairs read the polygon's
+    min (first row) and max (last row) vertices on every fan arc, which a
+    vertex that does not maximise its arc moves off the ring. Direction
+    sets on which the pass refuses the points' supports have no probes."""
+    ang = np.sort(np.arctan2(*np.vstack([D, -D])[:, ::-1].T))
+    arcs = 0.5 * (ang + np.append(ang[1:], ang[0] + 2 * np.pi))
+    reach = 10.0 * (np.ptp(V, axis=0).max() + 1.0)
+    probes = V.mean(axis=0) + reach * np.column_stack([np.cos(arcs), np.sin(arcs)])
+    G = np.vstack([g, probes @ D.T, g])
+    polys = _outcome(agent_polygon, D, range(len(G)), G)
+    if isinstance(polys, str):
+        # a point's exact supports are refused where two adjacent normals
+        # are within about 1e-7 rad of anti-parallel: no probe fits there
+        assert not polys.startswith(("supports row 0 ", f"supports row {len(G) - 1} "))
+        return
+    table = pair_distances(polys)
+    ii, jj = pair_indices(len(G))
+    want = np.array([segment_distance(V, q[None]) for q in probes])
+    tol = 1e-8 * max(1.0, np.abs(probes).max())
+    last = len(G) - 1
+    for pairs in ((ii == 0) & (jj > 0) & (jj < last), (ii > 0) & (jj == last)):
+        assert np.abs(table[pairs] - want).max() <= tol
 
 
 def _assert_polygon_invariants(p, D, g):
-    """p's ring is counter-clockwise and convex, every vertex passes every
-    face within FEAS_TOL * scale, every face is attained, and its extremes
-    maximise their arcs (the last two within 1e-8 * scale, the dedupe's
-    merge radius chained along a run)."""
+    """p's ring is non-empty, counter-clockwise and convex, every vertex
+    passes every face within FEAS_TOL * scale, every face is attained, and
+    its extremes maximise their arcs (the last two within 1e-8 * scale, the
+    dedupe's merge radius chained along a run)."""
     V = p.vertices
+    assert len(V) >= 1
     scale = max(1.0, np.abs(V).max())
     E = np.roll(V, -1, axis=0) - V
     F = np.roll(E, -1, axis=0)
@@ -142,7 +154,7 @@ def _assert_polygon_invariants(p, D, g):
     proj = V @ D.T
     assert (proj <= g + FEAS_TOL * scale).all()
     assert (proj.max(axis=0) >= g - 1e-8 * scale).all()
-    _assert_extremes_maximise(p)
+    _assert_extremes_maximise(D, g, V)
 
 
 class TestHalfspacePolygon:
@@ -260,10 +272,10 @@ class TestAdjacentFacePass:
                                       min_size=2, max_size=10),
            uniform=st.booleans())
     def test_mixed_batch_rows_equal_single_row_calls(self, seed, kinds, uniform):
-        """Every row has the vertex and extreme bytes of its single-row
-        call, and its pass extremes maximise their arcs; a batch with a
-        row that is no convex set's raises what the first such row raises,
-        under its batch row number."""
+        """Every row has the vertex bytes of its single-row call and keeps
+        the invariants, and a pair of rows scores the bytes of a call on
+        those two rows alone; a batch with a row that is no convex set's
+        raises what the first such row raises, under its batch row number."""
         rng = np.random.default_rng(seed)
         D = (planar_directions(int(rng.integers(3, 25))) if uniform
              else _random_directions(rng))
@@ -275,31 +287,37 @@ class TestAdjacentFacePass:
             r, w = errors[0]
             assert got == w.replace("supports row 0 ", f"supports row {r} ")
             return
-        _, hi, lo = _pass_extremes(D, G)
         for r, (p, q) in enumerate(zip(got, want)):
             assert p.vertices.tobytes() == q.vertices.tobytes()
-            _, (hi_q,), (lo_q,) = _pass_extremes(D, G[r:r + 1])
-            assert hi[r].tobytes() == hi_q.tobytes()
-            assert lo[r].tobytes() == lo_q.tobytes()
-            _assert_extremes_maximise(p)
+            _assert_polygon_invariants(p, D, G[r])
+        ii, jj = pair_indices(len(G))
+        k = int(rng.integers(len(ii)))
+        pair = pair_distances(agent_polygon(D, [0, 1], G[[ii[k], jj[k]]]))
+        assert pair.tobytes() == pair_distances(got)[k:k + 1].tobytes()
 
     def test_batch_builds_no_ring(self):
-        """A batch keeps every row's points and builds no ring until read."""
+        """A call keeps every row's points and builds no ring until one is
+        read: scoring its pairs reads no vertices, and each ring, when read,
+        keeps the invariants."""
         D = planar_directions(16)
         rng = np.random.default_rng(5)
         G = np.array([_supports(kind, D, rng)
                       for kind in ("support", "large", "point")])
-        polys = agent_polygon(D, range(3), G)
+        reads, prop = [], AgentPolygon.vertices
+        with mock.patch.object(AgentPolygon, "vertices", property(
+                lambda p: reads.append(p) or prop.fget(p))):
+            polys = agent_polygon(D, range(3), G)
+            pair_distances(polys)
+            polygon_distance(polys[0], polys[2])
+        assert reads == []
         for r, p in enumerate(polys):
-            assert p._vertices is None and p._row == r
-            assert p._call is polys.call
             _assert_polygon_invariants(p, D, G[r])
 
     @PROPERTY
     @given(seed=seeds, kind=st.sampled_from(["support", "point", "large"]),
            n=st.integers(min_value=1, max_value=8))
     def test_read_vertices_equal_supports_built_alone(self, seed, kind, n):
-        """A ring built when read comes from the points the batch kept: a
+        """A ring built when read comes from the points the call kept: a
         caller's later edit to the supports does not reach it."""
         rng = np.random.default_rng(seed)
         D = planar_directions(int(rng.integers(3, 25)))
@@ -315,8 +333,8 @@ class TestAdjacentFacePass:
     @given(seed=seeds, log_gap=st.floats(min_value=-11.0, max_value=-5.0))
     def test_arc_next_to_a_face_keeps_projection_extremes(self, seed, log_gap):
         """A face turned 1e-11 to 1e-5 rad from another's negative puts a
-        fan arc next to a face normal: the pass extremes, taken from the
-        arc's gap, still maximise the arc within 1e-8 * scale."""
+        fan arc next to a face normal: the extremes, taken from the arc's
+        gap, still maximise the arc within 1e-8 * scale."""
         rng = np.random.default_rng(seed)
         ang = rng.uniform(-np.pi, np.pi, size=int(rng.integers(5, 12)))
         ang[1] = ang[0] + np.pi + rng.choice([-1.0, 1.0]) * 10.0 ** log_gap
@@ -386,59 +404,58 @@ class TestBatchedReachPolygons:
             assert np.array_equal(poly.vertices, want.vertices)
 
 
-def _uncached_fan(polygons):
-    """`_direction_fan` as it was before its cache: every polygon's
-    directions and their negatives, sorted, merged within ANGLE_TOL."""
-    D = np.vstack([p.directions for p in polygons])
-    D = np.vstack([D, -D])
-    ang = np.sort(np.arctan2(D[:, 1], D[:, 0]))
-    ang = ang[np.concatenate([[True], np.diff(ang) > ANGLE_TOL])]
-    if ang[-1] - ang[0] > 2 * np.pi - ANGLE_TOL:
-        ang = ang[:-1]
-    mid = 0.5 * (ang + np.append(ang[1:], ang[0] + 2 * np.pi))
-    return (np.column_stack([np.cos(ang), np.sin(ang)]),
-            np.column_stack([np.cos(mid), np.sin(mid)]))
-
-
 class TestDirectionFan:
+    """Pairs are scored on the fan of every polygon's normals and their
+    negatives, merged within ANGLE_TOL, on which every edge normal of the
+    pairs' Minkowski differences lies."""
+
     @PROPERTY
-    @given(seed=seeds, n_polygons=st.integers(min_value=1, max_value=6))
+    @given(seed=seeds, n_polygons=st.integers(min_value=2, max_value=6))
     def test_matches_uncached_fan(self, seed, n_polygons):
+        """Polygons on one or two random direction sets, with repeated,
+        negated and nearly parallel normals, score each pair at the segment
+        oracle's distance."""
         rng = np.random.default_rng(seed)
-        sets = [_random_directions(rng) for _ in range(int(rng.integers(1, 3)))]
-        polys = [mock.Mock(directions=sets[int(rng.integers(len(sets)))])
-                 for _ in range(n_polygons)]
-        for got, want in zip(_direction_fan(polys), _uncached_fan(polys)):
-            assert np.array_equal(got, want)
+        sets = []
+        while len(sets) < rng.integers(1, 3):
+            D = _random_directions(rng)
+            if not isinstance(_outcome(agent_polygon, D, 0, np.ones(len(D))), str):
+                sets.append(D)
+        polys = []
+        for a in range(n_polygons):
+            D = sets[int(rng.integers(len(sets)))]
+            polys.append(agent_polygon(D, a, _supports("support", D, rng)))
+        ii, jj = pair_indices(n_polygons)
+        want = [segment_distance(polys[i].vertices, polys[j].vertices)
+                for i, j in zip(ii, jj)]
+        assert np.allclose(pair_distances(polys), want, rtol=0.0, atol=1e-9)
 
     def test_cached_directions_are_not_shared_state(self):
+        """An in-place edit of the caller's directions after the call leaves
+        the polygon's directions and scores, and a fresh polygon on fresh
+        directions scores as the first did."""
         D = planar_directions(8)
         P = agent_polygon(D, 0, np.ones(8))
-        first = _direction_fan([P])
-        assert not any(v.flags.writeable for v in first)
+        Q = agent_polygon(planar_directions(5), 1, planar_directions(5) @ [4.0, 1.0])
+        first = polygon_distance(P, Q)
         D[:] = np.roll(D, 1, axis=0) * [1.0, 0.5]  # the caller's array changes
         D /= np.linalg.norm(D, axis=1, keepdims=True)
-        for got, want in zip(_direction_fan([P]), _uncached_fan([P])):
-            assert np.array_equal(got, want)
+        assert P.directions.tobytes() == planar_directions(8).tobytes()
+        assert polygon_distance(P, Q) == first
         fresh = agent_polygon(planar_directions(8), 0, np.ones(8))
-        for got, want in zip(_direction_fan([fresh]), first):
-            assert np.array_equal(got, want)
-
-
-def _extreme(P, arcs):
-    """One polygon's max and min vertices per arc, first index on ties."""
-    proj = P.vertices[:, :1] * arcs[:, 0] + P.vertices[:, 1:] * arcs[:, 1]
-    return P.vertices[proj.argmax(axis=0)], P.vertices[proj.argmin(axis=0)]
+        assert polygon_distance(fresh, Q) == first
 
 
 class TestPaddedExtremeVertices:
     """`pair_distances` and `polygon_distance` on polygons with differing
-    vertex counts and direction sets: the scores equal those from projecting
-    one polygon at a time, and hand-built vertices count as floats."""
+    vertex counts and direction sets."""
 
     @PROPERTY
     @given(seed=seeds, n_polygons=st.integers(min_value=2, max_value=10))
     def test_matches_per_polygon_pass(self, seed, n_polygons):
+        """Points and clouds on two uniform fans: the list's scores, on the
+        fan of both sets, are each pair's `polygon_distance`, on the pair's
+        own fan, within 1e-12, and the segment oracle's within 1e-9."""
         rng = np.random.default_rng(seed)
         sets = [planar_directions(int(rng.integers(3, 20))) for _ in range(2)]
         polys = []
@@ -447,31 +464,12 @@ class TestPaddedExtremeVertices:
             pts = rng.normal(scale=10.0, size=2) + rng.normal(
                 scale=rng.choice([0.0, 1.0]), size=(int(rng.integers(1, 6)), 2))
             polys.append(agent_polygon(D, a, (pts @ D.T).max(axis=0)))
-        faces, arcs = _uncached_fan(polys)
-        hi, lo = map(np.array, zip(*(_extreme(p, arcs) for p in polys)))
-        ii, jj = np.triu_indices(n_polygons, k=1)
-        want = _ring_distances(np.zeros((2, len(ii))),
-                               (hi[jj] - lo[ii]).transpose(2, 0, 1), faces)
-        assert np.array_equal(pair_distances(polys), want)
-
-        P, Q = polys[:2]
-        faces, arcs = _uncached_fan((P, Q))
-        want = _ring_distances(np.zeros((2, 1)), (_extreme(Q, arcs)[0]
-                                                  - _extreme(P, arcs)[1]).T[:, None], faces)
-        assert polygon_distance(P, Q) == want[0]
-
-    def test_hand_built_integer_or_list_vertices(self):
-        """Vertices given as integers or as nested lists give the extreme
-        bytes of the same vertices as floats."""
-        D = planar_directions(7)
-        ring = [[3, -1], [5, 2], [1, 4], [-2, 1]]
-        _, arcs = _direction_fan([AgentPolygon(0, D, None, ring)])
-        want = _extreme_vertices([AgentPolygon(0, D, None, np.array(ring, float))],
-                                 arcs)
-        for V in (ring, np.array(ring), np.array(ring, dtype=np.int32)):
-            got = _extreme_vertices([AgentPolygon(0, D, None, V)], arcs)
-            assert [g.dtype for g in got] == [np.float64] * 2
-            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        got = pair_distances(polys)
+        pairs = list(zip(*pair_indices(n_polygons)))
+        assert np.allclose(got, [polygon_distance(polys[i], polys[j]) for i, j in pairs],
+                           rtol=0.0, atol=1e-12)
+        assert np.allclose(got, [segment_distance(polys[i].vertices, polys[j].vertices)
+                                 for i, j in pairs], rtol=0.0, atol=1e-9)
 
 
 def _plant_scenario(rng, n):

@@ -20,8 +20,7 @@ from ncsred import attack, reachset
 from ncsred.attack import agent_reach_polygon, synthesize_fdi
 from ncsred.dmd import DmdModel
 from ncsred.ncs import AgentModel
-from ncsred.reachset import (_input_difference, agent_polygon,
-                             circumscribe_ball, embed_input_map,
+from ncsred.reachset import (agent_polygon, circumscribe_ball, embed_input_map,
                              input_image_distances, planar_directions)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
@@ -74,15 +73,19 @@ class TestInputImageDistances:
         assert (got == 0).any() and (got > 0).any()
 
     def test_cached_difference_is_read_only(self):
+        """The S - S ring kept per (omega, B, m) is out of the caller's
+        reach: after the caller writes over a result, the same call gives
+        the same bytes, at the segment oracle's distances."""
         omega = circumscribe_ball(0.05, 8, seed=1)
         B = np.ascontiguousarray(AgentModel(0.2).B[[0, 2]])
-        key = (omega.vertices.tobytes(), B.tobytes(), 16)
-        ring, faces, edges = _input_difference(*key)
-        assert _input_difference(*key)[0] is ring
-        for v in (ring, faces, *edges):
-            assert not v.flags.writeable
-            with pytest.raises(ValueError):
-                v[(0,) * v.ndim] = 1.0
+        S = _image_polygon(omega, AgentModel(0.2).B, 16)
+        shifts = np.random.default_rng(1).normal(scale=0.1, size=(20, 2))
+        first = input_image_distances(omega, B, 16, shifts.copy())
+        want = first.tobytes()
+        assert np.allclose(first, [segment_distance(S.vertices + s, S.vertices)
+                                   for s in shifts], rtol=0, atol=1e-12)
+        first[...] = np.nan
+        assert input_image_distances(omega, B, 16, shifts).tobytes() == want
 
 
 class TestAgainstOracle:

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from segment_oracle import segment_distance
 
-from ncsred.errors import DegenerateGeometryError
-from ncsred.reachset import (AgentPolygon, agent_polygon, pair_distances,
-                             planar_directions, polygon_distance)
+from ncsred.reachset import (agent_polygon, pair_distances, planar_directions,
+                             polygon_distance)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
@@ -140,10 +139,3 @@ def test_shifted_scores_equal_translated_vertex_sets(seed, kind):
         assert got == pytest.approx(segment_distance(P.vertices + s, Q.vertices),
                                     abs=TOL)
 
-
-def test_empty_polygon_rejected():
-    P = point_polygon((0.0, 0.0))
-    empty = AgentPolygon(agent=1, directions=P.directions, supports=P.supports,
-                         vertices=np.zeros((0, 2)))
-    with pytest.raises(DegenerateGeometryError):
-        polygon_distance(P, empty)

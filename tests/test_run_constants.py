@@ -3,10 +3,11 @@ a run builds.
 
 The reach pass keeps the last step's input term per run and runs every
 agent's first forward product once; both must return the bytes of the
-per-step formula in `reach_oracle`, compared with `np.array_equal`. The
-cached tables are read-only. Scenario values whose run could not be built
+per-step formula in `reach_oracle`, compared with `np.array_equal`. The fit
+window is a read-only view. Scenario values whose run could not be built
 (an inverted or overflowing initial box, a `dt` whose B overflows, a face or
-direction count past its cap) exit 2 with a named message.
+direction count past its cap), or whose states leave the float range, exit
+2 with a named message.
 """
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from hypothesis import strategies as st
 
 from reach_oracle import reach_supports, stacked_reach_supports
 
-from ncsred import attack
 from ncsred.attack import (MAX_DIRECTIONS, MAX_FACES, AttackConfig,
                            agent_reach_polygon)
 from ncsred.cli import main
@@ -90,18 +90,30 @@ class TestReachSupports:
 
 
 def test_cached_input_side_and_agent_index_are_read_only():
+    """The last input term and agent order that `agent_reach_polygon` keeps
+    per run are out of the caller's reach: after the caller writes over
+    every array a call returned, the same call gives each agent, in agent
+    order, the formula's supports on its lifts again."""
     B = AgentModel(0.2).B
     omega = circumscribe_ball(0.05, 8, seed=3)
-    key = (B.tobytes(), B.shape, 5, 16)
-    _, Bsel, lifts = attack._reach_operands(*key)
-    last = attack._last_input(*key, omega.vertices.tobytes())
-    assert last.tobytes() == input_term(lifts @ Bsel, omega.vertices, Bsel).tobytes()
-    index = attack._agent_index(5)
-    assert index.tolist() == list(range(5))
-    for v in (last, index):
-        assert not v.flags.writeable
-        with pytest.raises(ValueError):
-            v[(0,) * v.ndim] = 1
+    rng = np.random.default_rng(3)
+    n_agents, m = 5, 16
+    K = rng.normal(size=(4 * n_agents, 4 * n_agents))
+    K /= np.linalg.norm(K, 2)
+    x0 = rng.normal(size=4 * n_agents)
+    dirs = planar_directions(m)
+    for _ in range(2):
+        got = agent_reach_polygon(K, B, x0, omega, m)
+        assert [p.agent for p in got] == list(range(n_agents))
+        for a, poly in enumerate(got):
+            lifts = np.zeros((m, 4 * n_agents))
+            lifts[:, 4 * a] = dirs[:, 0]
+            lifts[:, 4 * a + 2] = dirs[:, 1]
+            want, _ = reach_supports([K], embed_input_map(B, a, n_agents), x0,
+                                     omega, lifts)
+            assert np.array_equal(poly.supports, want)
+            poly.supports[...] = np.nan
+            poly.vertices[...] = np.nan
 
 
 def test_fit_window_is_a_read_only_view():
@@ -146,6 +158,20 @@ class TestBadScenarios:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"InvalidInputError: {message}" in err
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_state_leaving_the_float_range_exits_2(self, tmp_path, capsys, mode):
+        """An initial box up to 1e308 passes every scenario check, and the
+        plant overflows at its first step, as numpy warns: every mode exits 2
+        naming the step whose state is not finite."""
+        path = tmp_path / "big.scn"
+        path.write_text("horizon_steps = 120\ninit_box_high = 1e308\n")
+        with pytest.warns(RuntimeWarning, match="overflow|invalid value"):
+            rc = main(["simulate", "--scenario", str(path), "--mode", mode,
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "InvalidInputError: step 1: state is not finite" in err
 
     def test_equal_box_bounds_run(self, tmp_path):
         path = tmp_path / "eq.scn"
