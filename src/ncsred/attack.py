@@ -110,7 +110,10 @@ def agent_reach_polygon(model_K, B, x0, omega,
     key = (np.asarray(B, float).tobytes(), np.shape(B), n_agents, n_directions)
     dirs, Bsel, lifts = _reach_operands(*key)
     last = _last_input(*key, np.ascontiguousarray(omega.vertices, float).tobytes())
-    sup, _ = batch_reach_supports([model_K] * horizon, Bsel, x0, omega, lifts, last)
+    # overflow is reported by the check below, not by numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        sup, _ = batch_reach_supports([model_K] * horizon, Bsel, x0, omega,
+                                      lifts, last)
     if not np.isfinite(sup).all():
         raise DegenerateGeometryError("reach supports are not finite")
     return agent_polygon(dirs, _agent_index(n_agents), sup)

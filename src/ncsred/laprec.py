@@ -3,9 +3,9 @@
 Fits K ~ S + kron(L, T) with S block-diagonal (per-agent 4x4 blocks), T a 4x4
 coupling template, and L constrained to the candidate-Laplacian cone
 (symmetric, zero row sums, positive semi-definite). Alternating closed-form /
-least-squares steps on the Frobenius objective replace an interior-point
-solver; the reported certificate gamma is the residual spectral norm, i.e.
-the value a Schur-complement feasibility block would certify.
+least-squares steps on the Frobenius objective (the cone projection is exact)
+replace an interior-point solver; the reported certificate gamma is the
+residual spectral norm, the value a Schur-complement feasibility block certifies.
 
 Because the free block-diagonal S absorbs every diagonal block exactly, the
 diagonal carries no information about T or L; the L and T updates therefore
@@ -27,8 +27,6 @@ from .errors import InvalidInputError
 
 BLOCK = 4
 RIDGE = 1e-12
-PROJECTION_TOL = 1e-10
-PROJECTION_MAX_ITERS = 5000  # Dykstra sweeps in `project_laplacian_cone`
 
 
 @dataclass
@@ -62,33 +60,23 @@ def _sym_zerosum_project(M):
     y = Y.sum(axis=1)
     s = y.sum() / (2.0 * n)
     a = y / n - s / n
-    return Y - np.outer(a, np.ones(n)) - np.outer(np.ones(n), a)
+    return Y - (a[:, None] + a)  # exactly symmetric: a[i] + a[j] == a[j] + a[i]
 
 
 def project_laplacian_cone(M):
-    """Nearest (Frobenius) candidate Laplacian to M.
+    """Nearest (Frobenius) candidate Laplacian to M, in closed form.
 
-    Dykstra's scheme between the subspace {symmetric, zero row sums} and the
-    PSD cone; plain alternating projections would converge into the
-    intersection but not to the nearest point.
+    The cone lies in the subspace {symmetric, zero row sums}, so its point
+    nearest M is its point nearest M's subspace projection Y. Clipping Y's
+    negative eigenvalues gives the nearest PSD matrix (Higham, LAA 1988),
+    which stays in the subspace: the all-ones vector is an eigenvector of Y
+    of eigenvalue 0, the others are orthogonal to it.
     """
     M = np.asarray(M, float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvalidInputError("projection input must be square")
-    x = M.copy()
-    p = np.zeros_like(x)
-    prev = None
-    for _ in range(PROJECTION_MAX_ITERS):
-        y = _sym_zerosum_project(x)
-        w, V = np.linalg.eigh(y + p)
-        x_new = (V * np.maximum(w, 0.0)) @ V.T
-        p = (y + p) - x_new
-        if prev is not None and np.linalg.norm(x_new - prev) <= PROJECTION_TOL:
-            x = x_new
-            break
-        prev = x_new
-        x = x_new
-    return _sym_zerosum_project(x)
+    w, V = np.linalg.eigh(_sym_zerosum_project(M))
+    return _sym_zerosum_project((V * np.maximum(w, 0.0)) @ V.T)
 
 
 def _block_view(K):

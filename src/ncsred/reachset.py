@@ -363,8 +363,14 @@ def _ring_distances(points, rings, faces, edges=None):
     The edge from ring vertex k - 1 to vertex k lies on the face line with
     outward normal faces[k], a row of faces (m, 2). A point inside within
     FEAS_TOL scores exactly 0. `edges` is `_ring_edges(rings)` when the
-    caller keeps it.
+    caller keeps it. Coordinates from 2**510 up, whose squares could
+    overflow, are measured in units of 2**e, FEAS_TOL too, and scaled back.
     """
+    e = np.frexp(max(np.abs(points).max(initial=0.0),
+                     np.abs(rings).max(initial=0.0)))[1]
+    if e > 510:  # offsets reach 2**511, sums of two of their products 2**1023
+        return np.ldexp(_ring_distances(np.ldexp(points, -e),
+                                        np.ldexp(rings, -e), faces), e)
     prev, E, L2 = _ring_edges(rings) if edges is None else edges
     W = points[..., None] - prev
     F = W * faces.T[:, None]

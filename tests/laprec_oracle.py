@@ -4,11 +4,44 @@ These are `laprec.s_step`, `t_step`, `l_step` and `_offdiag_residual` as they
 were before the per-block loops became reductions over one (N, N, 4, 4) block
 view of K. The vectorised versions must return the same values
 (`np.array_equal`), so `recover` takes the same path sweep for sweep.
+
+`project_laplacian_cone` is the iterative projection that `laprec` used before
+its closed form: Dykstra's alternating scheme (Boyle & Dykstra, 1986) between
+the subspace {symmetric, zero row sums} and the PSD cone.
 """
 import numpy as np
 
 BLOCK = 4
 RIDGE = 1e-12
+PROJECTION_TOL = 1e-10
+PROJECTION_MAX_ITERS = 5000
+
+
+def _sym_zerosum_project(M):
+    """Orthogonal projection onto symmetric matrices with zero row sums."""
+    Y = (M + M.T) / 2.0
+    n = Y.shape[0]
+    y = Y.sum(axis=1)
+    s = y.sum() / (2.0 * n)
+    a = y / n - s / n
+    return Y - np.outer(a, np.ones(n)) - np.outer(np.ones(n), a)
+
+
+def project_laplacian_cone(M):
+    """Nearest (Frobenius) candidate Laplacian to M by Dykstra's scheme, which
+    stops when a sweep moves its iterate by at most PROJECTION_TOL."""
+    x = np.asarray(M, float).copy()
+    p = np.zeros_like(x)
+    prev = None
+    for _ in range(PROJECTION_MAX_ITERS):
+        y = _sym_zerosum_project(x)
+        w, V = np.linalg.eigh(y + p)
+        x = (V * np.maximum(w, 0.0)) @ V.T
+        p = (y + p) - x
+        if prev is not None and np.linalg.norm(x - prev) <= PROJECTION_TOL:
+            break
+        prev = x
+    return _sym_zerosum_project(x)
 
 
 def _blocks(K, i, j):

@@ -6,6 +6,7 @@ Minkowski sums), so `synthesize_fdi` scores every candidate as one point
 query against S - S. `synth_oracle.synthesize_fdi` is the version that built
 both targets' polygons at every step.
 """
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -19,9 +20,12 @@ from segment_oracle import segment_distance
 from ncsred import attack, reachset
 from ncsred.attack import agent_reach_polygon, synthesize_fdi
 from ncsred.dmd import DmdModel
+from ncsred.errors import DegenerateGeometryError
+from ncsred.harness import run
 from ncsred.ncs import AgentModel
 from ncsred.reachset import (agent_polygon, circumscribe_ball, embed_input_map,
                              input_image_distances, planar_directions)
+from ncsred.scenario_io import load_scenario
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
@@ -147,6 +151,49 @@ class TestLargeCoordinates:
         # the collapsed polygons' score misses the shape by most of its size
         old = synth_oracle.synthesize_fdi((0, 1), model, omega, x, B, polys)
         assert abs(old.separation_after - exact[best]) > 1e-4
+
+    def test_scores_past_the_square_overflow(self, tmp_path):
+        """With rho = 1e155 the step-51 candidates are shifts of about 1.5e154
+        against an S - S ring of about 4e153, whose offsets square past the
+        float range. Their scores are finite and the segment oracle's, taken
+        in units of 2**512 (an exact scale) so that its own norms stay
+        finite. The run then stops at step 52 with no numpy warning."""
+        path = tmp_path / "overflow.scn"
+        path.write_text("horizon_steps = 120\nrho = 1e155\n")
+        s = load_scenario(str(path))
+        calls = []
+
+        def keep(omega, Bpos, m, shifts):
+            calls.append((omega, m, np.array(shifts),
+                          input_image_distances(omega, Bpos, m, shifts)))
+            return calls[-1][-1]
+
+        with mock.patch.object(attack, "input_image_distances", keep), \
+                warnings.catch_warnings(), \
+                pytest.raises(DegenerateGeometryError, match="^step 52: "):
+            warnings.simplefilter("error")
+            run(s, "fdi")
+        [(omega, m, shifts, got)] = calls
+        assert np.isfinite(got).all() and got.max() > 1e154
+        V = np.ldexp(_image_polygon(omega, s.agent_model.B, m).vertices, -512)
+        want = np.array([np.ldexp(segment_distance(V + np.ldexp(d, -512), V), 512)
+                         for d in shifts])
+        assert (np.abs(got - want) <= 1e-12 * want).all()
+
+    @pytest.mark.parametrize("scale", [1e150, 1e160, 1e300])
+    def test_scores_far_shifts(self, scale):
+        """Shifts whose squared lengths leave the float range score finite
+        distances, with no numpy warning. S - S is a few mm across, so each
+        distance is the shift's length (`np.hypot`, which does not square)
+        to rounding."""
+        omega = circumscribe_ball(0.05, 8, seed=1)
+        B = np.ascontiguousarray(AgentModel(0.2).B[[0, 2]])
+        shifts = np.random.default_rng(2).normal(size=(20, 2)) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = input_image_distances(omega, B, 16, shifts)
+        want = np.hypot(shifts[:, 0], shifts[:, 1])
+        assert (np.abs(got - want) <= 1e-12 * want).all()
 
 
 class TestNoPerStepReachPass:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import laprec_oracle
 from ncsred.errors import InvalidInputError
 from ncsred.graph import Graph, laplacian
 from ncsred.laprec import (KroneckerModel, l_step, project_laplacian_cone,
@@ -77,6 +80,58 @@ class TestProjectLaplacianCone:
     def test_rejects_nonsquare(self):
         with pytest.raises(InvalidInputError):
             project_laplacian_cone(np.zeros((2, 3)))
+
+
+def _projection_input(kind, seed, n, log_scale):
+    """An n x n matrix of magnitude 10**log_scale: a random matrix, or a
+    random weighted Laplacian that is kept, negated or perturbed."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        M = rng.normal(size=(n, n))
+    else:
+        W = np.triu(rng.exponential(size=(n, n)) * (rng.random((n, n)) < 0.5), 1)
+        M = np.diag((W + W.T).sum(axis=1)) - W - W.T
+        M = {"laplacian": M, "negated": -M,
+             "perturbed": M + 0.1 * rng.normal(size=(n, n))}[kind]
+    return M * 10.0 ** log_scale
+
+
+def _cone_members(rng, P, scale):
+    """0, P, 2P and random candidate Laplacians C C^T of about the given
+    scale (the columns of C sum to 0)."""
+    n = len(P)
+    members = [np.zeros_like(P), P, 2.0 * P]
+    for _ in range(8):
+        G = rng.normal(size=(n, int(rng.integers(1, n + 1))))
+        C = (G - G.mean(axis=0)) * scale ** 0.5
+        members.append(C @ C.T)
+    return members
+
+
+class TestProjectionProperties:
+    """The closed form against the Dykstra loop it replaced (`laprec_oracle`)
+    and against what makes P the nearest point of a convex cone to M: P is
+    in the cone, <M - P, X - P> <= 0 for every cone member X (the
+    variational inequality), and P projects to itself."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(["random", "laplacian", "negated", "perturbed"]),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           n=st.integers(min_value=2, max_value=11),
+           log_scale=st.floats(min_value=-3.0, max_value=3.0))
+    def test_nearest_point(self, kind, seed, n, log_scale):
+        M = _projection_input(kind, seed, n, log_scale)
+        P = project_laplacian_cone(M)
+        tol = 1e-12 * max(1.0, np.linalg.norm(P))
+        assert np.abs(P - laprec_oracle.project_laplacian_cone(M)).max() <= tol
+        assert np.array_equal(P, P.T)
+        scale = max(1.0, np.linalg.norm(M))
+        assert in_cone(P, tol=1e-12 * scale)
+        rng = np.random.default_rng(seed)
+        for X in _cone_members(rng, P, scale):
+            gap = np.linalg.norm(X - P)
+            assert np.sum((M - P) * (X - P)) <= 1e-12 * scale * max(1.0, gap)
+        assert np.abs(project_laplacian_cone(P) - P).max() <= tol
 
 
 class TestFactorSteps:

@@ -4,8 +4,10 @@ Scenario texts set 1 to 3 keys of the README's key table to edge values
 (zeros, -0.0, +-1e308, nan, +-inf, 1e155, 1e200, counts at and past their
 caps, bad edges) on a short run whose attack starts early enough to make
 attacked steps and a DoS. Each goes through `cli.main(["simulate", ...])`
-in-process, in every mode. An exception that `main` does not turn into exit
-2 would end the real CLI with exit 1 and a traceback, and fails here.
+in-process, in every mode, and through `reachset-dump --at` and `dmd-export
+--at`, whose CSV cells must then be finite. An exception that `main` does
+not turn into exit 2 would end the real CLI with exit 1 and a traceback, and
+fails here.
 """
 import contextlib
 import io
@@ -49,10 +51,11 @@ files = st.lists(st.sampled_from(sorted(VALUES)), min_size=1, max_size=3,
         lambda values: dict(zip(keys, values))))
 
 
-def _simulate(text, mode):
-    """`simulate`'s exit code on the scenario text, and the run's record
-    when it got that far. Its warnings (numpy's overflow warnings on such
-    inputs) and output are kept out of the test log."""
+def _cli(text, command, *args):
+    """`command`'s exit code on the scenario text, the records of the runs it
+    made, and every cell of the CSV files it wrote that reads as a float. Its
+    warnings (numpy's overflow warnings on such inputs) and output are kept
+    out of the test log."""
     records, run = [], harness.run
 
     def keep(scenario, mode):
@@ -67,18 +70,50 @@ def _simulate(text, mode):
         warnings.simplefilter("ignore")
         path = Path(tmp) / "edge.scn"
         path.write_text(text)
-        rc = main(["simulate", "--scenario", str(path), "--mode", mode,
-                   "--out", str(Path(tmp) / "out")])
-    return rc, records
+        out = Path(tmp) / "out"
+        rc = main([command, "--scenario", str(path), *args, "--out", str(out)])
+        cells = [cell for csv in sorted(out.glob("*.csv"))
+                 for line in csv.read_text().splitlines()
+                 for cell in line.split(",")]
+    return rc, records, [float(c) for c in cells if _reads_as_float(c)]
+
+
+def _reads_as_float(cell):
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _text(edits):
+    text = "".join(f"{k} = {v}\n" for k, v in {**BASE, **edits}.items())
+    note(text)
+    return text
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(edits=files)
 def test_exit_0_or_2_and_finite_states(edits):
-    text = "".join(f"{k} = {v}\n" for k, v in {**BASE, **edits}.items())
-    note(text)
+    text = _text(edits)
     for mode in MODES:
-        rc, records = _simulate(text, mode)
+        rc, records, _ = _cli(text, "simulate", "--mode", mode)
         assert rc in (0, 2)
         if rc == 0:
             assert np.isfinite(records[-1].states).all()
+
+
+#: the first step, two windows short of full, the first full one (snapshot_width
+#: 20 holds 21 states), the horizon and one step past it
+AT = ["0", "1", "19", "20", "26", "27"]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(edits=files, at=st.sampled_from(AT))
+def test_exports_exit_0_or_2_and_write_finite_cells(edits, at):
+    text = _text(edits)
+    for command in ("reachset-dump", "dmd-export"):
+        rc, _, cells = _cli(text, command, "--at", at)
+        assert rc in (0, 2)
+        if rc == 0:
+            assert cells and np.isfinite(cells).all()
