@@ -108,21 +108,22 @@ def agent_reach_polygon(model_K, B, x0, omega,
     """
     n_agents = model_K.shape[0] // 4
     key = (np.asarray(B, float).tobytes(), np.shape(B), n_agents, n_directions)
-    dirs, Bsel, lifts = _reach_operands(*key)
-    last = _last_input(*key, np.ascontiguousarray(omega.vertices, float).tobytes())
+    dirs, Bsel, lifts, agents = _reach_operands(*key)
+    vkey = np.ascontiguousarray(omega.vertices, float).tobytes()
+    last = _omega_operands(*key, vkey)[0]
     # overflow is reported by the check below, not by numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
         sup, _ = batch_reach_supports([model_K] * horizon, Bsel, x0, omega,
                                       lifts, last)
     if not np.isfinite(sup).all():
         raise DegenerateGeometryError("reach supports are not finite")
-    return agent_polygon(dirs, _agent_index(n_agents), sup)
+    return agent_polygon(dirs, agents, sup)
 
 
 @functools.lru_cache(maxsize=16)
 def _reach_operands(bkey, bshape, n_agents, n_directions):
-    """Read-only directions, stacked injection maps Bsel and direction lifts
-    of `agent_reach_polygon`, which depend only on the run."""
+    """Read-only directions, injection maps Bsel, direction lifts and agent
+    index 0..N - 1 of `agent_reach_polygon`: they depend only on B, N and m."""
     B = np.frombuffer(bkey).reshape(bshape)
     dirs = planar_directions(n_directions)
     Bsel = np.array([embed_input_map(B, a, n_agents) for a in range(n_agents)])
@@ -130,23 +131,20 @@ def _reach_operands(bkey, bshape, n_agents, n_directions):
     lift = np.zeros((4, n_directions))
     lift[::2] = dirs.T
     lifts = np.array([embed_input_map(lift, a, n_agents).T for a in range(n_agents)])
-    return _frozen(dirs, Bsel, lifts)
+    return _frozen(dirs, Bsel, lifts, np.arange(n_agents))
 
 
 @functools.lru_cache(maxsize=16)
-def _last_input(bkey, bshape, n_agents, n_directions, vkey):
-    """Read-only input term of the reach pass's last step, whose costates are
-    the lifts themselves: it depends only on B, Omega (vertex bytes `vkey`),
-    N and m, so it is kept per run beside the `_reach_operands` it reads."""
-    _, Bsel, lifts = _reach_operands(bkey, bshape, n_agents, n_directions)
+def _omega_operands(bkey, bshape, n_agents, n_directions, vkey):
+    """Read-only run constants that also depend on Omega (vertex bytes `vkey`):
+    the reach pass's last input term, whose costates are the lifts themselves,
+    and `synthesize_fdi`'s candidate tables (Ui, Uj), whose rows are (ui, uj)
+    for ui, uj in the vertices, then the zero injection."""
+    _, Bsel, lifts, _ = _reach_operands(bkey, bshape, n_agents, n_directions)
     V = np.frombuffer(vkey).reshape(-1, 2)
-    return _frozen(input_term(lifts @ Bsel, V, Bsel))[0]
-
-
-@functools.lru_cache(maxsize=16)
-def _agent_index(n_agents):
-    """Read-only index 0..n_agents - 1 of `agent_reach_polygon`'s polygons."""
-    return _frozen(np.arange(n_agents))[0]
+    return _frozen(input_term(lifts @ Bsel, V, Bsel),
+                   np.vstack([np.repeat(V, len(V), axis=0), np.zeros(2)]),
+                   np.vstack([np.tile(V, (len(V), 1)), np.zeros(2)]))
 
 
 def synthesize_fdi(targets, model, omega: InputPolytope, state, B,
@@ -180,10 +178,11 @@ def synthesize_fdi(targets, model, omega: InputPolytope, state, B,
 
     sep_before = polygon_distance(polygons[i], polygons[j])
     m = len(polygons[i].directions)
-    _, Bsel, _ = _reach_operands(np.asarray(B, float).tobytes(), np.shape(B),
-                                 n_agents, m)
+    key = (np.asarray(B, float).tobytes(), np.shape(B), n_agents, m)
+    Bsel = _reach_operands(*key)[1]
     c = K @ (K @ x)
-    Ui, Uj = _candidates(np.ascontiguousarray(omega.vertices, float).tobytes())
+    vkey = np.ascontiguousarray(omega.vertices, float).tobytes()
+    _, Ui, Uj = _omega_operands(*key, vkey)
     delta = Ui @ (K @ Bsel[i]).T + Uj @ (K @ Bsel[j]).T
     pi, pj = slice(4 * i, 4 * i + 3, 2), slice(4 * j, 4 * j + 3, 2)
     # column-major, so the ring pass reads each coordinate plane contiguously
@@ -198,15 +197,6 @@ def synthesize_fdi(targets, model, omega: InputPolytope, state, B,
     return AttackDecision(targets=(i, j), u_a=u_a,
                           separation_before=float(sep_before),
                           separation_after=float(scores[best]))
-
-
-@functools.lru_cache(maxsize=16)
-def _candidates(vkey):
-    """Read-only candidate tables (Ui, Uj) of `synthesize_fdi`: rows are
-    (ui, uj) for ui, uj in the vertices, then the zero injection."""
-    V = np.frombuffer(vkey).reshape(-1, 2)
-    return _frozen(np.vstack([np.repeat(V, len(V), axis=0), np.zeros(2)]),
-                   np.vstack([np.tile(V, (len(V), 1)), np.zeros(2)]))
 
 
 def recovered_graph(L_hat) -> Graph:

@@ -10,7 +10,7 @@ meets its angular neighbour at a vertex (support-function polytopes; Le
 Guernic & Girard, "Reachability analysis of linear systems using support
 functions", Nonlinear Analysis: Hybrid Systems 2010). So `agent_polygon`
 intersects each face with its neighbour only: m points per polygon give its
-extreme vertices on the direction fan, which score the call's polygon pairs,
+extreme vertices on the direction fan, which score every polygon distance,
 and, in gap order, its counter-clockwise vertex ring, built only when read.
 Supports whose adjacent points fail a face are no convex set's (the set is
 empty, or a face is not tight), and raise `DegenerateGeometryError`.
@@ -77,12 +77,9 @@ def circumscribe_ball(rho, s, seed=None, jitter=DEFAULT_JITTER) -> InputPolytope
     angles = 2.0 * np.pi * base / s
     normals = np.column_stack([np.cos(angles), np.sin(angles)])
     offsets = np.full(s, float(rho))
-    verts = np.empty((s, 2))
-    for i in range(s):
-        j = (i + 1) % s
-        Aij = np.array([normals[i], normals[j]])
-        verts[i] = np.linalg.solve(Aij, np.array([rho, rho]))
-    return InputPolytope(vertices=verts, normals=normals, offsets=offsets)
+    pairs = np.stack([normals, np.roll(normals, -1, axis=0)], axis=1)
+    verts = np.linalg.solve(pairs, np.broadcast_to(offsets[:, None, None], (s, 2, 1)))
+    return InputPolytope(vertices=verts[..., 0], normals=normals, offsets=offsets)
 
 
 def planar_directions(m):
@@ -173,9 +170,9 @@ class AgentPolygon:
 
     Vertices are the counter-clockwise boundary of the intersection of the
     supporting half-planes <d_k, p> <= gamma_k. A polygon holds its call's
-    read-only `(points, keep, table)` and its row in them: its vertices are
-    built from the points when first read, and `polygon_distance` reads the
-    pair table.
+    read-only `(points, keep, hi, lo, table)` and its row in them: its
+    vertices are built from the points when first read, distances read its
+    extreme planes hi and lo, and `polygon_distance` reads the pair table.
     """
 
     def __init__(self, agent, directions, supports):
@@ -183,23 +180,21 @@ class AgentPolygon:
         self.directions = directions  # (m, 2)
         self.supports = supports      # (m,)
         self._vertices = None         # (v, 2) CCW, built when first read
-        self._call = None             # (points, keep, table) of its call,
+        self._call = None             # (points, keep, hi, lo, table) of its call,
         self._row = None              # and this polygon's row in them
 
     @property
     def vertices(self):
         if self._vertices is None:
-            P, keep, _ = self._call
+            P, keep = self._call[:2]
             self._vertices = P[self._row, keep[self._row]]
         return self._vertices
 
 
 class _Batch(tuple):
     """The polygons of one `agent_polygon` call in row order, carrying the
-    `call` record `(points, keep, table)` that each of them holds, so that
-    `pair_distances` returns its table. A slice, a reversal, `list(batch)` or
-    `tuple(batch)` is not the batch.
-    """
+    `call` record that each of them holds, so that `pair_distances` returns its
+    table. A slice, a reversal, `list(batch)` or `tuple(batch)` is not the batch."""
 
 
 @functools.lru_cache(maxsize=16)
@@ -235,15 +230,15 @@ def _adjacent_faces(key, shape):
     a, b = D[ii], D[jj]
     det = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
     arcs = _fan((key,))[1]
-    arc_gaps = []
-    for arc in (arcs, -arcs):
-        theta = np.arctan2(arc[:, 1], arc[:, 0])
-        # gap k spans (face k, face k + 1); the last gap wraps past +-pi
-        arc_gaps.append((np.searchsorted(ang[first], theta) - 1) % len(faces))
     return _frozen(np.column_stack([ii, jj]), np.column_stack([jj, ii]),
                    np.column_stack([b[:, 1], a[:, 0]]),
                    np.column_stack([a[:, 1], b[:, 0]]), det[:, None],
-                   np.concatenate(arc_gaps))
+                   _holding_arc(ang[first], np.vstack([arcs, -arcs])))
+
+
+def _holding_arc(ang, dirs):
+    """Index k of the cyclic arc (ang[k], ang[k + 1]) holding each row of dirs."""
+    return (np.searchsorted(ang, np.arctan2(dirs[:, 1], dirs[:, 0])) - 1) % len(ang)
 
 
 def agent_polygon(directions, agent, supports):
@@ -258,7 +253,7 @@ def agent_polygon(directions, agent, supports):
         D = _frozen(D.copy())[0]
     G = np.atleast_2d(np.asarray(supports, float))
     faces, P, keep, hi, lo = _adjacent_pass(D, G)
-    call = _frozen(P, keep, _pair_table(faces, hi, lo))
+    call = _frozen(P, keep, hi, lo, _pair_table(faces, hi, lo))
     batch = _Batch(AgentPolygon(int(a), D, g) for a, g in zip(np.atleast_1d(agent), G))
     batch.call = call
     for r, p in enumerate(batch):
@@ -278,9 +273,10 @@ def _adjacent_pass(D, G):
     largest point coordinate and at least 1. A row with a point that fails
     is no convex set's supports (the set is empty, or a face is not tight):
     the first such row raises, naming the row and the face. Each point lying
-    within 1e-9 * scale of its predecessor merges into the run's first. A
-    fan arc's extreme is the kept point of the gap that the arc falls in, the
-    maximiser along it; a row's vertices are its kept points in gap order.
+    within 1e-9 * scale of its predecessor (in units of 2**e from scale 2**510
+    up) merges into the run's first. A fan arc's extreme is the kept point of
+    the gap that the arc falls in, the maximiser along it; a row's vertices
+    are its kept points in gap order.
     """
     key = D.tobytes()
     faces, arcs = _fan((key,))
@@ -293,9 +289,12 @@ def _adjacent_pass(D, G):
         raise DegenerateGeometryError(
             f"supports row {r} are no convex set's: face {k} cuts off a point "
             "where adjacent faces meet (the set is empty, or a face is not tight)")
-    d = P - P[:, _predecessors(len(I))]  # each point less its predecessor
+    d, tol = P - P[:, _predecessors(len(I))], 1e-9 * scale  # step from predecessor
+    if scale.max(initial=0.0) >= 2.0 ** 510:  # such rows' squares could overflow
+        e = np.where(scale < 2.0 ** 510, 0, np.frexp(scale)[1])
+        d, tol = np.ldexp(d, -e[:, None, None]), np.ldexp(tol, -e)
     d *= d
-    keep = np.sqrt(d[..., 0] + d[..., 1]) > 1e-9 * scale[:, None]
+    keep = np.sqrt(d[..., 0] + d[..., 1]) > tol[:, None]
     keep[:, 0] |= ~keep.any(axis=1)  # a row of one point keeps its first
     # a gap's vertex is the last kept point at or before it, cyclically
     run = np.maximum.accumulate(np.where(keep, np.arange(len(I)), -1), axis=1)
@@ -304,20 +303,11 @@ def _adjacent_pass(D, G):
     return faces, P, keep, planes[..., :len(arcs)], planes[..., len(arcs):]
 
 
-def _direction_fan(polygons):
-    """Shared CCW face normals and the mid-arc directions between them.
-
-    The faces are every polygon's own directions and their negatives, sorted
-    by angle, with directions closer than ANGLE_TOL merged. Every edge normal
-    of a Minkowski difference of these polygons is then one of the faces.
-    Cached per set of distinct direction arrays; the arrays are read-only.
-    """
-    keys = dict.fromkeys(np.asarray(p.directions, float).tobytes() for p in polygons)
-    return _fan(tuple(keys))
-
-
 @functools.lru_cache(maxsize=16)
 def _fan(keys):
+    """Read-only CCW faces and mid-arc directions of the fan of the direction
+    arrays whose bytes are `keys` and their negatives, merged within ANGLE_TOL:
+    every edge normal of a Minkowski difference of polygons on them is a face."""
     D = np.vstack([np.frombuffer(k, dtype=float).reshape(-1, 2) for k in keys])
     D = np.vstack([D, -D])
     ang = np.sort(np.arctan2(D[:, 1], D[:, 0]))
@@ -327,19 +317,6 @@ def _fan(keys):
     mid = 0.5 * (ang + np.append(ang[1:], ang[0] + 2 * np.pi))
     return _frozen(np.column_stack([np.cos(ang), np.sin(ang)]),
                    np.column_stack([np.cos(mid), np.sin(mid)]))
-
-
-def _extreme_vertices(polygons, arcs):
-    """Vertices of each polygon attaining max and min of <arc, v> for each
-    arc direction, as (A, arcs, 2) arrays, projected polygon by polygon;
-    ties go to the first vertex."""
-    hi, lo = [], []
-    for p in polygons:
-        V = p.vertices
-        proj = V[:, :1] * arcs[:, 0] + V[:, 1:] * arcs[:, 1]
-        hi.append(V[proj.argmax(axis=0)])
-        lo.append(V[proj.argmin(axis=0)])
-    return np.array(hi), np.array(lo)
 
 
 def _ring_edges(rings):
@@ -395,12 +372,24 @@ def pair_indices(n):
 def pair_distances(polygons):
     """dist(polygons[i], polygons[j]) for every pair i < j, in lexicographic
     order. A `_Batch` returns the read-only table its call computed; any other
-    sequence is computed from its polygons' projected extremes."""
+    sequence gathers its polygons' extremes onto their shared fan (`_arc_map`)."""
     if isinstance(polygons, _Batch):
-        return polygons.call[2]
-    faces, arcs = _direction_fan(polygons)
-    hi, lo = (v.transpose(2, 0, 1) for v in _extreme_vertices(polygons, arcs))
-    return _pair_table(faces, hi, lo)
+        return polygons.call[-1]
+    own = [p.directions.tobytes() for p in polygons]
+    keys = tuple(dict.fromkeys(own))
+    hi, lo = (np.stack([p._call[k][:, p._row, _arc_map(key, keys)]
+                        for p, key in zip(polygons, own)], axis=1) for k in (2, 3))
+    return _pair_table(_fan(keys)[0], hi, lo)
+
+
+@functools.lru_cache(maxsize=64)
+def _arc_map(key, keys):
+    """Read-only index of the arc of `_fan((key,))` that holds each arc of the
+    shared `_fan(keys)`. The shared faces include the own ones (up to the
+    ANGLE_TOL merge), so each shared arc lies inside the own arc that its
+    middle falls in, and that arc's extreme is the polygon's maximiser on it."""
+    own = _fan((key,))[0]
+    return _frozen(_holding_arc(np.arctan2(own[:, 1], own[:, 0]), _fan(keys)[1]))[0]
 
 
 def _pair_table(faces, hi, lo):
@@ -429,13 +418,14 @@ def input_image_distances(omega: InputPolytope, Bpos, n_directions, shifts):
 def _input_difference(vkey, bkey, m):
     """Read-only ring planes (2, 1, m), face normals and `_ring_edges` of
     S - S for `input_image_distances`: S's max minus min vertices on its own
-    fan."""
+    fan. A ring from 2**510 up has no edges here: `_ring_distances` rescales it."""
     D = planar_directions(m)
     V = np.frombuffer(vkey).reshape(-1, 2)
     G = (D @ np.frombuffer(bkey).reshape(2, 2) @ V.T).max(axis=1)
     faces, _, _, hi, lo = _adjacent_pass(D, G[None])
     ring = hi - lo
-    return _frozen(ring, faces) + (_frozen(*_ring_edges(ring)),)
+    edges = _frozen(*_ring_edges(ring)) if np.abs(ring).max() < 2.0 ** 510 else None
+    return _frozen(ring, faces) + (edges,)
 
 
 def polygon_distance(P: AgentPolygon, Q: AgentPolygon) -> float:
@@ -445,5 +435,5 @@ def polygon_distance(P: AgentPolygon, Q: AgentPolygon) -> float:
     call, i, j = P._call, P._row, Q._row
     if Q._call is call and i < j:
         n = len(call[1])
-        return float(call[2][i * (2 * n - i - 1) // 2 + j - i - 1])
+        return float(call[-1][i * (2 * n - i - 1) // 2 + j - i - 1])
     return float(pair_distances((P, Q))[0])

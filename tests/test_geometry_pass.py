@@ -4,8 +4,9 @@
 `pair_distances` of its result returns that read-only table, and
 `polygon_distance` of two of its polygons, in row order, reads their entry.
 Every other query (reversed pairs, polygons of two calls, copies, slices)
-projects the polygons' vertices and gives the bytes the table would. An
-attacked run reads the table and builds no vertex ring. What the reach pass
+gathers each polygon's extremes from its call's adjacent-face pass onto the
+polygons' shared fan, with the bytes the table would give, and reads no
+vertex ring either. An attacked run reads the table. What the reach pass
 and the candidate scoring keep per run is out of every caller's reach, and a
 run builds each active graph's neighbour index once.
 """
@@ -113,11 +114,62 @@ class TestStoredExtremes:
         assert polygon_distance(p, q) == pair[0] > 0
 
 
+def _fan_directions(rng, m, phase):
+    """m unit directions, a uniform fan turned by `phase` with each direction
+    jittered by up to a fifth of its spacing, so that they span the plane."""
+    ang = phase + 2 * np.pi * (np.arange(m) + rng.uniform(-0.2, 0.2, m)) / m
+    return np.column_stack([np.cos(ang), np.sin(ang)])
+
+
+def _supports(rng, D):
+    """Exact supports on D of a random point cloud: a point, a sliver or a
+    spread polygon about 10 from the origin."""
+    spread = rng.choice([0.0, 1e-3, 1.0])
+    pts = rng.normal(scale=10.0, size=2) + rng.normal(
+        scale=spread, size=(int(rng.integers(3, 8)), 2))
+    return (pts @ D.T).max(axis=0)
+
+
+class TestCrossCallExtremes:
+    @PROPERTY
+    @given(seed=seeds, n=st.integers(min_value=2, max_value=6),
+           tilt=st.sampled_from([1e-14, 1e-11, 1e-8, 1e-4, 0.3]))
+    def test_read_no_vertices_and_match_the_oracle(self, seed, n, tilt):
+        """Polygons of calls on different direction sets, among them one set
+        turned by `tilt` from another (down to nearly parallel normals, merged
+        within ANGLE_TOL), a list copy and a reversal of one call, and
+        reversed pairs are scored from the adjacent-face pass's extremes: no
+        vertex ring is read, and each distance is the segment oracle's within
+        1e-9 * scale."""
+        rng = np.random.default_rng(seed)
+        dirs = [_fan_directions(rng, int(rng.integers(3, 25)), rng.uniform(0, 7))
+                for _ in range(n)]
+        dirs[-1] = dirs[0] @ np.array([[np.cos(tilt), np.sin(tilt)],
+                                       [-np.sin(tilt), np.cos(tilt)]])
+        polys = [agent_polygon(D, a, _supports(rng, D)) for a, D in enumerate(dirs)]
+        batch = agent_polygon(dirs[0], range(n), [_supports(rng, dirs[0])
+                                                  for _ in range(n)])
+        ii, jj = pair_indices(n)
+        queries = (polys, list(batch), batch[::-1])
+        reads, vertices = _count_vertex_reads()
+        with vertices:
+            got = [(pair_distances(P), [polygon_distance(P[j], P[i])
+                                        for i, j in zip(ii, jj)]) for P in queries]
+        assert reads == []
+        for P, (table, reversed_pairs) in zip(queries, got):
+            want = [segment_distance(P[i].vertices, P[j].vertices)
+                    for i, j in zip(ii, jj)]
+            scale = max(1.0, max(np.abs(p.vertices).max() for p in P))
+            for dist in (table, reversed_pairs):
+                assert np.allclose(dist, want, rtol=0.0, atol=1e-9 * scale)
+
+
 def test_attacked_run_builds_no_vertex_ring():
     """An attacked h = 2 run takes every extreme from the adjacent-face pass:
     it reads no polygon's vertices. Its decisions are those of a run whose
-    polygons each come from their own call, so that every query projects
-    the polygons' vertices."""
+    polygons each come from their own call, so that every query gathers
+    extremes across calls, which reads no vertices either; the counter sees
+    a direct read."""
     s = build_scenario(seed=4, horizon_steps=70,
                        attack=AttackConfig(start_step=51, dos_step=60, horizon=2))
     reads, vertices = _count_vertex_reads()
@@ -133,7 +185,9 @@ def test_attacked_run_builds_no_vertex_ring():
     with mock.patch.object(attack, "agent_polygon", side_effect=one_call_per_agent), \
             vertices:
         want = run(s, "fdi_dos")
-    assert reads
+        assert reads == []
+        agent_polygon(planar_directions(8), 0, np.ones(8)).vertices
+    assert len(reads) == 1
     assert len(record.decisions) == len(want.decisions)
     for got, ref in zip(record.decisions, want.decisions):
         assert (got is None) == (ref is None)

@@ -526,6 +526,35 @@ class TestCli:
         assert ("DegenerateGeometryError: step 52: reach supports are not finite"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("rho", ["1e157", "1e300"])
+    def test_simulate_names_the_step_past_the_square_overflow(self, tmp_path, capsys,
+                                                              rho):
+        """From rho = 1e157 the step-51 polygons and their input image are
+        wider than about 1.3e154, where squared offsets overflow. The run still
+        stops at step 52 with the named error, and numpy warns nothing."""
+        path = tmp_path / "scn.txt"
+        path.write_text(f"horizon_steps = 120\nrho = {rho}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["simulate", "--scenario", str(path), "--mode", "fdi",
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert ("DegenerateGeometryError: step 52: reach supports are not finite"
+                in capsys.readouterr().err)
+
+    def test_reachset_dump_past_the_square_overflow(self, tmp_path):
+        """`reachset-dump` of that rho = 1e157 file's nominal step 100 writes
+        its polygons, and numpy warns nothing."""
+        path = tmp_path / "scn.txt"
+        path.write_text("horizon_steps = 120\nrho = 1e157\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["reachset-dump", "--scenario", str(path), "--at", "100",
+                       "--out", str(out)])
+        assert rc == 0
+        assert (out / "polygons.csv").read_text().count("\n") > 5
+
     @pytest.mark.parametrize("command, at", [("reachset-dump", "-5"),
                                              ("dmd-export", "-450")])
     def test_negative_at_rejected(self, tmp_path, capsys, command, at):

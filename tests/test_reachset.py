@@ -73,6 +73,17 @@ class TestCircumscribeBall:
             j = (i + 1) % s
             assert vals[i, j] == pytest.approx(omega.offsets[j], abs=1e-12)
 
+    @pytest.mark.parametrize("rho, s, seed", [(0.05, 8, None), (0.05, 8, 7), (3, 3, 1),
+                                              (1e155, 17, 2), (0.3, 128, 5)])
+    def test_vertices_are_each_face_pairs_solve(self, rho, s, seed):
+        """The one batched solve gives the bytes of solving each adjacent face
+        pair's 2 x 2 tangent system on its own."""
+        omega = circumscribe_ball(rho, s, seed=seed)
+        n = omega.normals
+        want = [np.linalg.solve(np.array([n[i], n[(i + 1) % s]]), np.array([rho, rho]))
+                for i in range(s)]
+        assert omega.vertices.tobytes() == np.array(want).tobytes()
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(InvalidInputError):
             circumscribe_ball(1.0, 2)
