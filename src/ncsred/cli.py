@@ -35,8 +35,8 @@ def _nominal_fit(scenario, upto):
 
 
 def _write_matrix_csv(out_dir, name, M):
-    harness._write(out_dir, name, "\n".join(",".join(repr(float(v)) for v in row)
-                                   for row in np.atleast_2d(M)) + "\n")
+    harness._write(out_dir, name, ("\n".join(",".join(repr(float(v)) for v in row)
+                                    for row in np.atleast_2d(M)) + "\n",))
 
 
 def _read_matrix_csv(path):
@@ -96,12 +96,12 @@ def cmd_reachset_dump(args):
         for vi, (vx, vy) in enumerate(poly.vertices.tolist()):
             lines.append(f"{args.at},{a},{vi},{vx!r},{vy!r}")
         ring = np.vstack([poly.vertices, poly.vertices[:1]])
-        series.append((ring[:, 0].tolist(), ring[:, 1].tolist(),
+        series.append((ring[:, 0], ring[:, 1],
                        svgplot.PALETTE[a % len(svgplot.PALETTE)], f"agent {a}"))
-    harness._write(args.out, "polygons.csv", "\n".join(lines) + "\n")
+    harness._write(args.out, "polygons.csv", ("\n".join(lines) + "\n",))
     harness._write(args.out, "polygons.svg",
-                   svgplot.line_plot(series, title=f"reach polygons at step {args.at}",
-                                     xlabel="x [m]", ylabel="y [m]"))
+                   (svgplot.line_plot(series, title=f"reach polygons at step {args.at}",
+                                      xlabel="x [m]", ylabel="y [m]"),))
     return 0
 
 
@@ -115,7 +115,7 @@ def cmd_recover_laplacian(args):
     lines = ["iteration,frobenius_residual,gamma"]
     for it, (fr, g) in enumerate(zip(result.frobenius_trace, result.trace), 1):
         lines.append(f"{it},{fr!r},{g!r}")
-    harness._write(args.out, "trace.csv", "\n".join(lines) + "\n")
+    harness._write(args.out, "trace.csv", ("\n".join(lines) + "\n",))
     print(f"gamma,{result.gamma!r}")
     print(f"iterations,{result.iterations}")
     print(f"converged,{result.converged}")

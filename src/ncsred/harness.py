@@ -270,17 +270,53 @@ def _r(v):
     return repr(float(v))
 
 
-def _write(out_dir, name, text):
-    """Every artifact write: creates out_dir, writes text to out_dir/name and
-    returns that path; an OSError becomes InvalidInputError naming the path."""
+def _write(out_dir, name, chunks):
+    """Every artifact write: creates out_dir, writes the strings of chunks in
+    order to out_dir/name and returns that path; an OSError becomes
+    InvalidInputError naming the path. A caller with one text passes a 1-tuple."""
     path = os.path.join(out_dir, name)
     try:
         os.makedirs(out_dir, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise InvalidInputError(f"cannot write {path}: {exc}") from exc
     return path
+
+
+def _trajectory_rows(record):
+    """trajectories.csv, one step's rows at a time."""
+    yield "k,t,agent,x,vx,y,vy\n"
+    for k, row in enumerate(record.states):
+        kt = f"{k},{float(k * record.dt)!r}"
+        # tolist per row, not per array, keeps peak RSS flat; same floats, same repr
+        cells = iter(row.tolist())
+        yield "".join([f"{kt},{a},{x!r},{vx!r},{y!r},{vy!r}\n" for a, (x, vx, y, vy)
+                       in enumerate(zip(cells, cells, cells, cells))])
+
+
+def _column_rows(header, cols, table):
+    """A long table of (k, column, e), one step's rows at a time."""
+    yield header + "\n"
+    for k, row in enumerate(table):
+        yield "".join([f"{k},{col},{e!r}\n" for col, e in zip(cols, row.tolist())])
+
+
+def _attack_rows(record):
+    """attack.csv: a row for each attacked or DoS step."""
+    dos_steps = {e.k for e in record.dos_events}
+    yield "step,i,j,ui_x,ui_y,uj_x,uj_y,separation_before,separation_after,dos_event\n"
+    for k, d in enumerate(record.decisions):
+        flag = 1 if k in dos_steps else 0
+        if d is None:
+            if flag:
+                yield f"{k},-1,-1,0.0,0.0,0.0,0.0,0.0,0.0,{flag}\n"
+            continue
+        i, j = d.targets
+        ui = d.u_a[2 * i:2 * i + 2]
+        uj = d.u_a[2 * j:2 * j + 2]
+        yield (f"{k},{i},{j},{_r(ui[0])},{_r(ui[1])},{_r(uj[0])},{_r(uj[1])},"
+               f"{_r(d.separation_before)},{_r(d.separation_after)},{flag}\n")
 
 
 def emit(record: RunRecord, out_dir):
@@ -288,64 +324,30 @@ def emit(record: RunRecord, out_dir):
 
     Floats are formatted with repr (shortest round-trip), so re-parsing
     reproduces the run to full precision and identical runs emit identical
-    bytes.
+    bytes. Tables are written one step at a time, and plots read the record's
+    arrays, so no table or series is copied whole.
     """
     N = record.n_agents
-    written = []
-    lines = ["k,t,agent,x,vx,y,vy"]
-    steps = [f"{k},{float(k * record.dt)!r}" for k in range(record.horizon + 1)]
-    for kt, row in zip(steps, record.states):
-        # tolist per row, not per array, keeps peak RSS flat; same floats, same repr
-        cells = iter(row.tolist())
-        for a, (x, vx, y, vy) in enumerate(zip(cells, cells, cells, cells)):
-            lines.append(f"{kt},{a},{x!r},{vx!r},{y!r},{vy!r}")
-    written.append(_write(out_dir, "trajectories.csv", "\n".join(lines) + "\n"))
-
     labels = [f"{i}-{j}" for i, j in record.pairs]
+    written = [_write(out_dir, "trajectories.csv", _trajectory_rows(record))]
     for name, header, cols, table in (
             ("errors.csv", "k,pair,e", labels, record.pair_errors),
             ("tracking.csv", "k,agent,e", range(N), record.tracking)):
-        lines = [header]
-        for k, row in enumerate(table):
-            for col, e in zip(cols, row.tolist()):
-                lines.append(f"{k},{col},{e!r}")
-        written.append(_write(out_dir, name, "\n".join(lines) + "\n"))
+        written.append(_write(out_dir, name, _column_rows(header, cols, table)))
+    written.append(_write(out_dir, "attack.csv", _attack_rows(record)))
 
-    dos_steps = {e.k: e for e in record.dos_events}
-    lines = ["step,i,j,ui_x,ui_y,uj_x,uj_y,separation_before,separation_after,dos_event"]
-    for k in range(record.horizon):
-        d = record.decisions[k]
-        flag = 1 if k in dos_steps else 0
-        if d is None and flag == 0:
-            continue
-        if d is None:
-            lines.append(f"{k},-1,-1,0.0,0.0,0.0,0.0,0.0,0.0,{flag}")
-            continue
-        i, j = d.targets
-        ui = d.u_a[2 * i:2 * i + 2]
-        uj = d.u_a[2 * j:2 * j + 2]
-        lines.append(f"{k},{i},{j},{_r(ui[0])},{_r(ui[1])},{_r(uj[0])},{_r(uj[1])},"
-                     f"{_r(d.separation_before)},{_r(d.separation_after)},{flag}")
-    written.append(_write(out_dir, "attack.csv", "\n".join(lines) + "\n"))
-
-    ks = list(range(record.horizon + 1))
-    series = []
-    for a in range(N):
-        xs = record.states[:, 4 * a].tolist()
-        ys = record.states[:, 4 * a + 2].tolist()
-        series.append((xs, ys, svgplot.PALETTE[a % len(svgplot.PALETTE)],
-                       f"agent {a}"))
+    colors = svgplot.PALETTE
+    series = [(record.states[:, 4 * a], record.states[:, 4 * a + 2],
+               colors[a % len(colors)], f"agent {a}") for a in range(N)]
     plot = svgplot.line_plot(series, title=f"{record.mode} trajectories",
                              xlabel="x [m]", ylabel="y [m]")
-    written.append(_write(out_dir, "trajectories.svg", plot))
+    written.append(_write(out_dir, "trajectories.svg", (plot,)))
 
-    series = []
-    for idx, (i, j) in enumerate(record.pairs):
-        series.append((ks, record.pair_errors[:, idx].tolist(),
-                       svgplot.PALETTE[idx % len(svgplot.PALETTE)], f"e {i}-{j}"))
-    series.append((ks, record.system_tracking.tolist(), "#000000", "tracking"))
+    ks = np.arange(record.horizon + 1, dtype=float)
+    series = [(ks, record.pair_errors[:, idx], colors[idx % len(colors)], f"e {label}")
+              for idx, label in enumerate(labels)]
+    series.append((ks, record.system_tracking, "#000000", "tracking"))
     plot = svgplot.line_plot(series, title=f"{record.mode} errors", xlabel="step",
                              ylabel="error [m]", dashed=("tracking",))
-    written.append(_write(out_dir, "errors.svg", plot))
+    written.append(_write(out_dir, "errors.svg", (plot,)))
     return written
-

@@ -369,13 +369,20 @@ def pair_indices(n):
     return _frozen(*np.triu_indices(n, k=1))
 
 
+#: the pair table of no polygons, as every empty sequence returns it
+_NO_PAIRS = _frozen(np.zeros(0))[0]
+
+
 def pair_distances(polygons):
     """dist(polygons[i], polygons[j]) for every pair i < j, in lexicographic
-    order. A `_Batch` returns the read-only table its call computed; any other
-    sequence gathers its polygons' extremes onto their shared fan (`_arc_map`)."""
+    order. A `_Batch` returns the read-only table its call computed; an empty
+    sequence the read-only empty table `_NO_PAIRS`; any other sequence gathers
+    its polygons' extremes onto their shared fan (`_arc_map`)."""
     if isinstance(polygons, _Batch):
         return polygons.call[-1]
     own = [p.directions.tobytes() for p in polygons]
+    if not own:
+        return _NO_PAIRS
     keys = tuple(dict.fromkeys(own))
     hi, lo = (np.stack([p._call[k][:, p._row, _arc_map(key, keys)]
                         for p, key in zip(polygons, own)], axis=1) for k in (2, 3))

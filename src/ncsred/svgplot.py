@@ -5,8 +5,6 @@ byte-stable across runs and environments.
 """
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
@@ -23,10 +21,11 @@ def _bounds(series):
     |v| / 2**20 where v + 1.0 == v (|v| >= 2**53)."""
     out = []
     for axis, pad in ((0, 0.04), (1, 0.06)):
-        values = list(chain.from_iterable(s[axis] for s in series))
-        if values and values[0] != values[0]:  # min and max skip every NaN but a first
-            values = [v for v in values if v == v] or values
-        lo, hi = min(values), max(values)
+        lo = hi = np.nan  # fmin and fmax skip NaN, so it stays only if all are
+        for s in series:
+            v = np.asarray(s[axis], float)
+            lo, hi = np.fmin.reduce(v, initial=lo), np.fmax.reduce(v, initial=hi)
+        lo, hi = float(lo), float(hi)
         if hi == lo:
             hi = lo + 1.0
             if hi == lo:
@@ -45,7 +44,8 @@ def _fmt(v):
 
 
 def line_plot(series, title="", xlabel="", ylabel="", dashed=()):
-    """Render series [(xs, ys, color, label), ...] into an SVG string."""
+    """Render series [(xs, ys, color, label), ...] into an SVG string; xs and
+    ys are sequences or 1-d arrays of numbers."""
     series = [s for s in series if len(s[0])]
     if not series:
         return ('<svg xmlns="http://www.w3.org/2000/svg" width="10" height="10">'
@@ -57,8 +57,8 @@ def line_plot(series, title="", xlabel="", ylabel="", dashed=()):
     def pixels(xs, ys):
         """(n, 2) pixel coordinates of the points (xs, ys): ticks and polylines."""
         with np.errstate(all="ignore"):  # floats give inf - inf and 0 * inf silently
-            col = MARGIN_L + (np.array(xs, float) - x0) / (x1 - x0) * iw
-            row = MARGIN_T + ih - (np.array(ys, float) - y0) / (y1 - y0) * ih
+            col = MARGIN_L + (np.asarray(xs, float) - x0) / (x1 - x0) * iw
+            row = MARGIN_T + ih - (np.asarray(ys, float) - y0) / (y1 - y0) * ih
         return np.stack([col, row], 1)
 
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '

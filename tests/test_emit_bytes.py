@@ -10,6 +10,7 @@ that the float code did not give fails as a changed exception type.
 """
 import os
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -125,6 +126,24 @@ class TestEmitBytes:
     def test_nominal_run(self, tmp_path):
         scenario = build_scenario(horizon_steps=60)
         assert assert_same_files(harness.run(scenario, "nominal"), tmp_path) is None
+
+    def test_streamed_emit_holds_under_half_the_oracle_peak(self, tmp_path):
+        """Tables go out one step at a time and plots read the record's
+        arrays: on a 2,000-step run, emit's traced peak is below half the
+        oracle's, which holds every table and series whole, with equal bytes."""
+        record = harness.run(build_scenario(horizon_steps=2000), "nominal")
+        peaks = {}
+        for name, fn in (("oracle", emit_oracle.emit), ("emit", harness.emit)):
+            tracemalloc.start()
+            try:
+                fn(record, tmp_path / name)
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        for name in emit_oracle.FILES:
+            assert ((tmp_path / "emit" / name).read_bytes()
+                    == (tmp_path / "oracle" / name).read_bytes()), name
+        assert peaks["emit"] < 0.5 * peaks["oracle"], peaks
 
 
 def near_ties():

@@ -310,6 +310,18 @@ class TestBatchContract:
         assert type(one) is AgentPolygon and one.agent == 3
         assert len(pair_distances(agent_polygon(D, [3], np.ones((1, 8))))) == 0
 
+    @pytest.mark.parametrize("empty", [[], ()], ids=["list", "tuple"])
+    def test_empty_sequence_has_an_empty_table(self, empty):
+        """An empty list or tuple has no pairs, as a call on no agents has
+        none: every empty sequence returns one read-only empty float table."""
+        table = pair_distances(empty)
+        assert table is pair_distances([]) is pair_distances(())
+        assert table.dtype == np.float64 and table.shape == (0,)
+        assert not table.flags.writeable
+        call = pair_distances(agent_polygon(planar_directions(8), [], np.zeros((0, 8))))
+        assert call.dtype == np.float64 and call.shape == (0,)
+        assert not call.flags.writeable
+
     def test_caller_edit_of_directions_reaches_nothing(self):
         """An in-place edit of the caller's writable directions after the
         call leaves the polygons' directions, their table and every distance

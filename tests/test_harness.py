@@ -604,14 +604,17 @@ class TestCli:
         ("dmd-export", ["--at", "60"], "K.csv", False),
         ("reachset-dump", ["--at", "60"], "polygons.svg", False),
         ("recover-laplacian", [], "trace.csv", False),
+        # the second streamed table
+        ("simulate", ["--mode", "nominal"], "errors.csv", False),
         # an --out that names a file fails at each command's first artifact
         ("simulate", ["--mode", "nominal"], "trajectories.csv", True),
         ("dmd-export", ["--at", "60"], "X.csv", True),
         ("reachset-dump", ["--at", "60"], "polygons.csv", True),
         ("recover-laplacian", [], "L_hat.csv", True),
     ], ids=["simulate", "dmd-export", "reachset-dump", "recover-laplacian",
-            "simulate, out is a file", "dmd-export, out is a file",
-            "reachset-dump, out is a file", "recover-laplacian, out is a file"])
+            "simulate, streamed table", "simulate, out is a file",
+            "dmd-export, out is a file", "reachset-dump, out is a file",
+            "recover-laplacian, out is a file"])
     def test_write_failure_is_named(self, tmp_path, capsys, command, args, artifact,
                                     out_is_file):
         out = tmp_path / "out"

@@ -12,8 +12,9 @@ given more than once; the workloads run one after another.
 The end-to-end metrics, which way each is better and the bound by which
 each may worsen are read from the change checkout's `BENCHMARK.json`.
 
-Prints the per-pair `run_s` values, then one Markdown table row per
-workload: for each end-to-end metric, the parent's median [quartiles] ->
+Prints each pair's parent -> change value of every end-to-end metric, so a
+claim on any of them can be checked pair by pair. Then one Markdown table row
+per workload: for each end-to-end metric, the parent's median [quartiles] ->
 the change's median, the relative change of the medians, and the pairs the
 change wins (ties count for neither); then the failed experiments of the
 parent and of the change. A second table gives two verdicts per workload
@@ -96,9 +97,9 @@ def ab(parent_dir, change_dir, workload, pairs, seconds, first_seed, metrics):
             failed[side] += result["failed"]
             for m in metrics:
                 values[side][m].append(result["metrics"][m]["value"])
-        print(f"{workload} pair {i} seed {seed}: run_s "
-              f"{_fmt(values['parent']['run_s'][-1])} → "
-              f"{_fmt(values['change']['run_s'][-1])}", flush=True)
+        pair = ", ".join(f"{m} {_fmt(values['parent'][m][-1])} → "
+                         f"{_fmt(values['change'][m][-1])}" for m in metrics)
+        print(f"{workload} pair {i} seed {seed}: {pair}", flush=True)
     return values, failed
 
 
