@@ -110,6 +110,27 @@ class TestEmitBytes:
         assert sorted(os.listdir(tmp_path / "emit")) == sorted(
             emit_oracle.FILES + ("attack.csv",))
 
+    @pytest.mark.parametrize("special_frac", [0.02, 0.3])
+    def test_wide_record(self, tmp_path, special_frac):
+        # the property draws at most 6 agents; the benchmark's wide workload
+        # has 10, so errors.csv and errors.svg carry 45 pair columns
+        record = record_of(10, 30, 0.1, 10, special_frac)
+        assert record.pair_errors.shape == (31, 45)
+        assert assert_same_files(record, tmp_path) is None
+
+    def test_emit_keeps_nothing_alive(self, tmp_path):
+        """Once a first emit has warmed the caches, an emit of a 500-step run
+        leaves under 16 KB allocated: no row piece or series outlives it."""
+        record = harness.run(build_scenario(horizon_steps=500), "nominal")
+        harness.emit(record, tmp_path / "warm-up")
+        tracemalloc.start()
+        try:
+            harness.emit(record, tmp_path / "emit")
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 16 * 1024, kept
+
     def test_one_agent_has_an_empty_pair_table(self, tmp_path):
         record = record_of(1, 3, 0.1, 0, 0.0)
         assert assert_same_files(record, tmp_path) is None

@@ -62,12 +62,18 @@ def end_to_end(tree):
         return {m["name"]: m for m in json.load(fh)["end_to_end"]}
 
 
+def quartiles(values):
+    """(first quartile, median, third quartile) of `values`."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
 def summary(metric, parent, change):
     """One table cell (parent median [quartiles] -> change median, the change
     of the medians and the change's wins) and the (gain, bound) verdicts."""
-    mp, mc = statistics.median(parent), statistics.median(change)
-    q1, _, q3 = (statistics.quantiles(parent, n=4, method="inclusive")
-                 if len(parent) > 1 else (mp, mp, mp))
+    q1, mp, q3 = quartiles(parent)
+    mc = statistics.median(change)
     sign = 1.0 if metric["better"] == "lower" else -1.0
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     delta = f"{(mc - mp) / mp * 100:+.1f}%".replace("-", "−") if mp else "n/a"
