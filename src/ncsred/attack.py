@@ -95,26 +95,25 @@ def select_targets(polygons):
     return int(ii[best]), int(jj[best])
 
 
-def agent_reach_polygon(model_K, B, x0, omega,
+def agent_reach_polygon(K, B, x0, omega,
                         n_directions=AttackConfig.n_directions,
                         horizon=AttackConfig.horizon) -> tuple[AgentPolygon, ...]:
-    """Position polygons of every agent's h-step reach set from the current
-    state: one `agent_polygon` batch, a polygon per agent in agent order.
+    """Position polygons of every agent's reach set `horizon` steps of K from
+    x0: one `agent_polygon` batch, a polygon per agent in agent order.
 
     Each agent's injection channel is its own actuator block; support queries
     use fixed uniformly spaced planar directions, and all agents' queries run
     in one batched `batch_reach_supports` call, each agent's rows bit-identical
     to its own call. Supports that overflow raise `DegenerateGeometryError`.
     """
-    n_agents = model_K.shape[0] // 4
+    n_agents = K.shape[0] // 4
     key = (np.asarray(B, float).tobytes(), np.shape(B), n_agents, n_directions)
     dirs, Bsel, lifts, agents = _reach_operands(*key)
     vkey = np.ascontiguousarray(omega.vertices, float).tobytes()
     last = _omega_operands(*key, vkey)[0]
     # overflow is reported by the check below, not by numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        sup, _ = batch_reach_supports([model_K] * horizon, Bsel, x0, omega,
-                                      lifts, last)
+        sup, _ = batch_reach_supports(K, horizon, Bsel, x0, omega, lifts, last)
     if not np.isfinite(sup).all():
         raise DegenerateGeometryError("reach supports are not finite")
     return agent_polygon(dirs, agents, sup)
@@ -147,10 +146,10 @@ def _omega_operands(bkey, bshape, n_agents, n_directions, vkey):
                    np.vstack([np.tile(V, (len(V), 1)), np.zeros(2)]))
 
 
-def synthesize_fdi(targets, model, omega: InputPolytope, state, B,
+def synthesize_fdi(targets, K, omega: InputPolytope, state, B,
                    polygons) -> AttackDecision:
     """Choose the vertex-pair injection that drives the targets' next-step
-    reach polygons farthest apart.
+    reach polygons under the identified one-step operator K farthest apart.
 
     Candidates are all vertex pairs (one vertex per targeted agent) plus the
     zero injection, so the chosen injection never scores below inaction under
@@ -169,12 +168,11 @@ def synthesize_fdi(targets, model, omega: InputPolytope, state, B,
     i, j = targets
     if i == j:
         raise InvalidInputError("targets must be distinct")
-    K = model.K
     n = K.shape[0]
     n_agents = n // 4
     x = np.asarray(state, float)
     if x.shape != (n,):
-        raise InvalidInputError("state length does not match model")
+        raise InvalidInputError("state length does not match K")
 
     sep_before = polygon_distance(polygons[i], polygons[j])
     m = len(polygons[i].directions)
@@ -221,15 +219,14 @@ class DosPlan:
     edge: Tuple[int, int]
 
 
-def plan_dos(model, recovery) -> Optional[DosPlan]:
-    """Pick the DoS victim from the recovered Laplacian's Fiedler vector.
+def plan_dos(recovery) -> Optional[DosPlan]:
+    """Pick the DoS victim from the Fiedler vector of `recovery.model.L`.
 
     The node is the non-leader agent (agent 0 leads, as in `ncs`) with the
     largest-magnitude Fiedler component (ties go to the largest index); the
     edge is the node's incident recovered link whose removal minimizes the
-    recovered graph's algebraic connectivity. Returns None when the recovered graph is already
-    disconnected. `model` is accepted for interface symmetry with the rest of
-    the attack pipeline; the plan depends only on the recovery.
+    recovered graph's algebraic connectivity. Returns None when the recovered
+    graph is already disconnected.
     """
     g = recovered_graph(recovery.model.L)
     if not is_connected(g):

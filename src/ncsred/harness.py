@@ -177,7 +177,7 @@ def run(scenario: Scenario, mode: str) -> RunRecord:
             except DegenerateGeometryError as exc:
                 raise DegenerateGeometryError(f"step {k}: {exc}") from exc
             targets = select_targets(polygons)
-            decision = synthesize_fdi(targets, model, omega, x, B, polygons)
+            decision = synthesize_fdi(targets, model.K, omega, x, B, polygons)
             decisions[k] = decision
             u_a = decision.u_a
 
@@ -212,7 +212,7 @@ def _execute_dos(scenario: Scenario, buffer, active_graph: Graph, k):
     model = dmd.fit(buffer, svd_tol=cfg.recovery_svd_tol)
     recovery = laprec.recover(model.K,
                               seed=scenario.rng_seed + RECOVERY_SEED_OFFSET)
-    plan = plan_dos(model, recovery)
+    plan = plan_dos(recovery)
     if plan is None:
         return active_graph, DosEvent(k=k, planned_node=None, planned_edge=None,
                                       note="recovered graph already disconnected")

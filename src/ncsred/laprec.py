@@ -156,10 +156,11 @@ def schur_block(R, gamma):
 def recover(K, threshold=1e-6, max_iters=100, seed=0) -> RecoveryResult:
     """Alternate L/S/T updates until the certificate stops improving.
 
-    One iteration is a full (L, S, T) sweep. The L update tries both sign
-    branches (flipping T along with L) because the cone projection annihilates
-    negated Laplacians; the better branch is kept. The best iterate by gamma
-    is returned; `converged` is False when max_iters sweeps pass without the
+    One iteration is a full (L, S, T) sweep from T, whose identity-scaled
+    start is the only draw from `seed`. The L update tries both sign branches
+    (flipping T along with L) because the cone projection annihilates negated
+    Laplacians; the better branch is kept. The best iterate by gamma is
+    returned; `converged` is False when max_iters sweeps pass without the
     improvement dropping below `threshold`.
     """
     K = np.asarray(K, float)
@@ -172,13 +173,10 @@ def recover(K, threshold=1e-6, max_iters=100, seed=0) -> RecoveryResult:
         raise InvalidInputError(f"max_iters must be >= 1, got {max_iters}")
     if seed is not None and seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
-    n_agents = K.shape[0] // BLOCK
     rng = np.random.default_rng(seed)
 
-    # S needs no explicit start: each sweep rebuilds it from the diagonal
-    # blocks, beginning from the random identity-scaled T
+    # L and S need no start: each sweep fits L to T first, from this random T
     T = np.eye(BLOCK) * abs(rng.normal(loc=1.0))
-    L = project_laplacian_cone(rng.normal(size=(n_agents, n_agents)))
     regularized = False
 
     best_gamma = np.inf

@@ -97,22 +97,23 @@ def embed_input_map(B, agent, n_agents):
     return out
 
 
-def reach_support(K_seq, Bsel, x0, omega: InputPolytope, final_dir):
+def reach_support(K, h, Bsel, x0, omega: InputPolytope, final_dir):
     """Support value and support point of the h-step reach set along the unit
     vector final_dir; the one-row case of `batch_reach_supports`."""
     d = np.asarray(final_dir, float)
     if abs(np.linalg.norm(d) - 1.0) > 1e-6:
         raise InvalidInputError("final_dir must be a unit vector")
-    gammas, points = batch_reach_supports(K_seq, Bsel, x0, omega, d[None])
+    gammas, points = batch_reach_supports(K, h, Bsel, x0, omega, d[None])
     return float(gammas[0]), points[0]
 
 
-def batch_reach_supports(K_seq, Bsel, x0, omega: InputPolytope, final_dirs,
+def batch_reach_supports(K, h, Bsel, x0, omega: InputPolytope, final_dirs,
                          last_input=None):
     """Exact support values and points (gammas, points) of the h-step reach
-    set from {x0} along each unit row of final_dirs: costates run back from
-    the rows, then the points roll forward on the costate-maximizing vertices.
-    The rows are not checked for unit norm (`reach_support` checks its one).
+    set of x -> K x + Bsel u, u in omega, from {x0} along each unit row of
+    final_dirs: the costates F K^j run back from the rows, then the points
+    roll forward on the costate-maximizing vertices. The rows are not checked
+    for unit norm (`reach_support` checks its one).
 
     `Bsel` (n, 2) and `final_dirs` (m, n) may carry a leading agent axis,
     (A, n, 2) and (A, m, n); gammas are then (A, m) and points (A, m, n).
@@ -126,10 +127,9 @@ def batch_reach_supports(K_seq, Bsel, x0, omega: InputPolytope, final_dirs,
     `input_term(final_dirs @ Bsel, omega.vertices, Bsel)`,
     kept by a caller that queries the same directions at every step.
     """
-    K_seq = [np.asarray(K, float) for K in K_seq]
-    h = len(K_seq)
     if h < 1:
         raise InvalidInputError("horizon must be >= 1")
+    K = np.asarray(K, float)
     F = np.asarray(final_dirs, float)
     Bsel = np.asarray(Bsel, float)
     x0 = np.asarray(x0, float)
@@ -138,23 +138,20 @@ def batch_reach_supports(K_seq, Bsel, x0, omega: InputPolytope, final_dirs,
         raise InvalidInputError("final_dir length does not match state")
     if Bsel.shape[-2] != n:
         raise InvalidInputError("Bsel rows do not match state dimension")
-    if any(K.shape != (n, n) for K in K_seq):
+    if K.shape != (n, n):
         raise InvalidInputError("one-step matrix shape mismatch")
-    # costates lam_k, from lam_h = F back, enter only as the input terms of
-    # their input-channel projections lam_k @ Bsel
-    terms = [None] * (h - 1) + [last_input]
+    # the costates F K^j enter only as the input terms of their input-channel
+    # projections; term j moves the points at step h - j
     lam = F
-    for k in range(h - 1, -1, -1):
-        if terms[k] is None:
-            terms[k] = input_term(lam @ Bsel, omega.vertices, Bsel)
-        if k:
-            lam = lam @ K_seq[k]
+    terms = [input_term(F @ Bsel, omega.vertices, Bsel)
+             if last_input is None else last_input]
+    for _ in range(h - 1):
+        lam = lam @ K
+        terms.append(input_term(lam @ Bsel, omega.vertices, Bsel))
     X = np.empty(F.shape[-2:])
     X[...] = x0
-    X = X @ K_seq[0].T + terms[0]
-    for k in range(1, h):
-        X = X @ K_seq[k].T
-        X += terms[k]
+    for term in reversed(terms):
+        X = X @ K.T + term
     return np.einsum("...ij,...ij->...i", F, X), X
 
 

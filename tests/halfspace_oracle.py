@@ -12,6 +12,7 @@ them.
 import numpy as np
 
 from ncsred.errors import DegenerateGeometryError
+from ncsred.reachset import planar_directions
 
 FEAS_TOL = 1e-9
 
@@ -53,3 +54,17 @@ def halfspace_polygon(directions, supports):
     centroid = P.mean(axis=0)
     order = np.argsort(np.arctan2(P[:, 1] - centroid[1], P[:, 0] - centroid[0]))
     return P[order]
+
+
+def random_directions(rng, parallel=True):
+    """Direction sets to compare `agent_polygon` with the oracle on: a uniform
+    fan, or random unit normals that may fail to span the plane; with
+    parallel, about half the random sets add (nearly) parallel face pairs: a
+    repeated normal, a negated one, and normals turned by less than ANGLE_TOL."""
+    if rng.random() < 0.4:
+        return planar_directions(int(rng.integers(3, 25)))
+    ang = rng.uniform(-np.pi, np.pi, size=int(rng.integers(3, 20)))
+    if parallel and rng.random() < 0.5:
+        ang = np.concatenate([ang, ang[:2], ang[:1] + np.pi,
+                              ang[:2] + rng.uniform(1e-14, 5e-13, size=2)])
+    return np.column_stack([np.cos(ang), np.sin(ang)])

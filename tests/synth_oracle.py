@@ -14,9 +14,8 @@ from ncsred.reachset import (agent_polygon, embed_input_map, pair_distances,
                              polygon_distance)
 
 
-def synthesize_fdi(targets, model, omega, state, B, polygons):
+def synthesize_fdi(targets, K, omega, state, B, polygons):
     i, j = targets
-    K = model.K
     n_agents = K.shape[0] // 4
     x = np.asarray(state, float)
     next_polys = agent_reach_polygon(K, B, K @ x, omega, len(polygons[i].directions))

@@ -114,7 +114,7 @@ def test_criterion_3_reachability_soundness():
         gammas = np.empty(8)
         points = np.empty((8, dim))
         for i in range(8):
-            gammas[i], points[i] = reach_support([K] * h, B, x0, omega, lifts[i])
+            gammas[i], points[i] = reach_support(K, h, B, x0, omega, lifts[i])
         attain = np.abs(np.einsum("ij,ij->i", lifts, points) - gammas).max()
         worst_attain = max(worst_attain, attain)
         ok &= attain <= 1e-9
@@ -259,7 +259,7 @@ def test_criterion_7_dos_targeting():
     recovery = RecoveryResult(
         model=KroneckerModel(S=np.zeros((20, 20)), T=np.eye(4), L=L0),
         gamma=0.0, frobenius_residual=0.0, iterations=1, trace=[0.0])
-    plan = plan_dos(None, recovery)
+    plan = plan_dos(recovery)
     g2 = remove_edge(Graph(5, FIG_EDGES), *plan.edge)
     lam2, _ = algebraic_connectivity(g2)
     ok = plan.node == 4 and plan.edge == (2, 4) and lam2 <= 1e-12

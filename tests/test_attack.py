@@ -3,7 +3,6 @@ import pytest
 
 from ncsred.attack import (AttackConfig, agent_reach_polygon, plan_dos,
                            recovered_graph, select_targets, synthesize_fdi)
-from ncsred.dmd import DmdModel
 from ncsred.errors import InvalidInputError
 from ncsred.graph import Graph, laplacian
 from ncsred.harness import OMEGA_SEED_OFFSET
@@ -81,11 +80,10 @@ class TestSynthesizeFdi:
     def test_zero_input_map_ties_to_first_vertex_pair(self):
         rng = np.random.default_rng(1)
         K = 0.9 * np.linalg.qr(rng.normal(size=(8, 8)))[0]
-        model = DmdModel(K=K, residual=0.0, rank_used=8)
         omega = circumscribe_ball(0.05, 8, seed=4)
         x = rng.normal(size=8)
         B0 = np.zeros((4, 2))
-        d = synthesize_fdi((0, 1), model, omega, x, B0,
+        d = synthesize_fdi((0, 1), K, omega, x, B0,
                            current_polygons(K, B0, x, omega, 8))
         assert np.allclose(d.u_a[0:2], omega.vertices[0], atol=0)
         assert np.allclose(d.u_a[2:4], omega.vertices[0], atol=0)
@@ -96,12 +94,11 @@ class TestSynthesizeFdi:
     def test_decoupled_integrators_push_apart(self):
         # two decoupled single integrators along x; agents already separated
         K = np.eye(8)
-        model = DmdModel(K=K, residual=0.0, rank_used=8)
         omega = circumscribe_ball(0.1, 4, seed=None)  # axis-aligned square
         B = AgentModel(0.2).B
         x = np.zeros(8)
         x[0], x[4] = -1.0, 1.0  # agent 0 left, agent 1 right
-        d = synthesize_fdi((0, 1), model, omega, x, B,
+        d = synthesize_fdi((0, 1), K, omega, x, B,
                            current_polygons(K, B, x, omega, 8))
         u0, u1 = d.u_a[0:2], d.u_a[2:4]
         # hand enumeration: maximal separation pushes agent 0 further left,
@@ -113,11 +110,10 @@ class TestSynthesizeFdi:
     def test_budget_and_membership(self):
         rng = np.random.default_rng(5)
         K = 0.95 * np.linalg.qr(rng.normal(size=(20, 20)))[0]
-        model = DmdModel(K=K, residual=0.0, rank_used=20)
         omega = circumscribe_ball(0.05, 8, seed=9)
         B = AgentModel(0.2).B
         x = rng.normal(scale=3, size=20)
-        d = synthesize_fdi((1, 4), model, omega, x, B,
+        d = synthesize_fdi((1, 4), K, omega, x, B,
                            current_polygons(K, B, x, omega))
         for a in range(5):
             ua = d.u_a[2 * a:2 * a + 2]
@@ -132,11 +128,10 @@ class TestSynthesizeFdi:
         for trial in range(5):
             K = rng.normal(size=(8, 8))
             K *= 0.9 / np.abs(np.linalg.eigvals(K)).max()
-            model = DmdModel(K=K, residual=0.0, rank_used=8)
             omega = circumscribe_ball(0.2, 6, seed=trial)
             B = AgentModel(0.2).B
             x = rng.normal(size=8)
-            d = synthesize_fdi((0, 1), model, omega, x, B,
+            d = synthesize_fdi((0, 1), K, omega, x, B,
                                current_polygons(K, B, x, omega, 8))
             p0, p1 = agent_reach_polygon(K, B, K @ x, omega, 8)
             zero_score = polygon_distance(p0, p1)
@@ -145,25 +140,24 @@ class TestSynthesizeFdi:
     def test_deterministic(self):
         rng = np.random.default_rng(8)
         K = 0.9 * np.linalg.qr(rng.normal(size=(8, 8)))[0]
-        model = DmdModel(K=K, residual=0.0, rank_used=8)
         omega = circumscribe_ball(0.05, 8, seed=2)
         B = AgentModel(0.2).B
         x = rng.normal(size=8)
         polys = current_polygons(K, B, x, omega)
-        a = synthesize_fdi((0, 1), model, omega, x, B, polys)
-        b = synthesize_fdi((0, 1), model, omega, x, B, polys)
+        a = synthesize_fdi((0, 1), K, omega, x, B, polys)
+        b = synthesize_fdi((0, 1), K, omega, x, B, polys)
         assert np.array_equal(a.u_a, b.u_a)
         assert a.separation_after == b.separation_after
 
     def test_overlapping_targets_score_zero_and_take_first_vertex_pair(self):
         # decoupled agents at one position: for any (ui, uj) both translated
         # polygons hold c + B(ui + uj), so every candidate scores 0
-        model = DmdModel(K=np.eye(8), residual=0.0, rank_used=8)
+        K = np.eye(8)
         omega = circumscribe_ball(0.1, 8, seed=3)
         B = AgentModel(0.2).B
         x = np.array([1.0, 0.5, -2.0, 0.3, 1.0, -0.4, -2.0, 0.1])
-        d = synthesize_fdi((0, 1), model, omega, x, B,
-                           current_polygons(model.K, B, x, omega, 8))
+        d = synthesize_fdi((0, 1), K, omega, x, B,
+                           current_polygons(K, B, x, omega, 8))
         assert d.separation_before == 0.0
         assert d.separation_after == 0.0
         assert np.array_equal(d.u_a[0:2], omega.vertices[0])
@@ -177,12 +171,11 @@ class TestSynthesizeFdi:
             n = 4 * n_agents
             K = rng.normal(size=(n, n))
             K *= rng.uniform(0.5, 1.0) / np.abs(np.linalg.eigvals(K)).max()
-            model = DmdModel(K=K, residual=0.0, rank_used=n)
             omega = circumscribe_ball(rng.uniform(0.02, 0.5), int(rng.integers(3, 9)),
                                       seed=trial)
             x = rng.normal(scale=3.0, size=n)
             i, j = map(int, rng.choice(n_agents, size=2, replace=False))
-            got = synthesize_fdi((i, j), model, omega, x, B,
+            got = synthesize_fdi((i, j), K, omega, x, B,
                                  current_polygons(K, B, x, omega))
 
             next_polys = current_polygons(K, B, K @ x, omega)
@@ -205,10 +198,9 @@ class TestSynthesizeFdi:
             assert got.separation_after == pytest.approx(best_score, abs=1e-9)
 
     def test_rejects_equal_targets(self):
-        model = DmdModel(K=np.eye(8), residual=0.0, rank_used=8)
         omega = circumscribe_ball(0.05, 4)
         with pytest.raises(InvalidInputError):
-            synthesize_fdi((1, 1), model, omega, np.zeros(8),
+            synthesize_fdi((1, 1), np.eye(8), omega, np.zeros(8),
                            AgentModel(0.2).B, [])
 
 
@@ -233,26 +225,26 @@ class TestRecoveredGraph:
 class TestPlanDos:
     def test_exact_formation_laplacian(self):
         L = laplacian(Graph(5, frozenset(FIG_EDGES)))
-        plan = plan_dos(None, recovery_from_laplacian(L))
+        plan = plan_dos(recovery_from_laplacian(L))
         assert plan.node == 4
         assert plan.edge == (2, 4)
 
     def test_star_graph_targets_a_leaf(self):
         g = Graph(5, frozenset({(0, 1), (0, 2), (0, 3), (0, 4)}))
-        plan = plan_dos(None, recovery_from_laplacian(laplacian(g)))
+        plan = plan_dos(recovery_from_laplacian(laplacian(g)))
         assert plan.node in {1, 2, 3, 4}
         assert 0 in plan.edge and plan.node in plan.edge
 
     def test_path_three_skips_middle(self):
         g = Graph(3, frozenset({(0, 1), (1, 2)}))
         # Fiedler vector of the 3-path is (1, 0, -1)/sqrt(2): ends dominate
-        plan = plan_dos(None, recovery_from_laplacian(laplacian(g)))
+        plan = plan_dos(recovery_from_laplacian(laplacian(g)))
         assert plan.node == 2  # tie between the two ends goes to the larger index
         assert plan.edge == (1, 2)
 
     def test_disconnected_recovery_reports_noop(self):
         g = Graph(4, frozenset({(0, 1), (2, 3)}))
-        assert plan_dos(None, recovery_from_laplacian(laplacian(g))) is None
+        assert plan_dos(recovery_from_laplacian(laplacian(g))) is None
 
 
 class TestAttackConfig:

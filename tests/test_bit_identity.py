@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import laprec_oracle
 import plant_oracle
-from halfspace_oracle import halfspace_polygon as oracle_polygon
+from halfspace_oracle import halfspace_polygon as oracle_polygon, random_directions
 from scenario_helpers import offset_difference, slot
 from segment_oracle import segment_distance
 
@@ -64,23 +64,9 @@ def _outcome(fn, *args):
         return str(exc)
 
 
-def _random_directions(rng, parallel=True):
-    """A uniform fan, or random unit normals that may fail to span the plane;
-    with parallel, about half the random sets add (nearly) parallel face
-    pairs: a repeated normal, a negated one, and normals turned by less than
-    ANGLE_TOL."""
-    if rng.random() < 0.4:
-        return planar_directions(int(rng.integers(3, 25)))
-    ang = rng.uniform(-np.pi, np.pi, size=int(rng.integers(3, 20)))
-    if parallel and rng.random() < 0.5:
-        ang = np.concatenate([ang, ang[:2], ang[:1] + np.pi,
-                              ang[:2] + rng.uniform(1e-14, 5e-13, size=2)])
-    return np.column_stack([np.cos(ang), np.sin(ang)])
-
-
 def _half_planes(kind, seed, parallel=True):
     rng = np.random.default_rng(seed)
-    D = _random_directions(rng, parallel)
+    D = random_directions(rng, parallel)
     return D, _supports(kind, D, rng)
 
 
@@ -182,7 +168,7 @@ class TestHalfspacePolygon:
         such row. By the oracle, such a row is empty or has a face at least
         1e-6 short of tight; every other row is tight within 1e-9."""
         rng = np.random.default_rng(seed)
-        D = _random_directions(rng, parallel=False)
+        D = random_directions(rng, parallel=False)
         G = np.array([_supports(kind, D, rng) for kind in kinds])
         want = [_outcome(oracle_polygon, D, g) for g in G]
         got = _outcome(halfspace_polygon, D, G)
@@ -278,7 +264,7 @@ class TestAdjacentFacePass:
         raises what the first such row raises, under its batch row number."""
         rng = np.random.default_rng(seed)
         D = (planar_directions(int(rng.integers(3, 25))) if uniform
-             else _random_directions(rng))
+             else random_directions(rng))
         G = np.array([_supports(kind, D, rng) for kind in kinds])
         want = [_outcome(agent_polygon, D, a, g) for a, g in enumerate(G)]
         got = _outcome(agent_polygon, D, range(len(G)), G)
@@ -397,7 +383,7 @@ class TestBatchedReachPolygons:
             lifts = np.zeros((m, n))
             lifts[:, 4 * a] = dirs[:, 0]
             lifts[:, 4 * a + 2] = dirs[:, 1]
-            sup, _ = batch_reach_supports([K] * h, embed_input_map(B, a, n_agents),
+            sup, _ = batch_reach_supports(K, h, embed_input_map(B, a, n_agents),
                                           x0, omega, lifts)
             want = agent_polygon(dirs, a, sup)
             assert np.array_equal(poly.supports, want.supports)
@@ -408,27 +394,6 @@ class TestDirectionFan:
     """Pairs are scored on the fan of every polygon's normals and their
     negatives, merged within ANGLE_TOL, on which every edge normal of the
     pairs' Minkowski differences lies."""
-
-    @PROPERTY
-    @given(seed=seeds, n_polygons=st.integers(min_value=2, max_value=6))
-    def test_matches_uncached_fan(self, seed, n_polygons):
-        """Polygons on one or two random direction sets, with repeated,
-        negated and nearly parallel normals, score each pair at the segment
-        oracle's distance."""
-        rng = np.random.default_rng(seed)
-        sets = []
-        while len(sets) < rng.integers(1, 3):
-            D = _random_directions(rng)
-            if not isinstance(_outcome(agent_polygon, D, 0, np.ones(len(D))), str):
-                sets.append(D)
-        polys = []
-        for a in range(n_polygons):
-            D = sets[int(rng.integers(len(sets)))]
-            polys.append(agent_polygon(D, a, _supports("support", D, rng)))
-        ii, jj = pair_indices(n_polygons)
-        want = [segment_distance(polys[i].vertices, polys[j].vertices)
-                for i, j in zip(ii, jj)]
-        assert np.allclose(pair_distances(polys), want, rtol=0.0, atol=1e-9)
 
     def test_cached_directions_are_not_shared_state(self):
         """An in-place edit of the caller's directions after the call leaves
@@ -444,32 +409,6 @@ class TestDirectionFan:
         assert polygon_distance(P, Q) == first
         fresh = agent_polygon(planar_directions(8), 0, np.ones(8))
         assert polygon_distance(fresh, Q) == first
-
-
-class TestPaddedExtremeVertices:
-    """`pair_distances` and `polygon_distance` on polygons with differing
-    vertex counts and direction sets."""
-
-    @PROPERTY
-    @given(seed=seeds, n_polygons=st.integers(min_value=2, max_value=10))
-    def test_matches_per_polygon_pass(self, seed, n_polygons):
-        """Points and clouds on two uniform fans: the list's scores, on the
-        fan of both sets, are each pair's `polygon_distance`, on the pair's
-        own fan, within 1e-12, and the segment oracle's within 1e-9."""
-        rng = np.random.default_rng(seed)
-        sets = [planar_directions(int(rng.integers(3, 20))) for _ in range(2)]
-        polys = []
-        for a in range(n_polygons):
-            D = sets[int(rng.integers(2))]
-            pts = rng.normal(scale=10.0, size=2) + rng.normal(
-                scale=rng.choice([0.0, 1.0]), size=(int(rng.integers(1, 6)), 2))
-            polys.append(agent_polygon(D, a, (pts @ D.T).max(axis=0)))
-        got = pair_distances(polys)
-        pairs = list(zip(*pair_indices(n_polygons)))
-        assert np.allclose(got, [polygon_distance(polys[i], polys[j]) for i, j in pairs],
-                           rtol=0.0, atol=1e-12)
-        assert np.allclose(got, [segment_distance(polys[i].vertices, polys[j].vertices)
-                                 for i, j in pairs], rtol=0.0, atol=1e-9)
 
 
 def _plant_scenario(rng, n):

@@ -21,11 +21,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from halfspace_oracle import random_directions
 from segment_oracle import segment_distance
 
 from ncsred import attack, harness
 from ncsred.attack import AttackConfig, agent_reach_polygon, synthesize_fdi
-from ncsred.dmd import DEFAULT_SVD_TOL, DmdModel, SnapshotBuffer, fit
+from ncsred.dmd import DEFAULT_SVD_TOL, SnapshotBuffer, fit
+from ncsred.errors import DegenerateGeometryError
 from ncsred.graph import Graph
 from ncsred.harness import run
 from ncsred.reachset import (AgentPolygon, agent_polygon, circumscribe_ball,
@@ -121,6 +123,21 @@ def _fan_directions(rng, m, phase):
     return np.column_stack([np.cos(ang), np.sin(ang)])
 
 
+def _direction_set(rng):
+    """A jittered fan (`_fan_directions`) or, as often, a `random_directions`
+    set that spans the plane: a uniform fan of 3-24, or random normals, half
+    of them with repeated, negated and nearly parallel normals."""
+    if rng.random() < 0.5:
+        return _fan_directions(rng, int(rng.integers(3, 25)), rng.uniform(0, 7))
+    while True:
+        D = random_directions(rng)
+        try:
+            agent_polygon(D, 0, np.ones(len(D)))
+        except DegenerateGeometryError:
+            continue
+        return D
+
+
 def _supports(rng, D):
     """Exact supports on D of a random point cloud: a point, a sliver or a
     spread polygon about 10 from the origin."""
@@ -135,15 +152,15 @@ class TestCrossCallExtremes:
     @given(seed=seeds, n=st.integers(min_value=2, max_value=6),
            tilt=st.sampled_from([1e-14, 1e-11, 1e-8, 1e-4, 0.3]))
     def test_read_no_vertices_and_match_the_oracle(self, seed, n, tilt):
-        """Polygons of calls on different direction sets, among them one set
-        turned by `tilt` from another (down to nearly parallel normals, merged
-        within ANGLE_TOL), a list copy and a reversal of one call, and
-        reversed pairs are scored from the adjacent-face pass's extremes: no
-        vertex ring is read, and each distance is the segment oracle's within
-        1e-9 * scale."""
+        """Polygons of calls on different direction sets (`_direction_set`),
+        among them one set turned by `tilt` from another (down to nearly
+        parallel normals, merged within ANGLE_TOL), a list copy and a reversal
+        of one call, and reversed pairs are scored from the adjacent-face
+        pass's extremes: no vertex ring is read, each table entry is the
+        pair's own `polygon_distance` within 1e-12, and each distance is the
+        segment oracle's within 1e-9 * scale."""
         rng = np.random.default_rng(seed)
-        dirs = [_fan_directions(rng, int(rng.integers(3, 25)), rng.uniform(0, 7))
-                for _ in range(n)]
+        dirs = [_direction_set(rng) for _ in range(n)]
         dirs[-1] = dirs[0] @ np.array([[np.cos(tilt), np.sin(tilt)],
                                        [-np.sin(tilt), np.cos(tilt)]])
         polys = [agent_polygon(D, a, _supports(rng, D)) for a, D in enumerate(dirs)]
@@ -155,8 +172,11 @@ class TestCrossCallExtremes:
         with vertices:
             got = [(pair_distances(P), [polygon_distance(P[j], P[i])
                                         for i, j in zip(ii, jj)]) for P in queries]
+            pairs = [[polygon_distance(P[i], P[j]) for i, j in zip(ii, jj)]
+                     for P in queries]
         assert reads == []
-        for P, (table, reversed_pairs) in zip(queries, got):
+        for P, (table, reversed_pairs), own in zip(queries, got, pairs):
+            assert np.allclose(table, own, rtol=0.0, atol=1e-12)
             want = [segment_distance(P[i].vertices, P[j].vertices)
                     for i, j in zip(ii, jj)]
             scale = max(1.0, max(np.abs(p.vertices).max() for p in P))
@@ -212,9 +232,9 @@ class TestPairTable:
         path.write_text(scenario_text(WORKLOADS[workload], seed))
         steps = []
 
-        def keep(targets, model, omega, x, B, polygons):
+        def keep(targets, K, omega, x, B, polygons):
             steps.append((targets, polygons))
-            return synthesize_fdi(targets, model, omega, x, B, polygons)
+            return synthesize_fdi(targets, K, omega, x, B, polygons)
 
         reads, vertices = _count_vertex_reads()
         with mock.patch.object(harness, "synthesize_fdi", side_effect=keep), \
@@ -367,12 +387,11 @@ def test_attacked_step_frees_its_polygons_without_the_collector():
     the cyclic garbage collector off."""
     n_agents, K, B, omega = _random_problem(np.random.default_rng(3))
     x = np.random.default_rng(4).normal(size=4 * n_agents)
-    model = DmdModel(K=K, residual=0.0, rank_used=4 * n_agents)
     gc.disable()
     try:
         polys = agent_reach_polygon(K, B, x, omega, 16, 2)
         targets = attack.select_targets(polys)
-        synthesize_fdi(targets, model, omega, x, B, polys)
+        synthesize_fdi(targets, K, omega, x, B, polys)
         polys[0].vertices
         refs = [weakref.ref(p) for p in polys]
         del polys
@@ -395,13 +414,12 @@ class TestRunConstantTables:
         rng = np.random.default_rng(seed)
         n_agents, K, B, omega = _random_problem(rng)
         x = rng.normal(size=4 * n_agents)
-        model = DmdModel(K=K, residual=0.0, rank_used=len(K))
         m = int(rng.integers(3, 20))
         shifts = rng.normal(scale=0.5, size=(7, 2))
 
         def calls():
             polys = agent_reach_polygon(K, B, x, omega, m, 2)
-            d = synthesize_fdi((0, n_agents - 1), model, omega, x, B, polys)
+            d = synthesize_fdi((0, n_agents - 1), K, omega, x, B, polys)
             return polys, d, input_image_distances(omega, B[::2], m, shifts.copy())
 
         def record(polys, d, dist):

@@ -19,7 +19,6 @@ from segment_oracle import segment_distance
 
 from ncsred import attack, reachset
 from ncsred.attack import agent_reach_polygon, synthesize_fdi
-from ncsred.dmd import DmdModel
 from ncsred.errors import DegenerateGeometryError
 from ncsred.harness import run
 from ncsred.ncs import AgentModel
@@ -102,11 +101,10 @@ class TestAgainstOracle:
             B = AgentModel(0.2).B
         x = rng.normal(size=4 * n_agents)
         x *= rng.uniform(0.0, 10.0) / np.linalg.norm(x)
-        model = DmdModel(K=K, residual=0.0, rank_used=len(K))
         targets = tuple(map(int, rng.choice(n_agents, size=2, replace=False)))
         polys = agent_reach_polygon(K, B, x, omega, m)
-        got = synthesize_fdi(targets, model, omega, x, B, polys)
-        want = synth_oracle.synthesize_fdi(targets, model, omega, x, B, polys)
+        got = synthesize_fdi(targets, K, omega, x, B, polys)
+        want = synth_oracle.synthesize_fdi(targets, K, omega, x, B, polys)
         assert got.targets == want.targets
         assert got.u_a.tobytes() == want.u_a.tobytes()
         assert got.separation_before == want.separation_before
@@ -120,14 +118,13 @@ class TestLargeCoordinates:
         # image is about 2 mm across, below the polygon dedupe tolerance of
         # 1e-9 * 1.1e7 m, so the targets' own polygons collapse to points
         K = np.eye(8)
-        model = DmdModel(K=K, residual=0.0, rank_used=8)
         omega = circumscribe_ball(0.05, 8, seed=7)
         B = AgentModel(0.2).B
         x = np.zeros(8)
         x[0], x[2] = 1.1e7, 2.0
         x[4], x[6] = 1.1e7 + 0.003, 2.0
         polys = agent_reach_polygon(K, B, x, omega)
-        got = synthesize_fdi((0, 1), model, omega, x, B, polys)
+        got = synthesize_fdi((0, 1), K, omega, x, B, polys)
 
         Pi0, Pj0 = agent_reach_polygon(K, B, K @ x, omega)
         assert len(Pi0.vertices) == len(Pj0.vertices) == 1
@@ -149,7 +146,7 @@ class TestLargeCoordinates:
         assert np.array_equal(got.u_a[:2], cands[best][0])
         assert np.array_equal(got.u_a[2:], cands[best][1])
         # the collapsed polygons' score misses the shape by most of its size
-        old = synth_oracle.synthesize_fdi((0, 1), model, omega, x, B, polys)
+        old = synth_oracle.synthesize_fdi((0, 1), K, omega, x, B, polys)
         assert abs(old.separation_after - exact[best]) > 1e-4
 
     def test_scores_past_the_square_overflow(self, tmp_path):
@@ -201,16 +198,15 @@ class TestNoPerStepReachPass:
         rng = np.random.default_rng(11)
         n_agents, K, _, omega = _random_problem(rng, max_agents=5)
         B = AgentModel(0.2).B
-        model = DmdModel(K=K, residual=0.0, rank_used=len(K))
         x = rng.normal(size=len(K))
         polys = agent_reach_polygon(K, B, x, omega)
-        synthesize_fdi((0, 1), model, omega, x, B, polys)
+        synthesize_fdi((0, 1), K, omega, x, B, polys)
         with mock.patch.object(attack, "agent_reach_polygon",
                                wraps=attack.agent_reach_polygon) as reach, \
                 mock.patch.object(reachset, "agent_polygon",
                                   wraps=reachset.agent_polygon) as polygon:
             for _ in range(3):
                 x = K @ x
-                synthesize_fdi((0, 1), model, omega, x, B, polys)
+                synthesize_fdi((0, 1), K, omega, x, B, polys)
         assert reach.call_count == 0
         assert polygon.call_count == 0

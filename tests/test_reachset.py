@@ -98,7 +98,7 @@ class TestReachSupport:
         x0 = rng.normal(size=4)
         omega = circumscribe_ball(0.1, 4)
         d = np.array([1.0, 0, 0, 0])
-        gamma, xs = reach_support([K, K, K], np.zeros((4, 2)), x0, omega, d)
+        gamma, xs = reach_support(K, 3, np.zeros((4, 2)), x0, omega, d)
         want = K @ K @ K @ x0
         assert gamma == pytest.approx(want[0], abs=1e-12)
         assert np.allclose(xs, want, atol=1e-12)
@@ -113,7 +113,7 @@ class TestReachSupport:
         x0 = np.arange(8.0)
         d = np.zeros(4 * n_agents)
         d[0] = 1.0  # agent 0's x position
-        gamma, xs = reach_support([K], Bsel, x0, omega, d)
+        gamma, xs = reach_support(K, 1, Bsel, x0, omega, d)
         # position support = x position + rho * B position weight, corner input
         assert gamma == pytest.approx(x0[0] + 0.2 * 0.5, abs=1e-12)
 
@@ -135,7 +135,7 @@ class TestReachSupport:
             gammas = np.empty(8)
             points = np.empty((8, dim))
             for i in range(8):
-                gammas[i], points[i] = reach_support([K] * h, B, x0, omega, lifts[i])
+                gammas[i], points[i] = reach_support(K, h, B, x0, omega, lifts[i])
             # support points attain their support values
             att = np.einsum("ij,ij->i", lifts, points)
             assert np.abs(att - gammas).max() <= 1e-9
@@ -158,9 +158,9 @@ class TestReachSupport:
         lifts = np.zeros((6, 8))
         lifts[:, 4] = dirs[:, 0]
         lifts[:, 6] = dirs[:, 1]
-        g_b, p_b = batch_reach_supports([K, K], B, x0, omega, lifts)
+        g_b, p_b = batch_reach_supports(K, 2, B, x0, omega, lifts)
         for i in range(6):
-            g, p = reach_support([K, K], B, x0, omega, lifts[i])
+            g, p = reach_support(K, 2, B, x0, omega, lifts[i])
             assert g == pytest.approx(g_b[i], abs=1e-12)
             assert np.allclose(p, p_b[i], atol=1e-12)
 
@@ -172,16 +172,16 @@ class TestReachSupport:
         omega = circumscribe_ball(0.1, 5, seed=2)
         x0 = rng.normal(size=4)
         d = np.array([0.6, 0, 0.8, 0])
-        base, _ = reach_support([K] * 3, B, x0, omega, d)
+        base, _ = reach_support(K, 3, B, x0, omega, d)
         for alpha in [1.0, 1.5, 2.0, 5.0]:
             scaled = circumscribe_ball(0.1 * alpha, 5, seed=2)
-            g, _ = reach_support([K] * 3, B, x0, scaled, d)
+            g, _ = reach_support(K, 3, B, x0, scaled, d)
             assert g >= base - 1e-12
 
     def test_rejects_non_unit_direction(self):
         omega = circumscribe_ball(0.1, 4)
         with pytest.raises(InvalidInputError):
-            reach_support([np.eye(2)], np.zeros((2, 1)), np.zeros(2), omega,
+            reach_support(np.eye(2), 1, np.zeros((2, 1)), np.zeros(2), omega,
                           np.array([2.0, 0.0]))
 
     def test_batch_checks_agent_axis_inputs(self):
@@ -189,18 +189,16 @@ class TestReachSupport:
         K, B, x0 = np.eye(8), np.zeros((2, 8, 2)), np.zeros(8)
         lifts = np.zeros((2, 3, 8))
         lifts[:, :, 0] = 1.0
-        batch_reach_supports([K], B, x0, omega, lifts)
-        bad = lifts.copy()
-        bad[1, 2, 0] = 0.5
+        batch_reach_supports(K, 1, B, x0, omega, lifts)
         cases = [
-            ([K], B, x0, lifts[..., :6], "final_dir length"),
-            ([K], B[:, :6], x0, lifts, "Bsel rows"),
-            ([K, np.eye(6)], B, x0, lifts, "shape mismatch"),
-            ([], B, x0, lifts, "horizon"),
+            (K, 1, B, x0, lifts[..., :6], "final_dir length"),
+            (K, 1, B[:, :6], x0, lifts, "Bsel rows"),
+            (np.eye(6), 2, B, x0, lifts, "shape mismatch"),
+            (K, 0, B, x0, lifts, "horizon"),
         ]
-        for K_seq, Bsel, x, F, match in cases:
+        for K, h, Bsel, x, F, match in cases:
             with pytest.raises(InvalidInputError, match=match):
-                batch_reach_supports(K_seq, Bsel, x, omega, F)
+                batch_reach_supports(K, h, Bsel, x, omega, F)
 
 
 class TestAgentPolygon:
@@ -250,7 +248,7 @@ class TestAgentPolygon:
         lifts[:, 4], lifts[:, 6] = dirs[:, 0], dirs[:, 1]  # agent 1's position
         sup = np.empty(16)
         for i, d in enumerate(lifts):
-            sup[i], _ = reach_support([K], Bsel, x0, omega, d)
+            sup[i], _ = reach_support(K, 1, Bsel, x0, omega, d)
         poly = agent_polygon(dirs, 1, sup)
         U = sample_omega(omega, 5000, rng)
         ends = x0[None, :] @ K.T + U @ Bsel.T

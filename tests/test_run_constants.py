@@ -33,16 +33,14 @@ PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
-def _random_problem(rng, h):
+def _random_problem(rng):
     n_agents = int(rng.integers(1, 11))
     n = 4 * n_agents
-    K_seq = []
-    for _ in range(h):
-        K = rng.normal(size=(n, n))
-        K_seq.append(K * rng.uniform(0.1, 3.0) / np.linalg.norm(K, 2))
+    K = rng.normal(size=(n, n))
+    K *= rng.uniform(0.1, 3.0) / np.linalg.norm(K, 2)
     omega = circumscribe_ball(rng.uniform(0.01, 1.0), int(rng.integers(3, 10)),
                               seed=int(rng.integers(1000)))
-    return n_agents, K_seq, rng.normal(size=(4, 2)), omega, rng.normal(scale=10.0, size=n)
+    return n_agents, K, rng.normal(size=(4, 2)), omega, rng.normal(scale=10.0, size=n)
 
 
 class TestReachSupports:
@@ -53,19 +51,19 @@ class TestReachSupports:
         """Random unit rows, with and without the agent axis, with and
         without the cached last input term."""
         rng = np.random.default_rng(seed)
-        n_agents, K_seq, B, omega, x0 = _random_problem(rng, h)
+        n_agents, K, B, omega, x0 = _random_problem(rng)
         m = int(rng.integers(3, 21))
         Bsel = np.array([embed_input_map(B, a, n_agents) for a in range(n_agents)])
         F = rng.normal(size=(n_agents, m, 4 * n_agents))
         F /= np.linalg.norm(F, axis=-1, keepdims=True)
         if agent_axis:
-            want = stacked_reach_supports(K_seq, Bsel, x0, omega, F)
+            want = stacked_reach_supports([K] * h, Bsel, x0, omega, F)
         else:
             Bsel, F = Bsel[0], F[0]
-            want = reach_supports(K_seq, Bsel, x0, omega, F)
+            want = reach_supports([K] * h, Bsel, x0, omega, F)
         last = input_term(F @ Bsel, omega.vertices, Bsel)
-        for got in (batch_reach_supports(K_seq, Bsel, x0, omega, F),
-                    batch_reach_supports(K_seq, Bsel, x0, omega, F, last)):
+        for got in (batch_reach_supports(K, h, Bsel, x0, omega, F),
+                    batch_reach_supports(K, h, Bsel, x0, omega, F, last)):
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
 
@@ -75,7 +73,7 @@ class TestReachSupports:
         """`agent_reach_polygon`, which reads the cached operands and last
         input term, gives each agent the formula's supports on its lifts."""
         rng = np.random.default_rng(seed)
-        n_agents, (K, *_), B, omega, x0 = _random_problem(rng, h)
+        n_agents, K, B, omega, x0 = _random_problem(rng)
         m = int(rng.integers(3, 21))
         got = agent_reach_polygon(K, B, x0, omega, m, h)
         dirs = planar_directions(m)

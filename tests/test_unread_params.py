@@ -1,8 +1,5 @@
 """Every parameter of every function in a `src/ncsred` module is read in that
 function's body, so no argument is accepted and then ignored.
-
-`plan_dos`'s `model` is exempt: the attack pipeline hands every stage the
-identified model, and criterion 7 calls `plan_dos(None, recovery)`.
 """
 import ast
 from pathlib import Path
@@ -11,7 +8,6 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ncsred"
 MODULES = sorted(SRC.glob("*.py"))
-EXEMPT = {("attack.py", "plan_dos", "model")}
 
 
 def unread_parameters(source):
@@ -33,9 +29,7 @@ def unread_parameters(source):
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_parameter_is_read(path):
-    unread = [(fn, p) for fn, p in unread_parameters(path.read_text())
-              if (path.name, fn, p) not in EXEMPT]
-    assert unread == []
+    assert unread_parameters(path.read_text()) == []
 
 
 def test_guard_sees_an_unread_parameter():
