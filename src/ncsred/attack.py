@@ -219,28 +219,21 @@ class DosPlan:
     edge: Tuple[int, int]
 
 
-def plan_dos(recovery) -> Optional[DosPlan]:
-    """Pick the DoS victim from the Fiedler vector of `recovery.model.L`.
+def plan_dos(L_hat) -> Optional[DosPlan]:
+    """Pick the DoS victim from the Fiedler vector of the recovered Laplacian.
 
     The node is the non-leader agent (agent 0 leads, as in `ncs`) with the
-    largest-magnitude Fiedler component (ties go to the largest index); the
-    edge is the node's incident recovered link whose removal minimizes the
-    recovered graph's algebraic connectivity. Returns None when the recovered
-    graph is already disconnected.
+    largest-magnitude Fiedler component; ties within FIEDLER_TIE_TOL of it
+    go to the largest index. The edge is the node's incident recovered link
+    whose removal minimizes the recovered graph's algebraic connectivity.
+    Returns None when the recovered graph is already disconnected.
     """
-    g = recovered_graph(recovery.model.L)
+    g = recovered_graph(L_hat)
     if not is_connected(g):
         return None
     _, v = algebraic_connectivity(g)
-    best_node = None
-    best_mag = -1.0
-    for node in range(1, g.n_nodes):
-        mag = abs(v[node])
-        # ascending scan, so taking ties hands them to the largest index
-        if best_node is None or mag >= best_mag - FIEDLER_TIE_TOL:
-            if mag > best_mag:
-                best_mag = mag
-            best_node = node
+    mags = np.abs(v[1:])
+    best_node = 1 + int(np.flatnonzero(mags >= mags.max() - FIEDLER_TIE_TOL)[-1])
     incident = [e for e in sorted(g.edges) if best_node in e]
     best_edge = None
     best_lam = np.inf

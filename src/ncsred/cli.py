@@ -108,7 +108,7 @@ def cmd_reachset_dump(args):
 def cmd_recover_laplacian(args):
     K = _read_matrix_csv(args.input)
     result = laprec.recover(K, **{name: getattr(args, name) for name in
-                                  ("threshold", "max_iters", "seed") if name in args})
+                                  ("threshold", "max_iters") if name in args})
     _write_matrix_csv(args.out, "L_hat.csv", result.model.L)
     _write_matrix_csv(args.out, "S.csv", result.model.S)
     _write_matrix_csv(args.out, "T.csv", result.model.T)
@@ -146,7 +146,7 @@ def build_parser():
     p = sub.add_parser("recover-laplacian", help="recover structure from a K csv")
     p.add_argument("--input", required=True, help="K matrix as CSV")
     p.add_argument("--out", required=True)
-    for flag, cast in (("--threshold", float), ("--max-iters", int), ("--seed", int)):
+    for flag, cast in (("--threshold", float), ("--max-iters", int)):
         p.add_argument(flag, type=cast, default=argparse.SUPPRESS,
                        help="default: laprec.recover's")
     p.set_defaults(fn=cmd_recover_laplacian)

@@ -21,7 +21,6 @@ MODES = ("nominal", "fdi", "fdi_dos")
 
 #: derived sub-seeds so one scenario seed fixes every random draw in a run
 OMEGA_SEED_OFFSET = 1000003
-RECOVERY_SEED_OFFSET = 2000003
 
 
 @dataclass
@@ -210,9 +209,7 @@ def _execute_dos(scenario: Scenario, buffer, active_graph: Graph, k):
         return active_graph, DosEvent(k=k, planned_node=None, planned_edge=None,
                                       note="no identified model yet")
     model = dmd.fit(buffer, svd_tol=cfg.recovery_svd_tol)
-    recovery = laprec.recover(model.K,
-                              seed=scenario.rng_seed + RECOVERY_SEED_OFFSET)
-    plan = plan_dos(recovery)
+    plan = plan_dos(laprec.recover(model.K).model.L)
     if plan is None:
         return active_graph, DosEvent(k=k, planned_node=None, planned_edge=None,
                                       note="recovered graph already disconnected")

@@ -13,13 +13,14 @@ minimize the objective jointly with the optimal S (variable projection over
 the off-diagonal blocks, with L's diagonal pinned by the zero-row-sum
 constraint). Keeping the diagonal terms in those updates would only feed the
 previous iterate back in and slow convergence from a couple of sweeps to a
-geometric crawl.
+geometric crawl. The sweeps start from T = I and draw nothing: (c L, T / c)
+composes the same K, and any start c I only rescales the iterates (`recover`).
 """
 from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,10 +48,9 @@ class RecoveryResult:
     gamma: float
     frobenius_residual: float
     iterations: int
-    trace: list = field(default_factory=list)   # best-so-far gamma per sweep
-    frobenius_trace: list = field(default_factory=list)
-    converged: bool = True
-    regularized: bool = False
+    trace: list            # best-so-far gamma per sweep
+    frobenius_trace: list
+    converged: bool
 
 
 def _sym_zerosum_project(M):
@@ -101,17 +101,14 @@ def s_step(K, T, L):
 def t_step(K, L):
     """Least-squares T given L, with S eliminated at its optimum.
 
-    Only off-diagonal blocks inform T (S absorbs the diagonal exactly).
-    Ridge-regularized when L has no off-diagonal mass; returns
-    (T, regularized_flag).
+    Only off-diagonal blocks inform T (S absorbs the diagonal exactly). T
+    scales as 1 / L; RIDGE makes it zero when L has no off-diagonal mass.
     """
     off = ~np.eye(len(L), dtype=bool)
     w = L[off]
     # reducing over the leading axis adds the blocks one after another
     num = np.add.reduce(w[:, None, None] * _block_view(K)[off], axis=0)
-    den = _seq_sum(w * w)
-    regularized = den < RIDGE
-    return num / (den + RIDGE), regularized
+    return num / (_seq_sum(w * w) + RIDGE)
 
 
 def l_step(K, T):
@@ -120,19 +117,17 @@ def l_step(K, T):
     Off-diagonal entries are the per-block least squares against T; the
     diagonal follows from the zero-row-sum constraint (the objective is flat
     in it once S is optimal). The caller projects the result onto the
-    candidate-Laplacian cone for positive semi-definiteness. Returns
-    (L, regularized_flag).
+    candidate-Laplacian cone for positive semi-definiteness. L scales as
+    1 / T; RIDGE makes it zero when T is.
     """
     n_agents = K.shape[0] // BLOCK
-    tt = float(np.sum(T * T))
-    regularized = tt < RIDGE
     # each block's 16 products summed on their own, as np.sum of one block
     L = (_block_view(K) * T).reshape(n_agents, n_agents, BLOCK * BLOCK).sum(-1)
-    L /= tt + RIDGE
+    L /= float(np.sum(T * T)) + RIDGE
     np.fill_diagonal(L, 0.0)
     L = (L + L.T) / 2.0
     np.fill_diagonal(L, -L.sum(axis=1))
-    return L, regularized
+    return L
 
 
 def _offdiag_residual(K, L, T):
@@ -153,15 +148,17 @@ def schur_block(R, gamma):
     return np.block([[gamma * np.eye(m), R], [R.T, gamma * np.eye(n)]])
 
 
-def recover(K, threshold=1e-6, max_iters=100, seed=0) -> RecoveryResult:
+def recover(K, threshold=1e-6, max_iters=100) -> RecoveryResult:
     """Alternate L/S/T updates until the certificate stops improving.
 
-    One iteration is a full (L, S, T) sweep from T, whose identity-scaled
-    start is the only draw from `seed`. The L update tries both sign branches
-    (flipping T along with L) because the cone projection annihilates negated
-    Laplacians; the better branch is kept. The best iterate by gamma is
-    returned; `converged` is False when max_iters sweeps pass without the
-    improvement dropping below `threshold`.
+    One iteration is a full (L, S, T) sweep from T, which starts at I: a start
+    c I scales every L by 1 / c and every T by c (l_step divides by ||T||^2,
+    the cone projection is positively homogeneous, t_step divides by
+    ||L||^2), so S + kron(L, T), gamma and the edge pattern stay the same.
+    The L update tries both sign branches (flipping T along with L) because
+    the cone projection annihilates negated Laplacians; the better branch is
+    kept. The best iterate by gamma is returned; `converged` is False when
+    max_iters sweeps pass without the improvement dropping below `threshold`.
     """
     K = np.asarray(K, float)
     if K.ndim != 2 or K.shape[0] != K.shape[1] or K.shape[0] % BLOCK:
@@ -169,15 +166,12 @@ def recover(K, threshold=1e-6, max_iters=100, seed=0) -> RecoveryResult:
     if not np.isfinite(K).all():
         i, j = np.argwhere(~np.isfinite(K))[0]
         raise InvalidInputError(f"K[{i}, {j}] is {K[i, j]}, not finite")
+    if not threshold >= 0:
+        raise InvalidInputError(f"threshold must be >= 0, got {threshold}")
     if max_iters < 1:
         raise InvalidInputError(f"max_iters must be >= 1, got {max_iters}")
-    if seed is not None and seed < 0:
-        raise InvalidInputError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
 
-    # L and S need no start: each sweep fits L to T first, from this random T
-    T = np.eye(BLOCK) * abs(rng.normal(loc=1.0))
-    regularized = False
+    T = np.eye(BLOCK)  # L and S need no start: each sweep fits L to T first
 
     best_gamma = np.inf
     best_frob = np.inf
@@ -186,16 +180,14 @@ def recover(K, threshold=1e-6, max_iters=100, seed=0) -> RecoveryResult:
     frob_trace = []
     converged = False
     for sweeps in range(1, max_iters + 1):
-        L_raw, reg_l = l_step(K, T)
-        regularized |= reg_l
+        L_raw = l_step(K, T)
         L_pos = project_laplacian_cone(L_raw)
         L_neg = project_laplacian_cone(-L_raw)
         if _offdiag_residual(K, L_neg, -T) < _offdiag_residual(K, L_pos, T):
             L, T = L_neg, -T
         else:
             L = L_pos
-        T, reg_t = t_step(K, L)
-        regularized |= reg_t
+        T = t_step(K, L)
         S = s_step(K, T, L)
 
         model = KroneckerModel(S=S, T=T, L=L)
@@ -213,4 +205,4 @@ def recover(K, threshold=1e-6, max_iters=100, seed=0) -> RecoveryResult:
     return RecoveryResult(model=best_model, gamma=best_gamma,
                           frobenius_residual=best_frob, iterations=sweeps,
                           trace=trace, frobenius_trace=frob_trace,
-                          converged=converged, regularized=regularized)
+                          converged=converged)

@@ -59,7 +59,7 @@ def s_step(K, T, L):
 
 
 def t_step(K, L):
-    """Least-squares T given L over the off-diagonal blocks; (T, regularized)."""
+    """Least-squares T given L over the off-diagonal blocks."""
     n_agents = K.shape[0] // BLOCK
     num = np.zeros((BLOCK, BLOCK))
     den = 0.0
@@ -69,15 +69,13 @@ def t_step(K, L):
                 continue
             num += L[i, j] * _blocks(K, i, j)
             den += L[i, j] * L[i, j]  # as laprec.t_step's w * w
-    regularized = den < RIDGE
-    return num / (den + RIDGE), regularized
+    return num / (den + RIDGE)
 
 
 def l_step(K, T):
-    """Least-squares symmetric zero-row-sum L given T; (L, regularized)."""
+    """Least-squares symmetric zero-row-sum L given T."""
     n_agents = K.shape[0] // BLOCK
     tt = float(np.sum(T * T))
-    regularized = tt < RIDGE
     L = np.zeros((n_agents, n_agents))
     for i in range(n_agents):
         for j in range(n_agents):
@@ -86,7 +84,7 @@ def l_step(K, T):
             L[i, j] = np.sum(T * _blocks(K, i, j)) / (tt + RIDGE)
     L = (L + L.T) / 2.0
     np.fill_diagonal(L, -L.sum(axis=1))
-    return L, regularized
+    return L
 
 
 def offdiag_residual(K, L, T):

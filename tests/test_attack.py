@@ -1,12 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from ncsred import attack
 from ncsred.attack import (AttackConfig, agent_reach_polygon, plan_dos,
                            recovered_graph, select_targets, synthesize_fdi)
 from ncsred.errors import InvalidInputError
 from ncsred.graph import Graph, laplacian
 from ncsred.harness import OMEGA_SEED_OFFSET
-from ncsred.laprec import KroneckerModel, RecoveryResult
 from ncsred.ncs import AgentModel
 from ncsred.reachset import (agent_polygon, circumscribe_ball, embed_input_map,
                              polygon_distance)
@@ -25,13 +27,6 @@ def current_polygons(K, B, x, omega, n_directions=16):
     """Every agent's 1-step reach polygon from x, as the selection stage
     hands them to `synthesize_fdi`."""
     return agent_reach_polygon(K, B, x, omega, n_directions)
-
-
-def recovery_from_laplacian(L):
-    model = KroneckerModel(S=np.zeros((4 * len(L), 4 * len(L))), T=np.eye(4),
-                           L=np.asarray(L, float))
-    return RecoveryResult(model=model, gamma=0.0, frobenius_residual=0.0,
-                          iterations=1, trace=[0.0])
 
 
 class TestSelectTargets:
@@ -225,26 +220,58 @@ class TestRecoveredGraph:
 class TestPlanDos:
     def test_exact_formation_laplacian(self):
         L = laplacian(Graph(5, frozenset(FIG_EDGES)))
-        plan = plan_dos(recovery_from_laplacian(L))
+        plan = plan_dos(L)
         assert plan.node == 4
         assert plan.edge == (2, 4)
 
     def test_star_graph_targets_a_leaf(self):
         g = Graph(5, frozenset({(0, 1), (0, 2), (0, 3), (0, 4)}))
-        plan = plan_dos(recovery_from_laplacian(laplacian(g)))
+        plan = plan_dos(laplacian(g))
         assert plan.node in {1, 2, 3, 4}
         assert 0 in plan.edge and plan.node in plan.edge
 
     def test_path_three_skips_middle(self):
         g = Graph(3, frozenset({(0, 1), (1, 2)}))
         # Fiedler vector of the 3-path is (1, 0, -1)/sqrt(2): ends dominate
-        plan = plan_dos(recovery_from_laplacian(laplacian(g)))
+        plan = plan_dos(laplacian(g))
         assert plan.node == 2  # tie between the two ends goes to the larger index
         assert plan.edge == (1, 2)
 
     def test_disconnected_recovery_reports_noop(self):
         g = Graph(4, frozenset({(0, 1), (2, 3)}))
-        assert plan_dos(recovery_from_laplacian(laplacian(g))) is None
+        assert plan_dos(laplacian(g)) is None
+
+    def test_near_ties_match_the_ascending_scan(self):
+        def scan_node(v):
+            # the ascending scan that the vectorised pick replaced: it keeps
+            # the last node within the tolerance of the running maximum
+            best_node, best_mag = None, -1.0
+            for node in range(1, len(v)):
+                mag = abs(v[node])
+                if best_node is None or mag >= best_mag - attack.FIEDLER_TIE_TOL:
+                    if mag > best_mag:
+                        best_mag = mag
+                    best_node = node
+            return best_node
+
+        real = attack.algebraic_connectivity
+        rng = np.random.default_rng(17)
+        offsets = np.array([0.0, 0.5e-9, -0.5e-9, 1e-9, -1e-9, 2e-9, -2e-9])
+        for _ in range(400):
+            n = int(rng.integers(3, 10))
+            v = rng.normal(size=n)
+            top = np.abs(v).max() + rng.uniform(0.0, 1.0)
+            chain = rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False)
+            v[chain] = rng.choice([-1.0, 1.0], size=len(chain)) * (
+                top + rng.choice(offsets, size=len(chain)))
+            complete = Graph(n, frozenset((i, j) for i in range(n)
+                                          for j in range(i + 1, n)))
+            # the first call answers with v; the edge scan's calls are real
+            answers = iter([(1.0, v)])
+            with mock.patch.object(attack, "algebraic_connectivity",
+                                   lambda g: next(answers, None) or real(g)):
+                plan = plan_dos(laplacian(complete))
+            assert plan.node == scan_node(v), v
 
 
 class TestAttackConfig:

@@ -645,17 +645,22 @@ class TestCli:
                 == f"InvalidInputError: K[0, 1] is {cell}, not finite\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("iters", ["0", "-3"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--max-iters", "0", "max_iters must be >= 1, got 0"),
+        ("--max-iters", "-3", "max_iters must be >= 1, got -3"),
+        # a NaN or negative threshold would run every sweep and exit 0
+        ("--threshold", "nan", "threshold must be >= 0, got nan"),
+        ("--threshold", "-1", "threshold must be >= 0, got -1.0"),
+    ], ids=["0", "-3", "threshold nan", "threshold -1"])
     def test_recover_laplacian_rejects_max_iters_below_one(self, tmp_path, capsys,
-                                                           iters):
+                                                           flag, value, message):
         kpath = tmp_path / "K.csv"
         np.savetxt(kpath, np.kron(np.array([[1.0, -1.0], [-1.0, 1.0]]), np.eye(4)),
                    delimiter=",")
         out = tmp_path / "rec"
         assert main(["recover-laplacian", "--input", str(kpath), "--out", str(out),
-                     "--max-iters", iters]) == 2
-        assert (capsys.readouterr().err
-                == f"InvalidInputError: max_iters must be >= 1, got {iters}\n")
+                     flag, value]) == 2
+        assert capsys.readouterr().err == f"InvalidInputError: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("args, extra, seed", [
@@ -671,22 +676,11 @@ class TestCli:
                 == f"InvalidInputError: seed must be >= 0, got {seed}\n")
         assert not out.exists()
 
-    def test_recover_laplacian_rejects_negative_seed(self, tmp_path, capsys):
-        kpath = tmp_path / "K.csv"
-        np.savetxt(kpath, np.kron(np.array([[1.0, -1.0], [-1.0, 1.0]]), np.eye(4)),
-                   delimiter=",")
-        out = tmp_path / "rec"
-        assert main(["recover-laplacian", "--input", str(kpath), "--out", str(out),
-                     "--seed", "-1"]) == 2
-        assert (capsys.readouterr().err
-                == "InvalidInputError: seed must be >= 0, got -1\n")
-        assert not out.exists()
-
     @pytest.mark.parametrize("flags, knobs", [
         ([], {}),
-        (["--threshold", "1e-3", "--max-iters", "7", "--seed", "3"],
-         {"threshold": 1e-3, "max_iters": 7, "seed": 3}),
-        (["--seed", "0"], {"seed": 0}),
+        (["--threshold", "1e-3", "--max-iters", "7"],
+         {"threshold": 1e-3, "max_iters": 7}),
+        (["--max-iters", "5"], {"max_iters": 5}),
     ])
     def test_recover_laplacian_passes_only_given_flags(self, tmp_path, monkeypatch,
                                                        flags, knobs):

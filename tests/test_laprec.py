@@ -148,15 +148,14 @@ class TestFactorSteps:
         T0 = rng.normal(size=(4, 4))
         L0 = laplacian(Graph(3, frozenset({(0, 1), (1, 2)})))
         K = np.kron(L0, T0)
-        L, reg = l_step(K, T0)
-        assert not reg
+        L = l_step(K, T0)
         assert np.allclose(L, L0, atol=1e-10)
 
     def test_l_step_with_zero_T_flags_regularized(self):
         rng = np.random.default_rng(6)
         K = rng.normal(size=(12, 12))
-        L, reg = l_step(K, np.zeros((4, 4)))
-        assert reg
+        # RIDGE keeps the division finite, so a zero T gives a zero L
+        L = l_step(K, np.zeros((4, 4)))
         assert np.abs(L).max() == 0.0
 
     def test_t_step_least_squares(self):
@@ -165,8 +164,7 @@ class TestFactorSteps:
         S0 = block_diag_S(rng, 3)
         L0 = laplacian(Graph(3, frozenset({(0, 1), (1, 2)})))
         K = S0 + np.kron(L0, T0)
-        T, reg = t_step(K, L0)
-        assert not reg
+        T = t_step(K, L0)
         assert np.allclose(T, T0, atol=1e-10)
 
     def test_steps_never_increase_frobenius_residual(self):
@@ -181,9 +179,9 @@ class TestFactorSteps:
             return np.linalg.norm(K - s_step(K, T_, L_) - np.kron(L_, T_))
 
         base = frob(T, L)
-        L2, _ = l_step(K, T)             # unprojected least-squares update
+        L2 = l_step(K, T)                # unprojected least-squares update
         assert frob(T, L2) <= base + 1e-12
-        T2, _ = t_step(K, L2)
+        T2 = t_step(K, L2)
         assert frob(T2, L2) <= frob(T, L2) + 1e-12
         # the S-step itself is the exact minimizer given (T2, L2)
         S_opt = s_step(K, T2, L2)
@@ -192,25 +190,57 @@ class TestFactorSteps:
                 <= np.linalg.norm(K - S_other - np.kron(L2, T2)) + 1e-12)
 
 
+def close(got, want, ref=None):
+    """got == want within 1e-9 of the largest magnitude of ref (default want)."""
+    return np.abs(got - want).max() <= 1e-9 * np.abs(want if ref is None else ref).max()
+
+
+class TestScaleEquivariance:
+    """Why `recover` can start from T = I and draw nothing: every sweep step
+    commutes with the rescaling (c T, L / c), so a start c I would only scale
+    the iterates' L by 1 / c and T by c and leave S alone. Each check holds
+    within 1e-9 of the magnitude of its result (of its input, for the
+    projection, whose result may be 0)."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           n_agents=st.integers(min_value=2, max_value=8),
+           c=st.floats(min_value=0.1, max_value=10.0))
+    def test_sweep_steps(self, seed, n_agents, c):
+        rng = np.random.default_rng(seed)
+        K = rng.normal(scale=rng.uniform(0.1, 10.0), size=(4 * n_agents,) * 2)
+        T = rng.normal(size=(4, 4))
+        M = rng.normal(size=(n_agents, n_agents))
+        # a complete graph's Laplacian, weights in [0.5, 2]: its off-diagonal
+        # mass keeps t_step's RIDGE far below 1e-9 of it for every c
+        W = np.triu(rng.uniform(0.5, 2.0, size=(n_agents, n_agents)), 1)
+        L = np.diag((W + W.T).sum(axis=1)) - W - W.T
+        assert close(l_step(K, c * T), l_step(K, T) / c)
+        assert close(project_laplacian_cone(M / c), project_laplacian_cone(M) / c,
+                     ref=M / c)
+        assert close(t_step(K, L / c), c * t_step(K, L))
+        assert close(s_step(K, c * T, L / c), s_step(K, T, L))
+
+
 class TestRecover:
     def test_constructed_instance_exact(self):
         rng = np.random.default_rng(10)
         T0 = rng.normal(size=(4, 4))
         S0 = block_diag_S(rng, 5)
         K = S0 + np.kron(FIG_L, T0)
-        result = recover(K, seed=0)
+        result = recover(K)
         assert result.gamma < 1e-6
         assert result.iterations <= 100
         assert edge_pattern(result.model.L) == {(0, 1), (0, 2), (1, 3), (2, 4)}
         assert in_cone(result.model.L)
 
-    def test_multiple_seeds_and_sign_branches(self):
+    def test_sign_branches(self):
         rng = np.random.default_rng(11)
         for trial in range(5):
             T0 = rng.normal(size=(4, 4))  # trace sign varies across trials
             S0 = block_diag_S(rng, 5)
             K = S0 + np.kron(FIG_L, T0)
-            result = recover(K, seed=trial)
+            result = recover(K)
             assert result.gamma < 1e-6, f"trial {trial}"
             assert edge_pattern(result.model.L) == {(0, 1), (0, 2), (1, 3), (2, 4)}
 
@@ -221,7 +251,7 @@ class TestRecover:
         L0 = laplacian(Graph(4, frozenset({(0, 1), (1, 2), (2, 3)})))
         for alpha in (0.5, 1.0, 2.0):
             K = S0 + alpha * np.kron(L0, T0)
-            result = recover(K, seed=1)
+            result = recover(K)
             assert edge_pattern(result.model.L) == {(0, 1), (1, 2), (2, 3)}
 
     def test_exact_recovery_across_sizes(self):
@@ -232,19 +262,19 @@ class TestRecover:
             L0 = laplacian(Graph(n, frozenset(edges)))
             T0 = rng.normal(size=(4, 4))
             K = block_diag_S(rng, n) + np.kron(L0, T0)
-            result = recover(K, seed=n)
+            result = recover(K)
             assert result.gamma < 1e-6
             assert edge_pattern(result.model.L) == edges
 
     def test_zero_matrix(self):
-        result = recover(np.zeros((8, 8)), seed=0)
+        result = recover(np.zeros((8, 8)))
         assert result.gamma == pytest.approx(0.0, abs=1e-12)
         assert result.trace[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_trace_best_so_far_non_increasing(self):
         rng = np.random.default_rng(13)
         K = rng.normal(size=(20, 20))  # unstructured: solver must not diverge
-        result = recover(K, seed=3, max_iters=40)
+        result = recover(K, max_iters=40)
         assert all(b <= a + 1e-12 for a, b in zip(result.trace, result.trace[1:]))
         assert in_cone(result.model.L)
 
@@ -252,7 +282,7 @@ class TestRecover:
         rng = np.random.default_rng(14)
         K = rng.normal(size=(12, 12))
         # a single sweep can never witness a sub-threshold improvement
-        result = recover(K, max_iters=1, seed=0)
+        result = recover(K, max_iters=1)
         assert not result.converged
         assert result.iterations == 1
 
@@ -273,7 +303,7 @@ class TestRecover:
         for k in range(101):
             buf.push(record.states[k])
         model = fit(buf, svd_tol=1e-2)
-        result = recover(model.K, threshold=1e-6, max_iters=100, seed=0)
+        result = recover(model.K, threshold=1e-6, max_iters=100)
         assert result.iterations <= 100
         assert np.isfinite(result.gamma)
         assert in_cone(result.model.L)
