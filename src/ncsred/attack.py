@@ -106,11 +106,8 @@ def agent_reach_polygon(K, B, x0, omega,
     in one batched `batch_reach_supports` call, each agent's rows bit-identical
     to its own call. Supports that overflow raise `DegenerateGeometryError`.
     """
-    n_agents = K.shape[0] // 4
-    key = (np.asarray(B, float).tobytes(), np.shape(B), n_agents, n_directions)
-    dirs, Bsel, lifts, agents = _reach_operands(*key)
-    vkey = np.ascontiguousarray(omega.vertices, float).tobytes()
-    last = _omega_operands(*key, vkey)[0]
+    dirs, Bsel, lifts, agents, last, _, _ = _run_constants(B, omega, K.shape[0] // 4,
+                                                           n_directions)
     # overflow is reported by the check below, not by numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
         sup, _ = batch_reach_supports(K, horizon, Bsel, x0, omega, lifts, last)
@@ -119,29 +116,33 @@ def agent_reach_polygon(K, B, x0, omega,
     return agent_polygon(dirs, agents, sup)
 
 
+def _run_constants(B, omega, n_agents, n_directions):
+    """`_operands` of (B, Omega, N, m), looked up by the bytes of B and of
+    Omega's vertices."""
+    return _operands(np.asarray(B, float).tobytes(), np.shape(B),
+                     np.ascontiguousarray(omega.vertices, float).tobytes(),
+                     n_agents, n_directions)
+
+
 @functools.lru_cache(maxsize=16)
-def _reach_operands(bkey, bshape, n_agents, n_directions):
-    """Read-only directions, injection maps Bsel, direction lifts and agent
-    index 0..N - 1 of `agent_reach_polygon`: they depend only on B, N and m."""
+def _operands(bkey, bshape, vkey, n_agents, n_directions):
+    """Read-only run constants of the attack stages; they depend only on B,
+    Omega's vertices V (bytes `bkey`, `vkey`), N and m:
+    - the reach pass's directions, injection maps Bsel, direction lifts and
+      agent index 0..N - 1;
+    - its last input term, whose costates are the lifts themselves;
+    - `synthesize_fdi`'s candidate tables (Ui, Uj), whose rows are (ui, uj)
+      for ui, uj in V, then the zero injection."""
     B = np.frombuffer(bkey).reshape(bshape)
+    V = np.frombuffer(vkey).reshape(-1, 2)
     dirs = planar_directions(n_directions)
     Bsel = np.array([embed_input_map(B, a, n_agents) for a in range(n_agents)])
     # a lift puts each direction on one agent's position coordinates
     lift = np.zeros((4, n_directions))
     lift[::2] = dirs.T
     lifts = np.array([embed_input_map(lift, a, n_agents).T for a in range(n_agents)])
-    return _frozen(dirs, Bsel, lifts, np.arange(n_agents))
-
-
-@functools.lru_cache(maxsize=16)
-def _omega_operands(bkey, bshape, n_agents, n_directions, vkey):
-    """Read-only run constants that also depend on Omega (vertex bytes `vkey`):
-    the reach pass's last input term, whose costates are the lifts themselves,
-    and `synthesize_fdi`'s candidate tables (Ui, Uj), whose rows are (ui, uj)
-    for ui, uj in the vertices, then the zero injection."""
-    _, Bsel, lifts, _ = _reach_operands(bkey, bshape, n_agents, n_directions)
-    V = np.frombuffer(vkey).reshape(-1, 2)
-    return _frozen(input_term(lifts @ Bsel, V, Bsel),
+    return _frozen(dirs, Bsel, lifts, np.arange(n_agents),
+                   input_term(lifts @ Bsel, V, Bsel),
                    np.vstack([np.repeat(V, len(V), axis=0), np.zeros(2)]),
                    np.vstack([np.tile(V, (len(V), 1)), np.zeros(2)]))
 
@@ -176,11 +177,8 @@ def synthesize_fdi(targets, K, omega: InputPolytope, state, B,
 
     sep_before = polygon_distance(polygons[i], polygons[j])
     m = len(polygons[i].directions)
-    key = (np.asarray(B, float).tobytes(), np.shape(B), n_agents, m)
-    Bsel = _reach_operands(*key)[1]
+    _, Bsel, _, _, _, Ui, Uj = _run_constants(B, omega, n_agents, m)
     c = K @ (K @ x)
-    vkey = np.ascontiguousarray(omega.vertices, float).tobytes()
-    _, Ui, Uj = _omega_operands(*key, vkey)
     delta = Ui @ (K @ Bsel[i]).T + Uj @ (K @ Bsel[j]).T
     pi, pj = slice(4 * i, 4 * i + 3, 2), slice(4 * j, 4 * j + 3, 2)
     # column-major, so the ring pass reads each coordinate plane contiguously

@@ -74,8 +74,8 @@ def cmd_simulate(args):
 def cmd_dmd_export(args):
     scenario = load_scenario(args.scenario, seed=args.seed)
     buf, model, _ = _nominal_fit(scenario, args.at)
-    _write_matrix_csv(args.out, "X.csv", buf.X)
-    _write_matrix_csv(args.out, "X_plus.csv", buf.X_plus)
+    _write_matrix_csv(args.out, "X.csv", buf.window[:, :-1])
+    _write_matrix_csv(args.out, "X_plus.csv", buf.window[:, 1:])
     _write_matrix_csv(args.out, "K.csv", model.K)
     print(f"residual,{model.residual!r}")
     print(f"rank_used,{model.rank_used}")

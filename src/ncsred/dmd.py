@@ -13,12 +13,12 @@ DEFAULT_SVD_TOL = 1e-10
 class SnapshotBuffer:
     """Rolling window of eavesdropped stacked states.
 
-    Holds at most width+1 columns; a full buffer yields the shifted data pair
-    X (columns 1..w) and X+ (columns 2..w+1). Single-writer.
+    Holds at most width+1 columns; a full buffer's `window` holds the shifted
+    data pair X (columns 1..w) and X+ (columns 2..w+1). Single-writer.
 
     The columns live in a preallocated ring of 2 (width+1) slots, each
     written twice, width+1 apart, so the window is always one contiguous
-    slice and X and X+ are one copy each.
+    slice and X and X+ are views of it.
     """
 
     def __init__(self, width, dim):
@@ -60,29 +60,19 @@ class SnapshotBuffer:
         view.flags.writeable = False
         return view
 
-    @property
-    def X(self):
-        """dim x (n-1) matrix of all but the newest column."""
-        return self.window[:, :-1].copy() if self.can_fit else np.zeros((self.dim, 0))
-
-    @property
-    def X_plus(self):
-        """dim x (n-1) matrix of all but the oldest column."""
-        return self.window[:, 1:].copy() if self.can_fit else np.zeros((self.dim, 0))
-
 
 @dataclass(frozen=True)
 class DmdModel:
     """Least-squares one-step operator with its fit diagnostics.
 
     `cond` is the kept condition number sig[0] / sig[rank - 1] of the fit's
-    snapshot matrix: inf at rank 0, nan for a model not made by `fit`.
+    snapshot matrix, inf at rank 0. Only `fit` builds one.
     """
 
     K: np.ndarray
     residual: float
     rank_used: int
-    cond: float = float("nan")
+    cond: float
 
     def predict(self, x):
         """One-step prediction K @ x."""

@@ -12,7 +12,7 @@ from . import dmd, laprec, svgplot
 from .attack import (agent_reach_polygon, plan_dos, select_targets,
                      synthesize_fdi)
 from .errors import DegenerateGeometryError, InvalidInputError
-from .graph import Graph, remove_edge
+from .graph import Graph
 from .ncs import (Scenario, control_inputs, neighbor_index, stacked_closed_loop,
                   step)
 from .reachset import InputPolytope, circumscribe_ball, pair_indices
@@ -36,7 +36,8 @@ class DosEvent:
 
 @dataclass
 class RunRecord:
-    """Complete trace of one simulated run."""
+    """Complete trace of one simulated run. The graph after a DoS is the
+    scenario graph less its event's `removed_edges`."""
 
     mode: str
     dt: float
@@ -46,7 +47,6 @@ class RunRecord:
     pair_errors: np.ndarray       # (H+1, n_pairs) positional formation errors
     pairs: list                   # [(i, j), ...] matching pair_errors columns
     tracking: np.ndarray          # (H+1, N) per-agent slot deviation (positions)
-    graphs: list                  # Graph instances in activation order
     dos_events: list              # DosEvent entries
 
     @property
@@ -136,9 +136,7 @@ def run(scenario: Scenario, mode: str) -> RunRecord:
 
     buffer = dmd.SnapshotBuffer(cfg.snapshot_width, dim)
     model = None
-    active_graph = scenario.graph
-    graphs = [active_graph]
-    index = neighbor_index(active_graph, scenario.formation_offsets)
+    index = neighbor_index(scenario.graph, scenario.formation_offsets)
 
     states = np.zeros((H + 1, dim))
     decisions = [None] * H
@@ -162,11 +160,11 @@ def run(scenario: Scenario, mode: str) -> RunRecord:
                 model = dmd.fit(buffer, svd_tol=cfg.svd_tol)
 
         if mode == "fdi_dos" and k == cfg.dos_step:
-            active_graph, event = _execute_dos(scenario, buffer, active_graph, k)
+            event = _execute_dos(scenario, buffer, k)
             dos_events.append(event)
-            if active_graph is not graphs[-1]:
-                graphs.append(active_graph)
-                index = neighbor_index(active_graph, scenario.formation_offsets)
+            if event.removed_edges:
+                jammed = Graph(N, scenario.graph.edges - set(event.removed_edges))
+                index = neighbor_index(jammed, scenario.formation_offsets)
 
         u_a = None
         if attacking and k >= cfg.start_step and model is not None:
@@ -180,7 +178,7 @@ def run(scenario: Scenario, mode: str) -> RunRecord:
             decisions[k] = decision
             u_a = decision.u_a
 
-        states[k + 1] = step(scenario, x, control_inputs(scenario, k, x, index=index),
+        states[k + 1] = step(scenario, x, control_inputs(scenario, k, x, index),
                              fdi=u_a)
 
     if not np.isfinite(states).all():
@@ -190,38 +188,32 @@ def run(scenario: Scenario, mode: str) -> RunRecord:
     _slot_tracking(scenario, states, out=tracking)
     return RunRecord(mode=mode, dt=scenario.agent_model.dt, n_agents=N,
                      states=states, decisions=decisions, pair_errors=pair_errors,
-                     pairs=_pair_list(N), tracking=tracking, graphs=graphs,
-                     dos_events=dos_events)
+                     pairs=_pair_list(N), tracking=tracking, dos_events=dos_events)
 
 
-def _execute_dos(scenario: Scenario, buffer, active_graph: Graph, k):
-    """Recover structure, plan the DoS, and sever the planned agent's links."""
+def _execute_dos(scenario: Scenario, buffer, k) -> DosEvent:
+    """Recover structure, plan the DoS, and jam the planned agent: the event's
+    `removed_edges` are the scenario graph's links that the jamming severs."""
     cfg = scenario.attack
     if cfg.dos_edge is not None:
         edge = tuple(sorted(cfg.dos_edge))
-        if not active_graph.has_edge(*edge):
+        if not scenario.graph.has_edge(*edge):
             raise InvalidInputError(f"configured dos_edge {edge} not in the graph")
-        return remove_edge(active_graph, *edge), DosEvent(
-            k=k, planned_node=max(edge), planned_edge=edge,
-            removed_edges=[edge], note="configured edge")
+        return DosEvent(k=k, planned_node=max(edge), planned_edge=edge,
+                        removed_edges=[edge], note="configured edge")
 
     if not buffer.can_fit:
-        return active_graph, DosEvent(k=k, planned_node=None, planned_edge=None,
-                                      note="no identified model yet")
+        return DosEvent(k=k, planned_node=None, planned_edge=None,
+                        note="no identified model yet")
     model = dmd.fit(buffer, svd_tol=cfg.recovery_svd_tol)
     plan = plan_dos(laprec.recover(model.K).model.L)
     if plan is None:
-        return active_graph, DosEvent(k=k, planned_node=None, planned_edge=None,
-                                      note="recovered graph already disconnected")
-    g = active_graph
-    removed = []
-    for e in sorted(g.edges):
-        if plan.node in e:
-            g = remove_edge(g, *e)
-            removed.append(e)
+        return DosEvent(k=k, planned_node=None, planned_edge=None,
+                        note="recovered graph already disconnected")
+    removed = [e for e in sorted(scenario.graph.edges) if plan.node in e]
     note = "jammed planned node" if removed else "planned node had no true links"
-    return g, DosEvent(k=k, planned_node=plan.node, planned_edge=plan.edge,
-                       removed_edges=removed, note=note)
+    return DosEvent(k=k, planned_node=plan.node, planned_edge=plan.edge,
+                    removed_edges=removed, note=note)
 
 
 @dataclass

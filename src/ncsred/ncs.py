@@ -92,8 +92,11 @@ class ReferenceTrack:
     `ref_fn` maps the integer array of steps 0..horizon+2 to one finite row
     each. v[k+1] = a[k] - v[k] runs as a cumulative sum of (-1)^k v[k], which
     rounds like the sequential loop; zeros are redone in order for their sign.
+    A track whose accelerations overflow (on the stock reference, dt <= 1e-155)
+    is refused after the fact, with no numpy warning.
     """
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, ref_fn, horizon, dt):
         n = horizon + 2
         samples = np.asarray(ref_fn(np.arange(n + 1)), float)
@@ -116,6 +119,9 @@ class ReferenceTrack:
         c = (signs[:-1] * dv).sum(axis=1, keepdims=True) / (2.0 * dv.shape[1])
         vel += signs * c
         self.acc = (np.diff(vel) / dt).T
+        if not np.isfinite(self.acc).all():
+            raise InvalidInputError(f"dt = {dt} makes the reference track not "
+                                    "finite: its accelerations overflow")
         #: tracked state [px, vx, py, vy] per step
         self.states = np.stack([pos[0], vel[0], pos[1], vel[1]], axis=1)
 
@@ -183,7 +189,7 @@ def neighbor_index(g: Graph, offsets: np.ndarray):
     return ii, jj, offsets[ii] - offsets[jj]
 
 
-def control_inputs(s: Scenario, k: int, x: np.ndarray, index=None):
+def control_inputs(s: Scenario, k: int, x: np.ndarray, index):
     """Per-agent control inputs (N x 2) at step k and stacked state x.
 
     Followers sum coupling terms over their neighborhoods; the leader adds its
@@ -191,8 +197,8 @@ def control_inputs(s: Scenario, k: int, x: np.ndarray, index=None):
     feedforward acceleration, which keeps the closed loop on the reference.
     Every neighbour term K (x_i - x_j - (o_i - o_j)) is one stacked 2x4 @ 4x1
     product; each agent sums its terms in ascending neighbour order. `index`
-    is a graph's `neighbor_index(g, s.formation_offsets)`, whose offset
-    differences are run constants; it defaults to the scenario graph's.
+    is the active graph's `neighbor_index(g, s.formation_offsets)`, whose
+    offset differences are run constants.
     k must index a track row: 0 <= k < len(s.track.acc).
     """
     N = s.n_agents
@@ -203,8 +209,7 @@ def control_inputs(s: Scenario, k: int, x: np.ndarray, index=None):
     if x.shape != (s.dim,):
         raise InvalidInputError(f"state length {x.shape} != {s.dim}")
     X = x.reshape(N, STATE_DIM)
-    ii, jj, doff = (neighbor_index(s.graph, s.formation_offsets)
-                    if index is None else index)
+    ii, jj, doff = index
     dev = X.take(ii, 0)
     dev -= X.take(jj, 0)
     dev -= doff

@@ -54,14 +54,15 @@ class InputPolytope:
         return bool(np.all(self.normals @ u <= self.offsets + tol))
 
 
-def circumscribe_ball(rho, s, seed=None, jitter=DEFAULT_JITTER) -> InputPolytope:
+def circumscribe_ball(rho, s, seed, jitter=DEFAULT_JITTER) -> InputPolytope:
     """s-faced polygon circumscribing the disc of radius rho.
 
-    Faces are tangent to the disc at angles that are uniformly spaced when
-    seed is None (axis-aligned for s = 4) and randomly jittered otherwise.
-    Jitter is kept small so the vertex radius stays near the regular
-    polygon's rho / cos(pi/s); below 0.5 the tangent angles stay strictly
-    increasing, so the polygon cannot cross itself.
+    Face k is tangent to the disc at angle 2 pi (k + d_k) / s, with d_k drawn
+    uniformly from [-jitter, jitter] by `seed`; jitter = 0 gives the regular
+    polygon (axis-aligned for s = 4) for every seed. Jitter is kept small so
+    the vertex radius stays near the regular polygon's rho / cos(pi/s); below
+    0.5 the tangent angles stay strictly increasing, so the polygon cannot
+    cross itself.
     """
     if s < 3:
         raise InvalidInputError(f"face count must be >= 3, got {s}")
@@ -70,10 +71,7 @@ def circumscribe_ball(rho, s, seed=None, jitter=DEFAULT_JITTER) -> InputPolytope
     if not 0 <= jitter < 0.5:
         raise InvalidInputError(f"jitter must be in [0, 0.5), got {jitter}")
     jitter = abs(jitter)  # -0.0 draws as 0.0: rng.uniform(0.0, -0.0) refuses
-    base = np.arange(s, dtype=float)
-    if seed is not None:
-        rng = np.random.default_rng(seed)
-        base = base + rng.uniform(-jitter, jitter, size=s)
+    base = np.arange(s) + np.random.default_rng(seed).uniform(-jitter, jitter, size=s)
     angles = 2.0 * np.pi * base / s
     normals = np.column_stack([np.cos(angles), np.sin(angles)])
     offsets = np.full(s, float(rho))

@@ -33,7 +33,7 @@ def build_scenario(seed=0, n_agents=5, dt=0.2, horizon_steps=500,
                    attack=None) -> Scenario:
     """Scenario with the experiment defaults; any piece can be overridden,
     and another `n_agents` needs its own edges and offsets."""
-    if seed is not None and seed < 0:
+    if seed is None or seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
     for name, v in (("init_box_low", init_box_low), ("init_box_high", init_box_high)):
         if not np.isfinite(v):

@@ -89,7 +89,7 @@ class TestSynthesizeFdi:
     def test_decoupled_integrators_push_apart(self):
         # two decoupled single integrators along x; agents already separated
         K = np.eye(8)
-        omega = circumscribe_ball(0.1, 4, seed=None)  # axis-aligned square
+        omega = circumscribe_ball(0.1, 4, seed=0, jitter=0.0)  # axis-aligned square
         B = AgentModel(0.2).B
         x = np.zeros(8)
         x[0], x[4] = -1.0, 1.0  # agent 0 left, agent 1 right
@@ -193,7 +193,7 @@ class TestSynthesizeFdi:
             assert got.separation_after == pytest.approx(best_score, abs=1e-9)
 
     def test_rejects_equal_targets(self):
-        omega = circumscribe_ball(0.05, 4)
+        omega = circumscribe_ball(0.05, 4, seed=0, jitter=0.0)
         with pytest.raises(InvalidInputError):
             synthesize_fdi((1, 1), np.eye(8), omega, np.zeros(8),
                            AgentModel(0.2).B, [])

@@ -439,12 +439,12 @@ class TestStackedPlant:
         x = rng.normal(scale=20.0, size=4 * n)
         graph = Graph(n, {e for e in s.graph.edges if rng.random() < 0.5})
         want_u = plant_oracle.feedback_inputs(s, k, x, graph) + s.track.acc[k]
-        assert np.array_equal(ncs.control_inputs(s, k, x),
-                              plant_oracle.feedback_inputs(s, k, x) + s.track.acc[k])
+        assert np.array_equal(
+            ncs.control_inputs(s, k, x, ncs.neighbor_index(s.graph, s.formation_offsets)),
+            plant_oracle.feedback_inputs(s, k, x) + s.track.acc[k])
         # the index a run builds once per graph stands in for the graph
         assert np.array_equal(
-            ncs.control_inputs(s, k, x,
-                               index=ncs.neighbor_index(graph, s.formation_offsets)),
+            ncs.control_inputs(s, k, x, ncs.neighbor_index(graph, s.formation_offsets)),
             want_u)
         fdi = rng.normal(size=2 * n) if with_fdi else None
         u = rng.normal(size=(n, 2)) if random_u else want_u
@@ -473,10 +473,12 @@ class TestRunReplay:
                                                dos_step=60, snapshot_width=50,
                                                dos_edge=(2, 4)))
         r = run(s, "fdi_dos")
-        assert len(r.graphs) == 2 and r.dos_events[0].k == 60
-        x, dos_k = r.states[0], r.dos_events[0].k
+        event = r.dos_events[0]
+        assert event.removed_edges == [(2, 4)] and event.k == 60
+        after = Graph(s.n_agents, s.graph.edges - set(event.removed_edges))
+        x = r.states[0]
         for k in range(r.horizon):
-            graph = r.graphs[0] if k < dos_k else r.graphs[1]
+            graph = s.graph if k < event.k else after
             u = plant_oracle.feedback_inputs(s, k, x, graph) + s.track.acc[k]
             d = r.decisions[k]
             x = plant_oracle.step(s, x, u, None if d is None else d.u_a)
@@ -514,17 +516,13 @@ class TestSnapshotRing:
             assert buf.is_full == (len(oracle.cols) == width + 1)
             assert buf.can_fit == (len(oracle.cols) >= 2)
             want = oracle.matrices()
-            X, Xp = buf.X, buf.X_plus
+            window = buf.window
+            assert not window.flags.writeable  # a caller cannot edit the buffer
             if want is None:
-                assert X.shape == Xp.shape == (dim, 0)
+                assert window.shape == (dim, len(oracle.cols))
                 continue
-            for got, ref in zip((X, Xp), want):
-                assert np.array_equal(got, ref)
-                assert got.flags.c_contiguous and got.tobytes() == ref.tobytes()
-            X[:] = np.nan  # a caller's edit stays out of the buffer
-            Xp[:] = np.nan
-            assert np.array_equal(buf.X, want[0])
-            assert np.array_equal(buf.X_plus, want[1])
+            for got, ref in zip((window[:, :-1], window[:, 1:]), want):
+                assert got.tobytes() == ref.tobytes()
 
 
 def _loop_pair_errors(s, x):

@@ -30,7 +30,7 @@ class TestSnapshotBuffer:
         for k in range(5):
             buf.push(np.array([k, -k], float))
         assert buf.is_full
-        X, Xp = buf.X, buf.X_plus
+        X, Xp = buf.window[:, :-1], buf.window[:, 1:]
         assert X.shape == (2, 4) and Xp.shape == (2, 4)
         assert np.array_equal(X[:, 1:], Xp[:, :-1])
 
@@ -38,7 +38,7 @@ class TestSnapshotBuffer:
         buf = SnapshotBuffer(4, 2)
         for k in range(6):
             buf.push(np.array([k, 0], float))
-        assert buf.X[0, 0] == 1.0  # first sample evicted
+        assert buf.window[0, 0] == 1.0  # first sample evicted
 
     def test_dimension_check(self):
         buf = SnapshotBuffer(4, 2)
@@ -87,7 +87,7 @@ class TestFit:
         for _ in range(13):
             buf.push(rng.normal(size=4))
         model = fit(buf)
-        X, Xp = buf.X, buf.X_plus
+        X, Xp = buf.window[:, :-1], buf.window[:, 1:]
         base = np.linalg.norm(Xp - model.K @ X)
         for _ in range(50):
             dK = rng.normal(size=(4, 4))
@@ -99,7 +99,8 @@ class TestFit:
         buf = SnapshotBuffer(12, 6)
         for _ in range(13):
             buf.push(rng.normal(size=6) * np.array([1, 1, 1, 1e-6, 1e-12, 1e-14]))
-        sig = np.linalg.svd(buf.X, full_matrices=False)[1]  # fit's LAPACK path
+        # fit's LAPACK path
+        sig = np.linalg.svd(buf.window[:, :-1], full_matrices=False)[1]
         for svd_tol, rank in ((1e-10, 4), (1e-2, 3)):
             model = fit(buf, svd_tol=svd_tol)
             assert model.rank_used == rank
@@ -123,7 +124,7 @@ class TestFit:
         for _ in range(10):
             buf.push(rng.normal(scale=1e3, size=3))
         model = fit(buf)
-        X, Xp = buf.X, buf.X_plus
+        X, Xp = buf.window[:, :-1], buf.window[:, 1:]
         want = np.linalg.norm(Xp - model.K @ X) / np.linalg.norm(Xp)
         assert model.residual > 0.1 and model.residual == want
 
@@ -137,18 +138,19 @@ class TestFit:
             small.push(col)
             large.push(np.ldexp(col, 600))
         with pytest.warns(RuntimeWarning, match="overflow"):
-            assert np.isinf(np.linalg.norm(large.X_plus))
+            assert np.isinf(np.linalg.norm(large.window[:, 1:]))
         want = fit(small).residual
         got = fit(large).residual
         assert want > 0.1 and got == pytest.approx(want, rel=1e-12)
 
     def test_hand_built_model_has_no_cond(self):
-        assert np.isnan(DmdModel(K=np.eye(2), residual=0.0, rank_used=2).cond)
+        with pytest.raises(TypeError, match="cond"):
+            DmdModel(K=np.eye(2), residual=0.0, rank_used=2)
 
 
 class TestPredict:
     def test_identity(self):
-        m = DmdModel(K=np.eye(3), residual=0.0, rank_used=3)
+        m = DmdModel(K=np.eye(3), residual=0.0, rank_used=3, cond=1.0)
         x = np.array([1.0, 2.0, 3.0])
         assert np.array_equal(m.predict(x), x)
 
@@ -158,7 +160,7 @@ class TestPredict:
         assert model.predict(np.array([2.0])) == pytest.approx(1.0, abs=1e-14)
 
     def test_mismatch(self):
-        m = DmdModel(K=np.eye(3), residual=0.0, rank_used=3)
+        m = DmdModel(K=np.eye(3), residual=0.0, rank_used=3, cond=1.0)
         with pytest.raises(InvalidInputError):
             m.predict(np.zeros(4))
 

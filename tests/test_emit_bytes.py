@@ -50,7 +50,7 @@ def record_of(n, horizon, dt, seed, special_frac):
                      pair_errors=table(rng, (horizon + 1, len(pairs)), special_frac),
                      pairs=pairs,
                      tracking=table(rng, (horizon + 1, n), special_frac),
-                     graphs=[], dos_events=[])
+                     dos_events=[])
 
 
 def outcome(fn, *args, **kwargs):

@@ -453,13 +453,13 @@ class TestNeighborIndex:
             else:
                 with pytest.warns(UserWarning, match="snapshot_width"):
                     record = run(s, mode)
-        assert len(record.graphs) == graphs
+        assert sum(bool(e.removed_edges) for e in record.dos_events) == graphs - 1
         assert nbrs.call_count == graphs * s.n_agents
 
 
 def _diag_fit(buf, svd_tol):
     """`dmd.fit`'s K with the diagonal-matrix product it used to take."""
-    X, Xp = buf.X, buf.X_plus
+    X, Xp = buf.window[:, :-1], buf.window[:, 1:]
     U, sig, Vt = np.linalg.svd(X, full_matrices=False)
     if sig.size == 0 or sig[0] == 0.0:
         return np.zeros((buf.dim, buf.dim))

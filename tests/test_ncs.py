@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ncsred.errors import InvalidInputError
-from ncsred.ncs import (AgentModel, control_inputs, reference,
+from ncsred.ncs import (AgentModel, control_inputs, neighbor_index, reference,
                         stacked_closed_loop, step)
 from ncsred.scenario_io import build_scenario
 from scenario_helpers import offset_difference, stacked_slots
@@ -12,9 +12,14 @@ def zero_reference(k):
     return np.zeros(np.shape(k) + (4,))
 
 
+def inputs(s, k, x):
+    """`control_inputs` on the scenario graph's neighbour index."""
+    return control_inputs(s, k, x, neighbor_index(s.graph, s.formation_offsets))
+
+
 def advance(s, k, x, fdi=None):
     """The plant's next state from x at step k under its own control law."""
-    return step(s, x, control_inputs(s, k, x), fdi)
+    return step(s, x, inputs(s, k, x), fdi)
 
 
 def small_scenario(n_agents, edges, leader_gain=None, gain=None, ref_fn=None,
@@ -67,13 +72,13 @@ class TestControlInputs:
         s = build_scenario(seed=0, n_agents=5, horizon_steps=10,
                            ref_fn=zero_reference)
         x = stacked_slots(s, 0)
-        u = control_inputs(s, 0, x)
+        u = inputs(s, 0, x)
         assert np.abs(u).max() < 1e-12
 
     def test_feedback_vanishes_on_track(self):
         s = build_scenario(seed=0, horizon_steps=10)
         x = stacked_slots(s, 3)
-        u = control_inputs(s, 3, x)
+        u = inputs(s, 3, x)
         assert np.abs(u - s.track.acc[3]).max() < 1e-9
 
     def test_two_agent_displacement(self):
@@ -81,7 +86,7 @@ class TestControlInputs:
         delta = 2.5
         x = np.zeros(8)
         x[4] = delta  # agent 1 displaced along x only
-        u = control_inputs(s, 0, x)
+        u = inputs(s, 0, x)
         assert u[1] == pytest.approx([-0.2263 * delta, 0.0], abs=1e-12)
 
     def test_matches_hand_assembled_sum(self):
@@ -89,7 +94,7 @@ class TestControlInputs:
         rng = np.random.default_rng(42)
         x = rng.normal(scale=5.0, size=s.dim)
         k = 4
-        u = control_inputs(s, k, x)
+        u = inputs(s, k, x)
         # independent re-evaluation of the control law, written long-hand
         X = x.reshape(5, 4)
         nbrs = {0: [1, 2], 1: [0, 3], 2: [0, 4], 3: [1], 4: [2]}
@@ -111,7 +116,7 @@ class TestControlInputs:
         assert len(s.track.acc) == 12
         with pytest.raises(InvalidInputError,
                            match=rf"step k must be in 0\.\.11, got {k}$"):
-            control_inputs(s, k, np.zeros(8))
+            inputs(s, k, np.zeros(8))
 
 
 class TestStep:

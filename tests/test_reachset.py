@@ -33,7 +33,7 @@ def sample_omega(omega, n, rng):
 
 class TestCircumscribeBall:
     def test_axis_aligned_square(self):
-        omega = circumscribe_ball(1.0, 4, seed=None)
+        omega = circumscribe_ball(1.0, 4, seed=0, jitter=0.0)
         assert np.allclose(np.sort(omega.offsets), np.ones(4))
         want_normals = {(1, 0), (0, 1), (-1, 0), (0, -1)}
         got = {tuple(np.round(nv, 12)) for nv in omega.normals}
@@ -53,8 +53,8 @@ class TestCircumscribeBall:
         assert np.all(pts @ omega.normals.T <= omega.offsets[None, :] + 1e-12)
 
     def test_edge_distance_at_least_rho(self):
-        for seed in [None, 1, 2, 3]:
-            omega = circumscribe_ball(0.3, 7, seed=seed)
+        for seed, jitter in [(0, 0.0), (1, 0.05), (2, 0.05), (3, 0.05)]:
+            omega = circumscribe_ball(0.3, 7, seed=seed, jitter=jitter)
             v = omega.vertices
             for i in range(len(v)):
                 a, b = v[i], v[(i + 1) % len(v)]
@@ -77,18 +77,33 @@ class TestCircumscribeBall:
                                               (1e155, 17, 2), (0.3, 128, 5)])
     def test_vertices_are_each_face_pairs_solve(self, rho, s, seed):
         """The one batched solve gives the bytes of solving each adjacent face
-        pair's 2 x 2 tangent system on its own."""
-        omega = circumscribe_ball(rho, s, seed=seed)
+        pair's 2 x 2 tangent system on its own; seed None stands for the
+        regular polygon (jitter 0)."""
+        omega = (circumscribe_ball(rho, s, seed=0, jitter=0.0) if seed is None
+                 else circumscribe_ball(rho, s, seed=seed))
         n = omega.normals
         want = [np.linalg.solve(np.array([n[i], n[(i + 1) % s]]), np.array([rho, rho]))
                 for i in range(s)]
         assert omega.vertices.tobytes() == np.array(want).tobytes()
 
+    @pytest.mark.parametrize("s", [3, 4, 8, 17, 128])
+    def test_zero_jitter_is_the_regular_polygon_for_every_seed(self, s):
+        """jitter = 0 gives the bytes of the regular polygon, faces tangent
+        at 2 pi k / s, whatever the seed draws."""
+        angles = 2.0 * np.pi * np.arange(s, dtype=float) / s
+        n = np.column_stack([np.cos(angles), np.sin(angles)])
+        want = [np.linalg.solve(np.array([n[i], n[(i + 1) % s]]), np.array([0.05, 0.05]))
+                for i in range(s)]
+        for seed in (0, 1, 7, 2**31):
+            omega = circumscribe_ball(0.05, s, seed=seed, jitter=0.0)
+            assert omega.normals.tobytes() == n.tobytes()
+            assert omega.vertices.tobytes() == np.array(want).tobytes()
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(InvalidInputError):
-            circumscribe_ball(1.0, 2)
+            circumscribe_ball(1.0, 2, seed=0)
         with pytest.raises(InvalidInputError):
-            circumscribe_ball(0.0, 4)
+            circumscribe_ball(0.0, 4, seed=0)
 
 
 class TestReachSupport:
@@ -96,7 +111,7 @@ class TestReachSupport:
         rng = np.random.default_rng(1)
         K = 0.9 * np.linalg.qr(rng.normal(size=(4, 4)))[0]
         x0 = rng.normal(size=4)
-        omega = circumscribe_ball(0.1, 4)
+        omega = circumscribe_ball(0.1, 4, seed=0, jitter=0.0)
         d = np.array([1.0, 0, 0, 0])
         gamma, xs = reach_support(K, 3, np.zeros((4, 2)), x0, omega, d)
         want = K @ K @ K @ x0
@@ -109,7 +124,8 @@ class TestReachSupport:
         K = np.eye(8)
         B = np.array([[0.5, 0], [1.0, 0], [0, 0.5], [0, 1.0]])
         Bsel = embed_input_map(B, 0, n_agents)
-        omega = circumscribe_ball(0.2, 4)  # axis-aligned square, radius 0.2
+        # axis-aligned square, radius 0.2
+        omega = circumscribe_ball(0.2, 4, seed=0, jitter=0.0)
         x0 = np.arange(8.0)
         d = np.zeros(4 * n_agents)
         d[0] = 1.0  # agent 0's x position
@@ -179,13 +195,13 @@ class TestReachSupport:
             assert g >= base - 1e-12
 
     def test_rejects_non_unit_direction(self):
-        omega = circumscribe_ball(0.1, 4)
+        omega = circumscribe_ball(0.1, 4, seed=0, jitter=0.0)
         with pytest.raises(InvalidInputError):
             reach_support(np.eye(2), 1, np.zeros((2, 1)), np.zeros(2), omega,
                           np.array([2.0, 0.0]))
 
     def test_batch_checks_agent_axis_inputs(self):
-        omega = circumscribe_ball(0.1, 4)
+        omega = circumscribe_ball(0.1, 4, seed=0, jitter=0.0)
         K, B, x0 = np.eye(8), np.zeros((2, 8, 2)), np.zeros(8)
         lifts = np.zeros((2, 3, 8))
         lifts[:, :, 0] = 1.0

@@ -2,6 +2,9 @@
 the per-step sampling and velocity loop in `track_oracle`, signed zeros
 included, and reject malformed references at the track.
 """
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,6 +138,21 @@ class TestTrackErrors:
         samples[9, 0] = bad
         with pytest.raises(InvalidInputError, match="step 5 is not finite"):
             ReferenceTrack(table_reference(samples)[0], 10, 0.2)
+
+    @pytest.mark.parametrize("dt", [1e-155, 1e-300])
+    def test_overflowing_accelerations_name_dt(self, dt):
+        """Such a dt passes AgentModel; the track refuses it, with no numpy
+        warning, before a run could stop at a non-finite state."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=re.escape(
+                    f"dt = {dt} makes the reference track not finite: "
+                    "its accelerations overflow")):
+                build_scenario(dt=dt)
+
+    def test_smallest_dt_whose_track_is_finite(self):
+        acc = build_scenario(dt=1e-154).track.acc
+        assert np.isfinite(acc).all() and np.abs(acc).max() > 1e307
 
 
 def _box_loop(n_agents, box, seed):

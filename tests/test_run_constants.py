@@ -5,9 +5,10 @@ The reach pass keeps the last step's input term per run and runs every
 agent's first forward product once; both must return the bytes of the
 per-step formula in `reach_oracle`, compared with `np.array_equal`. The fit
 window is a read-only view. Scenario values whose run could not be built
-(an inverted or overflowing initial box, a `dt` whose B overflows, a face or
-direction count past its cap), or whose states leave the float range, exit
-2 with a named message.
+(an inverted or overflowing initial box, a `dt` whose B or reference track
+overflows, a face or direction count past its cap), or whose states leave
+the float range, exit 2 with a named message, and an unseeded scenario is
+refused.
 """
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from ncsred.harness import MODES, input_polytope
 from ncsred.ncs import AgentModel
 from ncsred.reachset import (batch_reach_supports, circumscribe_ball,
                              embed_input_map, input_term, planar_directions)
-from ncsred.scenario_io import load_scenario
+from ncsred.scenario_io import build_scenario, load_scenario
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
                     database=None)
@@ -117,14 +118,13 @@ def test_cached_input_side_and_agent_index_are_read_only():
 def test_fit_window_is_a_read_only_view():
     rng = np.random.default_rng(4)
     buf = SnapshotBuffer(6, 3)
-    for col in rng.normal(size=(9, 3)):
+    cols = rng.normal(size=(9, 3))
+    for col in cols:
         buf.push(col)
     window = buf.window
     assert window.shape == (3, 7) and not window.flags.writeable
     assert np.shares_memory(window, buf._ring)
-    assert np.array_equal(window[:, :-1], buf.X)
-    assert np.array_equal(window[:, 1:], buf.X_plus)
-    assert buf.X.flags.writeable and not np.shares_memory(buf.X, buf._ring)
+    assert np.array_equal(window, cols[-7:].T)
     fit(buf)  # reads the window without writing to it
 
 
@@ -135,6 +135,8 @@ BAD_SCENARIOS = [
     ("init_box_low = -1e308\ninit_box_high = 1e308\n",
      "init_box_high - init_box_low overflows: the box from -1e+308 to 1e+308 is too wide"),
     ("dt = 1e200\n", "dt = 1e+200 makes B not finite: dt * dt / 2 overflows"),
+    ("dt = 1e-300\n",
+     "dt = 1e-300 makes the reference track not finite: its accelerations overflow"),
     ("faces = 100000\n",
      f"face count must be <= {MAX_FACES}, got 100000: each attacked step scores "
      "a table of s^2 + 1 candidate injections"),
@@ -147,7 +149,8 @@ BAD_SCENARIOS = [
 class TestBadScenarios:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("text, message", BAD_SCENARIOS,
-                             ids=["box_order", "box_span", "dt", "faces", "n_directions"])
+                             ids=["box_order", "box_span", "dt", "dt_small", "faces",
+                                  "n_directions"])
     def test_exit_2_with_named_message(self, tmp_path, capsys, mode, text, message):
         path = tmp_path / "bad.scn"
         path.write_text(text)
@@ -170,6 +173,12 @@ class TestBadScenarios:
         assert rc == 2
         err = capsys.readouterr().err
         assert "InvalidInputError: step 1: state is not finite" in err
+
+    def test_unseeded_build_is_refused(self):
+        """default_rng(None) would draw each build's initial states from fresh
+        entropy, and Omega's seed offset would fail on None."""
+        with pytest.raises(InvalidInputError, match="^seed must be >= 0, got None$"):
+            build_scenario(seed=None)
 
     def test_equal_box_bounds_run(self, tmp_path):
         path = tmp_path / "eq.scn"
