@@ -31,11 +31,9 @@ class AttackConfig:
     s: int = 8
     start_step: int = 51
     dos_step: int = 100
-    dos_edge: Optional[Tuple[int, int]] = None
     snapshot_width: int = 50
     svd_tol: float = DEFAULT_SVD_TOL
     recovery_svd_tol: float = 1e-2
-    refit_every: int = 1
     horizon: int = 1
     n_directions: int = 16
     vertex_jitter: float = DEFAULT_JITTER
@@ -59,8 +57,6 @@ class AttackConfig:
             raise InvalidInputError("snapshot_width must be >= 1")
         if self.horizon < 1:
             raise InvalidInputError(f"reach horizon must be >= 1, got {self.horizon}")
-        if self.refit_every < 1:
-            raise InvalidInputError("refit_every must be >= 1")
         if self.n_directions < 3:
             raise InvalidInputError("n_directions must be >= 3")
         if self.n_directions > MAX_DIRECTIONS:

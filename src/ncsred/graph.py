@@ -43,9 +43,6 @@ class Graph:
         object.__setattr__(self, "edges", frozenset(canon))
         object.__setattr__(self, "_adj", tuple(map(tuple, adj)))
 
-    def has_edge(self, i, j):
-        return _canonical(i, j) in self.edges
-
     def neighbors(self, i):
         """Sorted neighbor indices of node i."""
         if not 0 <= i < self.n_nodes:

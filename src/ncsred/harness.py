@@ -72,8 +72,13 @@ def _positional_errors(s: Scenario, states, out):
     d -= pos.take(jj, axis=1)
     d -= (s.formation_offsets[ii] - s.formation_offsets[jj])[:, ::2]
     # a stacked 1x2 @ 2x1 product is the BLAS dot that np.linalg.norm takes
-    # per row; norm(axis=...) and einsum round differently on some rows
-    return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0], out=out)
+    # per row; norm(axis=...) and einsum round differently on some rows. Its
+    # square overflows past about 1.3e154 m, so those entries take hypot
+    with np.errstate(over="ignore"):
+        np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0], out=out)
+    big = np.isinf(out)
+    out[big] = np.hypot(*d[big].T)
+    return out
 
 
 def _slot_tracking(s: Scenario, states, out):
@@ -94,9 +99,10 @@ def run(scenario: Scenario, mode: str) -> RunRecord:
     """Simulate one experiment.
 
     nominal: plant only. fdi: plant plus the eavesdrop / identify / reach /
-    inject loop. fdi_dos: same, with structure recovery and a DoS at the
-    configured step; the executed jamming severs the planned agent's true
-    links (the attacker's believed link need not exist). A plant whose closed
+    inject loop; each step from `start_step` on a full window fits the model
+    that it attacks with. fdi_dos: same, with structure recovery and a DoS at
+    `dos_step`; the executed jamming severs the planned agent's true links
+    (the attacker's believed link need not exist). A plant whose closed
     loop is unstable, and an attacked mode with fewer than 2 agents, are
     refused before the first step. An attacked mode warns
     when the snapshot window is narrower than the 4N-dimensional state, since
@@ -135,7 +141,6 @@ def run(scenario: Scenario, mode: str) -> RunRecord:
     omega = input_polytope(scenario) if attacking else None
 
     buffer = dmd.SnapshotBuffer(cfg.snapshot_width, dim)
-    model = None
     index = neighbor_index(scenario.graph, scenario.formation_offsets)
 
     states = np.zeros((H + 1, dim))
@@ -154,10 +159,6 @@ def run(scenario: Scenario, mode: str) -> RunRecord:
             if not np.isfinite(x).all():
                 raise InvalidInputError(f"step {k}: state is not finite")
             buffer.push(x)
-            refit_due = (k >= cfg.start_step
-                         and (k - cfg.start_step) % cfg.refit_every == 0)
-            if refit_due and buffer.is_full:
-                model = dmd.fit(buffer, svd_tol=cfg.svd_tol)
 
         if mode == "fdi_dos" and k == cfg.dos_step:
             event = _execute_dos(scenario, buffer, k)
@@ -167,14 +168,15 @@ def run(scenario: Scenario, mode: str) -> RunRecord:
                 index = neighbor_index(jammed, scenario.formation_offsets)
 
         u_a = None
-        if attacking and k >= cfg.start_step and model is not None:
+        if attacking and k >= cfg.start_step and buffer.is_full:
+            K = dmd.fit(buffer, svd_tol=cfg.svd_tol).K
             try:
-                polygons = agent_reach_polygon(model.K, B, x, omega,
-                                               cfg.n_directions, cfg.horizon)
+                polygons = agent_reach_polygon(K, B, x, omega, cfg.n_directions,
+                                               cfg.horizon)
             except DegenerateGeometryError as exc:
                 raise DegenerateGeometryError(f"step {k}: {exc}") from exc
             targets = select_targets(polygons)
-            decision = synthesize_fdi(targets, model.K, omega, x, B, polygons)
+            decision = synthesize_fdi(targets, K, omega, x, B, polygons)
             decisions[k] = decision
             u_a = decision.u_a
 
@@ -192,20 +194,13 @@ def run(scenario: Scenario, mode: str) -> RunRecord:
 
 
 def _execute_dos(scenario: Scenario, buffer, k) -> DosEvent:
-    """Recover structure, plan the DoS, and jam the planned agent: the event's
-    `removed_edges` are the scenario graph's links that the jamming severs."""
-    cfg = scenario.attack
-    if cfg.dos_edge is not None:
-        edge = tuple(sorted(cfg.dos_edge))
-        if not scenario.graph.has_edge(*edge):
-            raise InvalidInputError(f"configured dos_edge {edge} not in the graph")
-        return DosEvent(k=k, planned_node=max(edge), planned_edge=edge,
-                        removed_edges=[edge], note="configured edge")
-
+    """Refit the window with `recovery_svd_tol`, recover structure, plan the
+    DoS, and jam the planned agent: the event's `removed_edges` are all the
+    scenario graph's links of that agent, the links that the jamming severs."""
     if not buffer.can_fit:
         return DosEvent(k=k, planned_node=None, planned_edge=None,
                         note="no identified model yet")
-    model = dmd.fit(buffer, svd_tol=cfg.recovery_svd_tol)
+    model = dmd.fit(buffer, svd_tol=scenario.attack.recovery_svd_tol)
     plan = plan_dos(laprec.recover(model.K).model.L)
     if plan is None:
         return DosEvent(k=k, planned_node=None, planned_edge=None,

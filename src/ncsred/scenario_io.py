@@ -95,10 +95,6 @@ def _parse_edges(value):
     return frozenset(_parse_edge(t) for t in value.split(",") if t.strip())
 
 
-def _parse_dos_edge(value):
-    return None if value.lower() in ("none", "") else _parse_edge(value)
-
-
 def _numbers(text, count, what):
     nums = [float(v) for v in text.replace(",", " ").split()]
     if len(nums) != count:
@@ -127,7 +123,7 @@ PARSERS = {"n_agents": int, "dt": float, "horizon_steps": int, "rng_seed": int,
            "gain_row1": _parse_gain_row, "gain_row2": _parse_gain_row,
            "leader_gain_row1": _parse_gain_row, "leader_gain_row2": _parse_gain_row}
 _FILE_KEY = {name: key for key, name in RENAMED.items()}
-_CASTS = {"int": int, "float": float, "Optional[Tuple[int, int]]": _parse_dos_edge}
+_CASTS = {"int": int, "float": float}
 PARSERS.update({_FILE_KEY.get(f.name, f.name): _CASTS[f.type]
                 for f in dataclasses.fields(AttackConfig)})
 

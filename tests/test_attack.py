@@ -289,8 +289,6 @@ class TestAttackConfig:
         with pytest.raises(InvalidInputError):
             AttackConfig(s=2)
         with pytest.raises(InvalidInputError):
-            AttackConfig(refit_every=0)
-        with pytest.raises(InvalidInputError):
             AttackConfig(n_directions=2)
         # at 0.6 the Omega draw of scenario seed 2 puts the tangent angles
         # out of order, so the polygon crosses itself; a negative jitter is

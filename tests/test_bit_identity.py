@@ -11,6 +11,7 @@ the oracle's and hold another float of a merged run, so the two agree up to
 rotation within the 1e-9 * scale that defines one vertex.
 """
 import re
+import warnings
 from collections import deque
 
 import numpy as np
@@ -464,14 +465,14 @@ class TestStackedPlant:
 
 class TestRunReplay:
     def test_fdi_dos_run_matches_loop_replay(self):
-        """An fdi_dos run with a forced DoS edge replays on the loop oracle:
-        feedback on the graph active at each step, the track's feedforward and
-        the recorded injection give every state row's bytes, so neighbour
-        terms that kept the first graph's offset differences would fail."""
+        """An fdi_dos run whose planned DoS jams node 4 replays on the loop
+        oracle: feedback on the graph active at each step, the track's
+        feedforward and the recorded injection give every state row's bytes,
+        so neighbour terms that kept the first graph's offset differences
+        would fail."""
         s = build_scenario(seed=0, horizon_steps=80,
                            attack=AttackConfig(rho=0.05, s=8, start_step=51,
-                                               dos_step=60, snapshot_width=50,
-                                               dos_edge=(2, 4)))
+                                               dos_step=60, snapshot_width=50))
         r = run(s, "fdi_dos")
         event = r.dos_events[0]
         assert event.removed_edges == [(2, 4)] and event.k == 60
@@ -570,6 +571,31 @@ def test_harness_metrics_match_per_step_loops(scenario, mode):
                               for k, x in enumerate(record.states)])
     assert np.array_equal(record.pair_errors, want_pairs)
     assert np.array_equal(record.tracking, want_tracking)
+
+
+def test_pair_errors_past_the_square_overflow_take_hypot():
+    """An agent slotted 1e160 m away makes its pairs' squared errors overflow
+    (at step 0 only its own pairs; the feedback then spreads the error): those
+    entries are hypot's finite values, every other entry keeps the per-pair
+    loop's bytes, and no numpy warning is raised."""
+    offsets = [(0, 0), (-4, -3), (4, -3), (-8, 0), (1e160, 1e160)]
+    s = build_scenario(seed=0, horizon_steps=20, offsets=offsets)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        record = run(s, "nominal")
+    with np.errstate(over="ignore"):
+        want = np.array([_loop_pair_errors(s, x) for x in record.states])
+    big = np.isinf(want)
+    assert big[0, [3, 6, 8, 9]].all() and not big[0, [0, 1, 2, 4, 5, 7]].any()
+    assert np.array_equal(record.pair_errors[~big], want[~big])
+    pos = record.states.reshape(len(record.states), s.n_agents, 4)[..., ::2]
+    slots = s.formation_offsets[:, ::2]
+    for col, (i, j) in enumerate(record.pairs):
+        d = pos[:, i] - pos[:, j] - (slots[i] - slots[j])
+        rows = big[:, col]
+        assert np.array_equal(record.pair_errors[rows, col],
+                              np.hypot(d[rows, 0], d[rows, 1]))
+    assert np.isfinite(record.pair_errors).all()
 
 
 def _laprec_factors(kind, seed, n_agents):

@@ -442,19 +442,22 @@ class TestRunConstantTables:
 class TestNeighborIndex:
     @pytest.mark.parametrize("mode, graphs", [("nominal", 1), ("fdi_dos", 2)])
     def test_run_indexes_each_graph_once(self, mode, graphs):
-        s = build_scenario(seed=2, horizon_steps=40,
-                           attack=AttackConfig(start_step=20, dos_step=25,
-                                               snapshot_width=10,
-                                               dos_edge=(0, 1)))
+        """One neighbour index per active graph, each reading every agent's
+        neighbours once; the only other reads are the DoS plan's connectivity
+        search of the recovered graph, one visit per agent."""
+        # the planned DoS at step 60 jams node 4 and cuts its one link
+        s = build_scenario(seed=0, horizon_steps=80,
+                           attack=AttackConfig(start_step=51, dos_step=60,
+                                               snapshot_width=50))
         with mock.patch.object(Graph, "neighbors", autospec=True,
-                               side_effect=Graph.neighbors) as nbrs:
-            if mode == "nominal":
-                record = run(s, mode)
-            else:
-                with pytest.warns(UserWarning, match="snapshot_width"):
-                    record = run(s, mode)
+                               side_effect=Graph.neighbors) as nbrs, \
+                mock.patch.object(harness, "neighbor_index",
+                                  side_effect=harness.neighbor_index) as index:
+            record = run(s, mode)
         assert sum(bool(e.removed_edges) for e in record.dos_events) == graphs - 1
-        assert nbrs.call_count == graphs * s.n_agents
+        assert index.call_count == graphs
+        searched = s.n_agents if mode == "fdi_dos" else 0
+        assert nbrs.call_count == graphs * s.n_agents + searched
 
 
 def _diag_fit(buf, svd_tol):

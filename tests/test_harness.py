@@ -98,17 +98,6 @@ class TestRun:
         removed = set(r.dos_events[0].removed_edges)
         assert removed and removed <= s.graph.edges
 
-    def test_forced_dos_edge(self):
-        s = short_scenario(dos_edge=(2, 4))
-        r = run(s, "fdi_dos")
-        assert r.dos_events[0].removed_edges == [(2, 4)]
-
-    def test_forced_dos_edge_missing_raises(self):
-        s = short_scenario(dos_edge=(3, 4))
-        with pytest.raises(InvalidInputError):
-            run(s, "fdi_dos")
-
-
     @pytest.mark.parametrize("mode", MODES)
     def test_unstable_closed_loop_refused(self, mode):
         s = build_scenario(horizon_steps=200, gain=DIVERGING_GAIN)
@@ -262,7 +251,6 @@ class TestScenarioIO:
         faces = 6
         start_step = 10
         dos_step = 20
-        dos_edge = 2-3
         snapshot_width = 8
         """
         path = tmp_path / "scn.txt"
@@ -270,7 +258,6 @@ class TestScenarioIO:
         s = load_scenario(path)
         assert s.n_agents == 3
         assert s.graph.edges == frozenset({(0, 1), (1, 2)})
-        assert s.attack.dos_edge == (1, 2)
         assert s.attack.s == 6
         assert np.array_equal(s.gain[0], [-0.3, -0.5, 0, 0])
         assert s.formation_offsets[1, 0] == -1.0
@@ -286,10 +273,13 @@ class TestScenarioIO:
         path.write_text("warp_drive = 1\n")
         with pytest.raises(InvalidInputError):
             load_scenario(path)
-        # d_star was a knob no stage read; files that still set it are refused
-        path.write_text("d_star = 1.0\n")
-        with pytest.raises(InvalidInputError, match="unknown scenario keys"):
-            load_scenario(path)
+        # d_star was a knob no stage read, and dos_edge and refit_every chose
+        # a second attacker path beside the planned one; files that still set
+        # them are refused
+        for text in ("d_star = 1.0\n", "dos_edge = 2-4\n", "refit_every = 2\n"):
+            path.write_text(text)
+            with pytest.raises(InvalidInputError, match="unknown scenario keys"):
+                load_scenario(path)
 
     def test_bad_line_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -300,15 +290,11 @@ class TestScenarioIO:
     def test_attack_field_round_trips(self, tmp_path, field):
         key = FILE_KEY.get(field.name, field.name)
         assert key in readme_keys()
-        if field.name == "dos_edge":
-            value, text = (1, 2), "2-3"
-        else:
-            value = (field.default * 2 if isinstance(field.default, float)
-                     else field.default + 1)
-            text = repr(value)
+        value = (field.default * 2 if isinstance(field.default, float)
+                 else field.default + 1)
         assert value != field.default
         path = tmp_path / "scn.txt"
-        path.write_text(f"{key} = {text}\n")
+        path.write_text(f"{key} = {value!r}\n")
         assert load_scenario(path).attack == dataclasses.replace(
             AttackConfig(), **{field.name: value})
 
@@ -443,7 +429,6 @@ class TestCli:
         ("rho = abc\n", "line 1: bad rho value 'abc'"),
         ("dt = 0.1\nfaces = 8.5\n", "line 2: bad faces value '8.5'"),
         ("edges = 1-x\n", "line 1: bad edges value '1-x'"),
-        ("dos_edge = 1-\n", "line 1: bad dos_edge value '1-'"),
         ("gain_row1 = 1 2 3\ngain_row2 = 0 0 0 0\n",
          "line 1: bad gain_row1 value '1 2 3': gain row '1 2 3' must have 4 numbers"),
         ("rho = 0.1\n# again\nrho = 0.2\n", "line 3: rho is already set on line 1"),

@@ -1,11 +1,12 @@
-"""Every scenario file exits 0 or 2, and exit 0 means finite states.
+"""Every scenario file exits 0 or 2, and exit 0 means finite states and
+finite cells in every CSV file written.
 
 Scenario texts set 1 to 3 keys of the README's key table to edge values
 (zeros, -0.0, +-1e308, nan, +-inf, 1e155, 1e200, counts at and past their
 caps, bad edges) on a short run whose attack starts early enough to make
 attacked steps and a DoS. Each goes through `cli.main(["simulate", ...])`
 in-process, in every mode, and through `reachset-dump --at` and `dmd-export
---at`, whose CSV cells must then be finite. An exception that `main` does
+--at`. An exception that `main` does
 not turn into exit 2 would end the real CLI with exit 1 and a traceback, and
 fails here.
 """
@@ -35,11 +36,10 @@ VALUES = {
                                 "vertex_jitter", "svd_tol", "recovery_svd_tol")},
     **{key: COUNTS for key in ("n_agents", "horizon_steps", "rng_seed",
                                "start_step", "dos_step", "snapshot_width",
-                               "refit_every", "reach_horizon")},
+                               "reach_horizon")},
     "faces": COUNTS + [str(MAX_FACES), str(MAX_FACES + 1)],
     "n_directions": COUNTS + [str(MAX_DIRECTIONS), str(MAX_DIRECTIONS + 1)],
     "edges": ["", "1-2", "1-1", "0-1", "1-6", "1-2, 1-3, 2-4, 3-5, 4-5"],
-    "dos_edge": ["none", "1-2", "2-4", "1-5", "1-1", "0-1", "9-9"],
     "formation_offsets": [f"0,0; -4,-3; 4,-3; -8,0; {v},{v}" for v in NUMBERS],
     **{key: [f"{v} {v} 0 0" for v in NUMBERS]
        for key in ("gain_row1", "gain_row2", "leader_gain_row1", "leader_gain_row2")},
@@ -97,10 +97,11 @@ def _text(edits):
 def test_exit_0_or_2_and_finite_states(edits):
     text = _text(edits)
     for mode in MODES:
-        rc, records, _ = _cli(text, "simulate", "--mode", mode)
+        rc, records, cells = _cli(text, "simulate", "--mode", mode)
         assert rc in (0, 2)
         if rc == 0:
             assert np.isfinite(records[-1].states).all()
+            assert cells and np.isfinite(cells).all()
 
 
 #: the first step, two windows short of full, the first full one (snapshot_width
