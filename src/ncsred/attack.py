@@ -121,26 +121,33 @@ def _run_constants(B, omega, n_agents, n_directions):
 
 
 @functools.lru_cache(maxsize=16)
-def _operands(bkey, bshape, vkey, n_agents, n_directions):
-    """Read-only run constants of the attack stages; they depend only on B,
-    Omega's vertices V (bytes `bkey`, `vkey`), N and m:
-    - the reach pass's directions, injection maps Bsel, direction lifts and
-      agent index 0..N - 1;
-    - its last input term, whose costates are the lifts themselves;
-    - `synthesize_fdi`'s candidate tables (Ui, Uj), whose rows are (ui, uj)
-      for ui, uj in V, then the zero injection."""
+def _reach_operands(bkey, bshape, n_agents, n_directions):
+    """Read-only reach-pass constants of (B, N, m), whatever Omega: the
+    directions, injection maps Bsel, direction lifts and agent index 0..N - 1."""
     B = np.frombuffer(bkey).reshape(bshape)
-    V = np.frombuffer(vkey).reshape(-1, 2)
     dirs = planar_directions(n_directions)
     Bsel = np.array([embed_input_map(B, a, n_agents) for a in range(n_agents)])
     # a lift puts each direction on one agent's position coordinates
     lift = np.zeros((4, n_directions))
     lift[::2] = dirs.T
     lifts = np.array([embed_input_map(lift, a, n_agents).T for a in range(n_agents)])
-    return _frozen(dirs, Bsel, lifts, np.arange(n_agents),
-                   input_term(lifts @ Bsel, V, Bsel),
-                   np.vstack([np.repeat(V, len(V), axis=0), np.zeros(2)]),
-                   np.vstack([np.tile(V, (len(V), 1)), np.zeros(2)]))
+    return _frozen(dirs, Bsel, lifts, np.arange(n_agents))
+
+
+@functools.lru_cache(maxsize=16)
+def _operands(bkey, bshape, vkey, n_agents, n_directions):
+    """Read-only run constants of the attack stages: the `_reach_operands` of
+    (B, N, m), shared by every Omega, then what depends on Omega's vertices V
+    (bytes `vkey`) too:
+    - the reach pass's last input term, whose costates are the lifts themselves;
+    - `synthesize_fdi`'s candidate tables (Ui, Uj), whose rows are (ui, uj)
+      for ui, uj in V, then the zero injection."""
+    dirs, Bsel, lifts, agents = _reach_operands(bkey, bshape, n_agents, n_directions)
+    V = np.frombuffer(vkey).reshape(-1, 2)
+    return (dirs, Bsel, lifts, agents) + _frozen(
+        input_term(lifts @ Bsel, V, Bsel),
+        np.vstack([np.repeat(V, len(V), axis=0), np.zeros(2)]),
+        np.vstack([np.tile(V, (len(V), 1)), np.zeros(2)]))
 
 
 def synthesize_fdi(targets, K, omega: InputPolytope, state, B,

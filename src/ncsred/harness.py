@@ -68,16 +68,24 @@ def _positional_errors(s: Scenario, states, out):
     """Formation error of every pair i < j (columns) at every row of states."""
     ii, jj = pair_indices(s.n_agents)
     pos = states.reshape(len(states), s.n_agents, 4)[..., ::2]
-    d = pos.take(ii, axis=1)
-    d -= pos.take(jj, axis=1)
-    d -= (s.formation_offsets[ii] - s.formation_offsets[jj])[:, ::2]
+    off = s.formation_offsets[:, ::2]
     # a stacked 1x2 @ 2x1 product is the BLAS dot that np.linalg.norm takes
-    # per row; norm(axis=...) and einsum round differently on some rows. Its
-    # square overflows past about 1.3e154 m, so those entries take hypot
-    with np.errstate(over="ignore"):
+    # per row; norm(axis=...) and einsum round differently on some rows. The
+    # entries it leaves non-finite take hypot: their square overflows past
+    # about 1.3e154 m, or their slots are farther apart than the float range,
+    # and then each agent's slot is subtracted first
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = pos.take(ii, axis=1)
+        d -= pos.take(jj, axis=1)
+        d -= off[ii] - off[jj]
         np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0], out=out)
-    big = np.isinf(out)
-    out[big] = np.hypot(*d[big].T)
+        bad = ~np.isfinite(out)
+        r, c = np.nonzero(bad)
+        e = d[r, c]
+        far = ~np.isfinite(e).all(axis=1)
+        r, c = r[far], c[far]
+        e[far] = (pos[r, ii[c]] - off[ii[c]]) - (pos[r, jj[c]] - off[jj[c]])
+        out[bad] = np.hypot(*e.T)
     return out
 
 
@@ -108,9 +116,10 @@ def run(scenario: Scenario, mode: str) -> RunRecord:
     when the snapshot window is narrower than the 4N-dimensional state, since
     such a window cannot identify the plant. A geometry error in an attacked
     step (reach supports that overflow) names the step, and so does a state
-    that leaves the float range: an attacked mode checks each step's state
-    before the eavesdropper records it, and every mode checks all states once
-    after the loop.
+    that leaves the float range: the first step is checked before the loop,
+    an attacked mode checks each step's state before the eavesdropper records
+    it, and every mode checks all states once after the loop. So does a
+    formation error beyond the float range (slots farther apart than it).
     """
     if mode not in MODES:
         raise InvalidInputError(f"mode must be one of {MODES}, got {mode!r}")
@@ -152,6 +161,12 @@ def run(scenario: Scenario, mode: str) -> RunRecord:
     dos_events = []
 
     states[0] = scenario.initial_states.reshape(-1)
+    # states near the float range overflow in the first step's products; one
+    # check here names that step, so the loop needs no errstate of its own
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = step(scenario, states[0], control_inputs(scenario, 0, states[0], index))
+    if not np.isfinite(first).all():
+        raise InvalidInputError("step 1: state is not finite")
 
     for k in range(H):
         x = states[k]
@@ -187,6 +202,11 @@ def run(scenario: Scenario, mode: str) -> RunRecord:
         k = int(np.argmin(np.isfinite(states).all(axis=1)))
         raise InvalidInputError(f"step {k}: state is not finite")
     _positional_errors(scenario, states, out=pair_errors)
+    if not np.isfinite(pair_errors).all():
+        k, p = np.argwhere(~np.isfinite(pair_errors))[0]
+        i, j = _pair_list(N)[p]
+        raise InvalidInputError(f"step {k}: the formation error of pair {i}-{j} "
+                                "exceeds the float range")
     _slot_tracking(scenario, states, out=tracking)
     return RunRecord(mode=mode, dt=scenario.agent_model.dt, n_agents=N,
                      states=states, decisions=decisions, pair_errors=pair_errors,

@@ -5,6 +5,7 @@ agents in index order (agent 0 first). Agent 0 is the leader.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -126,12 +127,23 @@ class ReferenceTrack:
         self.states = np.stack([pos[0], vel[0], pos[1], vel[1]], axis=1)
 
 
+@functools.lru_cache(maxsize=16)
+def _shared_track(ref_fn, horizon, dt):
+    """The one `ReferenceTrack` of (ref_fn, horizon, dt), read-only: every
+    scenario with that reference, horizon and dt shares it."""
+    track = ReferenceTrack(ref_fn, horizon, dt)
+    track.states.flags.writeable = track.acc.flags.writeable = False
+    return track
+
+
 @dataclass
 class Scenario:
     """Full experiment description: plant, gains, formation, and attack knobs.
 
     Treated as immutable after construction; runs never mutate it.
-    `reference` maps an integer array of n steps to their (n, 4) samples.
+    `reference` maps an integer array of n steps to their (n, 4) samples and
+    must be hashable, as a function is: `track` is the read-only one that
+    every scenario with the same reference, horizon and dt shares.
     """
 
     n_agents: int
@@ -171,8 +183,8 @@ class Scenario:
                 raise InvalidInputError(f"{name}[{i}, {j}] is {v[i, j]}, not finite")
         if self.horizon_steps < 1:
             raise InvalidInputError("horizon_steps must be >= 1")
-        self.track = ReferenceTrack(self.reference, self.horizon_steps,
-                                    self.agent_model.dt)
+        self.track = _shared_track(self.reference, self.horizon_steps,
+                                   self.agent_model.dt)
 
     @property
     def dim(self):

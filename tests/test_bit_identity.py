@@ -10,6 +10,7 @@ intersects adjacent faces only, and its ring may start at another vertex than
 the oracle's and hold another float of a merged run, so the two agree up to
 rotation within the 1e-9 * scale that defines one vertex.
 """
+import dataclasses
 import re
 import warnings
 from collections import deque
@@ -596,6 +597,30 @@ def test_pair_errors_past_the_square_overflow_take_hypot():
         assert np.array_equal(record.pair_errors[rows, col],
                               np.hypot(d[rows, 0], d[rows, 1]))
     assert np.isfinite(record.pair_errors).all()
+
+
+def test_pair_errors_of_slots_farther_apart_than_the_float_range():
+    """Agents 3 and 4 slotted at -1e308 and 1e308, whose slot difference
+    overflows, and started on their slots: every pair error is finite and no
+    numpy warning is raised. Pair 3-4 subtracts each agent's slot first and
+    takes hypot of (p_3 - o_3) - (p_4 - o_4); every other entry keeps the
+    per-pair loop's bytes."""
+    offsets = [(0, 0), (-4, -3), (4, -3), (-1e308, -1e308), (1e308, 1e308)]
+    s = build_scenario(seed=0, horizon_steps=20, offsets=offsets)
+    s = dataclasses.replace(s, initial_states=s.formation_offsets + s.track.states[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        record = run(s, "nominal")
+    assert np.isfinite(record.pair_errors).all()
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.array([_loop_pair_errors(s, x) for x in record.states])
+    far = ~np.isfinite(want)
+    assert far[:, 9].all() and not far[:, :9].any()  # column 9 is pair 3-4
+    assert np.array_equal(record.pair_errors[~far], want[~far])
+    pos = record.states.reshape(len(record.states), s.n_agents, 4)[..., ::2]
+    slots = s.formation_offsets[:, ::2]
+    d = (pos[:, 3] - slots[3]) - (pos[:, 4] - slots[4])
+    assert np.array_equal(record.pair_errors[:, 9], np.hypot(d[:, 0], d[:, 1]))
 
 
 def _laprec_factors(kind, seed, n_agents):

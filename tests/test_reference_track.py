@@ -1,6 +1,7 @@
 """The array-valued reference and the cumulative-sum track return the bytes of
 the per-step sampling and velocity loop in `track_oracle`, signed zeros
-included, and reject malformed references at the track.
+included, and reject malformed references at the track. Scenarios with the
+same reference, horizon and dt share one read-only track.
 """
 import re
 import warnings
@@ -15,7 +16,8 @@ from track_oracle import (complete, raw_velocities, sample, scalar_reference,
 
 from ncsred.errors import InvalidInputError
 from ncsred.ncs import ReferenceTrack, reference
-from ncsred.scenario_io import build_scenario, initial_states_from_box
+from ncsred.scenario_io import (build_scenario, initial_states_from_box,
+                                load_scenario)
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
                     database=None)
@@ -153,6 +155,30 @@ class TestTrackErrors:
     def test_smallest_dt_whose_track_is_finite(self):
         acc = build_scenario(dt=1e-154).track.acc
         assert np.isfinite(acc).all() and np.abs(acc).max() > 1e307
+
+
+class TestSharedTrack:
+    def test_scenario_files_share_one_read_only_track(self, tmp_path):
+        """Two seed files with the stock reference, horizon 40 and dt 0.2
+        hold one track object, whose arrays refuse writes and hold a fresh
+        track's bytes; another horizon or dt gives another track."""
+        def load(text):
+            path = tmp_path / "s.scn"
+            path.write_text(text)
+            return load_scenario(path)
+        a = load("rng_seed = 1\nhorizon_steps = 40\n")
+        b = load("rng_seed = 2\nhorizon_steps = 40\n")
+        assert a.track is b.track
+        fresh = ReferenceTrack(reference, 40, 0.2)
+        assert a.track.states.tobytes() == fresh.states.tobytes()
+        assert a.track.acc.tobytes() == fresh.acc.tobytes()
+        for arr in (a.track.states, a.track.acc):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        for other in ("rng_seed = 1\nhorizon_steps = 41\n",
+                      "rng_seed = 1\nhorizon_steps = 40\ndt = 0.25\n"):
+            assert load(other).track is not a.track
 
 
 def _box_loop(n_agents, box, seed):

@@ -3,13 +3,16 @@ a run builds.
 
 The reach pass keeps the last step's input term per run and runs every
 agent's first forward product once; both must return the bytes of the
-per-step formula in `reach_oracle`, compared with `np.array_equal`. The fit
-window is a read-only view. Scenario values whose run could not be built
-(an inverted or overflowing initial box, a `dt` whose B or reference track
-overflows, a face or direction count past its cap), or whose states leave
-the float range, exit 2 with a named message, and an unseeded scenario is
-refused.
+per-step formula in `reach_oracle`, compared with `np.array_equal`. Every
+Omega drawn on the same (B, N, m) shares one read-only copy of the
+directions, injection maps and lifts. The fit window is a read-only view.
+Scenario values whose run could not be built (an inverted or overflowing
+initial box, a `dt` whose B or reference track overflows, a face or direction
+count past its cap), or whose states or formation errors leave the float
+range, exit 2 with a named message, and an unseeded scenario is refused.
 """
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,15 +20,17 @@ from hypothesis import strategies as st
 
 from reach_oracle import reach_supports, stacked_reach_supports
 
+from ncsred import attack
 from ncsred.attack import (MAX_DIRECTIONS, MAX_FACES, AttackConfig,
-                           agent_reach_polygon)
+                           agent_reach_polygon, select_targets, synthesize_fdi)
 from ncsred.cli import main
 from ncsred.dmd import SnapshotBuffer, fit
 from ncsred.errors import InvalidInputError
 from ncsred.harness import MODES, input_polytope
 from ncsred.ncs import AgentModel
 from ncsred.reachset import (batch_reach_supports, circumscribe_ball,
-                             embed_input_map, input_term, planar_directions)
+                             embed_input_map, input_image_distances, input_term,
+                             planar_directions)
 from ncsred.scenario_io import build_scenario, load_scenario
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
@@ -115,6 +120,52 @@ def test_cached_input_side_and_agent_index_are_read_only():
             poly.vertices[...] = np.nan
 
 
+def test_omega_draws_share_the_reach_constants():
+    """Two Omega draws on one (B, N, m) share the directions, Bsel and lifts
+    objects, all read-only; each draw's last input term and candidate tables
+    give the bytes of the formulas on its own vertices."""
+    B = AgentModel(0.2).B
+    n_agents, m = 5, 16
+    rng = np.random.default_rng(5)
+    K = rng.normal(size=(4 * n_agents, 4 * n_agents))
+    K /= np.linalg.norm(K, 2)
+    x0 = rng.normal(scale=10.0, size=4 * n_agents)
+    seen = []
+    for seed in (11, 12):
+        omega = circumscribe_ball(0.05, 8, seed=seed)
+        with mock.patch.object(attack, "batch_reach_supports",
+                               wraps=batch_reach_supports) as reach, \
+                mock.patch.object(attack, "input_image_distances",
+                                  wraps=input_image_distances) as score:
+            polygons = agent_reach_polygon(K, B, x0, omega, m)
+            targets = select_targets(polygons)
+            decision = synthesize_fdi(targets, K, omega, x0, B, polygons)
+        _, _, Bsel, _, _, lifts, last = reach.call_args.args
+        dirs = polygons[0].directions
+        for a in (dirs, Bsel, lifts, last):
+            assert not a.flags.writeable
+        assert np.array_equal(last, input_term(lifts @ Bsel, omega.vertices, Bsel))
+        # the candidate rows (ui, uj) for ui, uj in V, then the zero injection
+        V = omega.vertices
+        Ui = np.vstack([np.repeat(V, len(V), axis=0), np.zeros(2)])
+        Uj = np.vstack([np.tile(V, (len(V), 1)), np.zeros(2)])
+        i, j = targets
+        c = K @ (K @ x0)
+        delta = (Ui @ (K @ embed_input_map(B, i, n_agents)).T
+                 + Uj @ (K @ embed_input_map(B, j, n_agents)).T)
+        pi, pj = slice(4 * i, 4 * i + 3, 2), slice(4 * j, 4 * j + 3, 2)
+        shifts = np.subtract(delta[:, pi], delta[:, pj], order="F")
+        shifts += c[pi] - c[pj]
+        assert np.array_equal(score.call_args.args[3], shifts)
+        best = int(np.argmax(input_image_distances(omega, B[::2], m, shifts)))
+        assert np.array_equal(decision.u_a[2 * i:2 * i + 2], Ui[best])
+        assert np.array_equal(decision.u_a[2 * j:2 * j + 2], Uj[best])
+        seen.append((dirs, Bsel, lifts, last))
+    (d1, B1, l1, t1), (d2, B2, l2, t2) = seen
+    assert d1 is d2 and B1 is B2 and l1 is l2
+    assert not np.array_equal(t1, t2)
+
+
 def test_fit_window_is_a_read_only_view():
     rng = np.random.default_rng(4)
     buf = SnapshotBuffer(6, 3)
@@ -143,6 +194,11 @@ BAD_SCENARIOS = [
     ("n_directions = 100000\n",
      f"n_directions must be <= {MAX_DIRECTIONS}, got 100000: each attacked step "
      "checks every agent's m points against its m faces"),
+    # agents start within the 10 m box, so pair 3-4 starts about 2.8e308 m
+    # from its slots' difference, above the largest float
+    ("horizon_steps = 120\n"
+     "formation_offsets = 0,0; -4,-3; 4,-3; -1e308,-1e308; 1e308,1e308\n",
+     "step 0: the formation error of pair 3-4 exceeds the float range"),
 ]
 
 
@@ -150,7 +206,7 @@ class TestBadScenarios:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("text, message", BAD_SCENARIOS,
                              ids=["box_order", "box_span", "dt", "dt_small", "faces",
-                                  "n_directions"])
+                                  "n_directions", "far_slots"])
     def test_exit_2_with_named_message(self, tmp_path, capsys, mode, text, message):
         path = tmp_path / "bad.scn"
         path.write_text(text)
@@ -163,13 +219,13 @@ class TestBadScenarios:
     @pytest.mark.parametrize("mode", MODES)
     def test_state_leaving_the_float_range_exits_2(self, tmp_path, capsys, mode):
         """An initial box up to 1e308 passes every scenario check, and the
-        plant overflows at its first step, as numpy warns: every mode exits 2
-        naming the step whose state is not finite."""
+        plant overflows at its first step: every mode exits 2 naming the step
+        whose state is not finite, with no numpy warning (RuntimeWarning is an
+        error here)."""
         path = tmp_path / "big.scn"
         path.write_text("horizon_steps = 120\ninit_box_high = 1e308\n")
-        with pytest.warns(RuntimeWarning, match="overflow|invalid value"):
-            rc = main(["simulate", "--scenario", str(path), "--mode", mode,
-                       "--out", str(tmp_path / "out")])
+        rc = main(["simulate", "--scenario", str(path), "--mode", mode,
+                   "--out", str(tmp_path / "out")])
         assert rc == 2
         err = capsys.readouterr().err
         assert "InvalidInputError: step 1: state is not finite" in err

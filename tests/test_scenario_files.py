@@ -3,12 +3,12 @@ finite cells in every CSV file written.
 
 Scenario texts set 1 to 3 keys of the README's key table to edge values
 (zeros, -0.0, +-1e308, nan, +-inf, 1e155, 1e200, counts at and past their
-caps, bad edges) on a short run whose attack starts early enough to make
-attacked steps and a DoS. Each goes through `cli.main(["simulate", ...])`
-in-process, in every mode, and through `reachset-dump --at` and `dmd-export
---at`. An exception that `main` does
-not turn into exit 2 would end the real CLI with exit 1 and a traceback, and
-fails here.
+caps, bad edges, slots farther apart than the float range) on a short run
+whose attack starts early enough to make attacked steps and a DoS. Each
+goes through `cli.main(["simulate", ...])` in-process, in every mode, and
+through `reachset-dump --at` and `dmd-export --at`. An exception that `main`
+does not turn into exit 2 would end the real CLI with exit 1 and a traceback,
+and fails here.
 """
 import contextlib
 import io
@@ -18,7 +18,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, note, settings
+from hypothesis import example, given, note, settings
 from hypothesis import strategies as st
 
 from ncsred import harness
@@ -31,6 +31,8 @@ BASE = {"horizon_steps": "26", "snapshot_width": "20", "start_step": "21",
         "dos_step": "23"}
 NUMBERS = ["0", "-0.0", "1e308", "-1e308", "nan", "inf", "-inf", "1e155", "1e200"]
 COUNTS = ["0", "-1", "1", "2", "1e308", "nan"]
+#: slots 3 and 4 farther apart than the float range
+FAR_SLOTS = "0,0; -4,-3; 4,-3; -1e308,-1e308; 1e308,1e308"
 VALUES = {
     **{key: NUMBERS for key in ("dt", "init_box_low", "init_box_high", "rho",
                                 "vertex_jitter", "svd_tol", "recovery_svd_tol")},
@@ -40,7 +42,8 @@ VALUES = {
     "faces": COUNTS + [str(MAX_FACES), str(MAX_FACES + 1)],
     "n_directions": COUNTS + [str(MAX_DIRECTIONS), str(MAX_DIRECTIONS + 1)],
     "edges": ["", "1-2", "1-1", "0-1", "1-6", "1-2, 1-3, 2-4, 3-5, 4-5"],
-    "formation_offsets": [f"0,0; -4,-3; 4,-3; -8,0; {v},{v}" for v in NUMBERS],
+    "formation_offsets": [f"0,0; -4,-3; 4,-3; -8,0; {v},{v}" for v in NUMBERS]
+    + [FAR_SLOTS],
     **{key: [f"{v} {v} 0 0" for v in NUMBERS]
        for key in ("gain_row1", "gain_row2", "leader_gain_row1", "leader_gain_row2")},
 }
@@ -94,6 +97,7 @@ def _text(edits):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(edits=files)
+@example(edits={"formation_offsets": FAR_SLOTS})
 def test_exit_0_or_2_and_finite_states(edits):
     text = _text(edits)
     for mode in MODES:
